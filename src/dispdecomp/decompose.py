@@ -324,6 +324,8 @@ _ESTIMATORS = {
 def _percentile_bounds(values: np.ndarray) -> tuple[float, float]:
     """2.5/97.5 order-statistic bounds: value at 1-based index ceil(q*B).
 
+    The one percentile rule, for bootstrap intervals and simulation reports.
+
     Indices use integer arithmetic (q = num/den) so binary floating-point
     cannot shift a boundary case (0.025*200 != 5 exactly in floats).
     """

@@ -8,7 +8,7 @@ sensitivity analysis, benchmarking) is built on these two entry points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,7 +33,8 @@ class OlsFit:
 
     coefficients maps design column names (including "intercept" when one
     was fitted) to estimates, in design order. residual_sd uses the n - p
-    denominator, p counting the intercept.
+    denominator, p counting the intercept. r_factor and pivots are the
+    column-pivoted QR factorization of the design (design[:, pivots] = Q R).
     """
 
     coefficients: dict[str, float]
@@ -42,6 +43,8 @@ class OlsFit:
     r_squared: float
     n: int
     p: int
+    r_factor: np.ndarray = field(repr=False)
+    pivots: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self.residuals.setflags(write=False)
@@ -55,6 +58,19 @@ class OlsFit:
             return self.coefficients[name]
         except KeyError:
             raise EstimationError(f"fit has no coefficient for {name!r}") from None
+
+    def unscaled_variances(self) -> dict[str, float]:
+        """Diagonal of (X'X)^-1 by coefficient name, X being the design.
+
+        Times residual_sd**2 this is each coefficient's squared standard
+        error. Computed from the stored R factor on each call.
+        """
+        r_inv = scipy.linalg.solve_triangular(
+            self.r_factor, np.eye(self.p), check_finite=False
+        )
+        diag = np.empty(self.p)
+        diag[self.pivots] = np.einsum("ij,ij->i", r_inv, r_inv)
+        return {name: float(v) for name, v in zip(self.coefficients, diag)}
 
     def predict(self, columns: Mapping[str, np.ndarray], n: int | None = None) -> np.ndarray:
         """Evaluate the fitted linear function on new columns.
@@ -174,6 +190,8 @@ def fit_ols(
         r_squared=r_squared,
         n=n,
         p=p,
+        r_factor=r,
+        pivots=piv,
     )
 
 

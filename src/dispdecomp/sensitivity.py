@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import DecompositionResult
-from .regress import EstimationError, fit_ols, partial_r2
+from .regress import EstimationError, OlsFit, fit_ols, partial_r2
 from .tabular import Dataset
 
 __all__ = [
@@ -180,6 +180,39 @@ def adjust(cda: DecompositionResult, data: Dataset, params: SensitivityParams) -
     return _adjust_from_inputs(cda, _bias_inputs(data), params)
 
 
+def _partial_r2_from_t(fit: OlsFit, names: list[str]) -> dict[str, float]:
+    """Partial R-squared of each named column given the fit's other columns.
+
+    Uses partial R2 = t^2 / (t^2 + df), with the coefficient's t-statistic
+    and the fit's residual degrees of freedom (Cinelli & Hazlett 2020).
+    This equals partial_r2 with every other design column as a control.
+    """
+    variances = fit.unscaled_variances()
+    df = fit.n - fit.p
+    out = {}
+    for name in names:
+        t_sq = fit.coef(name) ** 2 / (variances[name] * fit.residual_sd**2)
+        out[name] = t_sq / (t_sq + df)
+    return out
+
+
+def _partial_r2_by_refits(
+    designs: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
+    responses: tuple[np.ndarray, np.ndarray],
+    names: list[str],
+) -> tuple[dict[str, float], dict[str, float]]:
+    """partial_r2 for each covariate on each design: two fits per value."""
+    out: tuple[dict[str, float], dict[str, float]] = ({}, {})
+    for name in names:
+        try:
+            for design, response, values in zip(designs, responses, out):
+                controls = [c for c in design if c != name]
+                values[name] = partial_r2(design, response, name, controls)
+        except EstimationError as exc:
+            raise EstimationError(f"covariate {name}: {exc}") from exc
+    return out
+
+
 def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     """Observed covariate strengths on the two partial R-squared axes.
 
@@ -189,29 +222,37 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     covariates. An unmeasured confounder "as strong as Z" would sit at
     that coordinate pair. Sorted by r2_with_y, strongest first; ties keep
     role-order.
+
+    All values come from the t-statistics of two fits: the outcome on
+    every column and the mediator on every column. When either fit fails
+    or is perfect, each value is computed from its own pair of fits
+    instead, and the error names the covariate whose partial R-squared is
+    undefined.
     """
     roles = data.roles
     names = list(roles.covariates)
     if not names:
         return ()
-    columns = {
+    outcome_design = {
         roles.group: data.column(roles.group),
         **{name: data.column(name) for name in names},
         roles.mediator: data.column(roles.mediator),
     }
-    y = data.column(roles.outcome)
-    m = data.column(roles.mediator)
-    mediator_design = {k: v for k, v in columns.items() if k != roles.mediator}
-    out = []
-    for name in names:
-        try:
-            with_y = partial_r2(columns, y, name, [c for c in columns if c != name])
-            with_m = partial_r2(
-                mediator_design, m, name, [c for c in mediator_design if c != name]
-            )
-        except EstimationError as exc:
-            raise EstimationError(f"covariate {name}: {exc}") from exc
-        out.append(CovariateBenchmark(name=name, r2_with_y=with_y, r2_with_m=with_m))
+    mediator_design = {k: v for k, v in outcome_design.items() if k != roles.mediator}
+    designs = (outcome_design, mediator_design)
+    responses = (data.column(roles.outcome), data.column(roles.mediator))
+    try:
+        fits = [fit_ols(x, y) for x, y in zip(designs, responses)]
+    except EstimationError:
+        fits = []
+    if fits and all(fit.r_squared < 1.0 - 1e-12 for fit in fits):
+        with_y, with_m = (_partial_r2_from_t(fit, names) for fit in fits)
+    else:
+        with_y, with_m = _partial_r2_by_refits(designs, responses, names)
+    out = [
+        CovariateBenchmark(name=name, r2_with_y=with_y[name], r2_with_m=with_m[name])
+        for name in names
+    ]
     out.sort(key=lambda b: -b.r2_with_y)
     return tuple(out)
 

@@ -44,6 +44,7 @@ from ._streams import stream_seed, substream
 from .decompose import (
     CdaSettings,
     DecompositionResult,
+    _percentile_bounds,
     decompose_cda,
     decompose_dic,
     decompose_kob,
@@ -732,18 +733,6 @@ class SimulationReport:
         return tuple(seen)
 
 
-def _rep_percentiles(values: np.ndarray) -> tuple[float, float]:
-    """Same 1-based ceil(q*B) order-statistic rule as the bootstrap."""
-    ordered = np.sort(values)
-    b = ordered.size
-
-    def at(num: int) -> float:
-        idx = -((-num * b) // 1000)
-        return float(ordered[max(idx, 1) - 1])
-
-    return at(25), at(975)
-
-
 def _one_replication(
     config: ScenarioConfig,
     rep: int,
@@ -827,7 +816,7 @@ def run_harness(
         per_rep = np.array([results[rep][method] for rep in range(reps)])
         for qi, quantity in enumerate(("initial", "explained", "unexplained")):
             values = per_rep[:, qi]
-            lower, upper = _rep_percentiles(values)
+            lower, upper = _percentile_bounds(values)
             t = truth.quantity(quantity)
             mcse = (
                 float(values.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("nan")

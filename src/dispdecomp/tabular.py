@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -127,30 +128,33 @@ class Dataset:
         return Dataset({k: v[idx] for k, v in self.columns.items()}, self.roles)
 
 
-def load_csv(path: str, roles: RoleSpec) -> Dataset:
-    """Read a headered CSV into a Dataset.
-
-    The first row is the header. Every cell must parse as a finite real
-    number; empty, non-numeric, and non-finite cells raise DataError with
-    the 1-based file row (header is row 1) and the column name.
-    """
+def _open_csv(path: str) -> TextIO:
     try:
-        fh = open(path, newline="")
+        return open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
-    with fh:
+
+
+def _read_header(reader: Iterator[list[str]], path: str, roles: RoleSpec) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path!r} is empty") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupe = next(h for h in header if header.count(h) > 1)
+        raise DataError(f"duplicate column {dupe!r} in header")
+    for name in roles.all_roles():
+        if name not in header:
+            raise DataError(f"role column {name!r} not found in header of {path!r}")
+    return header
+
+
+def _load_csv_reference(path: str, roles: RoleSpec) -> Dataset:
+    """Cell-by-cell parser: defines load_csv's result and all its row errors."""
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path!r} is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupe = next(h for h in header if header.count(h) > 1)
-            raise DataError(f"duplicate column {dupe!r} in header")
-        for name in roles.all_roles():
-            if name not in header:
-                raise DataError(f"role column {name!r} not found in header of {path!r}")
+        header = _read_header(reader, path, roles)
         data: list[list[float]] = [[] for _ in header]
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -175,6 +179,60 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
     if not data[0]:
         raise DataError(f"{path!r} has a header but no data rows")
     return Dataset({name: np.array(col) for name, col in zip(header, data)}, roles)
+
+
+def _fast_table(lines: Iterable[str], width: int) -> np.ndarray | None:
+    """Parse the data lines in one np.loadtxt pass, or None to use the reference.
+
+    The table is returned only when it must equal the reference parser's
+    result: loadtxt accepted every cell, every value is finite, and each
+    line gave exactly one row of width cells. loadtxt would skip blank
+    lines, so whitespace-only lines (and inputs with no data line, on
+    which loadtxt warns) are refused before it sees them; it joins lines
+    inside a quoted cell, which the row count catches. Cells loadtxt
+    refuses but float() accepts, such as "1_0", go to the reference parser.
+    """
+    count = 0
+
+    def counted():
+        nonlocal count
+        for line in lines:
+            if line.isspace():
+                raise ValueError("blank line")
+            count += 1
+            yield line
+        if count == 0:
+            raise ValueError("no data lines")
+
+    try:
+        table = np.loadtxt(
+            counted(), delimiter=",", comments=None, quotechar='"',
+            dtype=np.float64, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape != (count, width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def load_csv(path: str, roles: RoleSpec) -> Dataset:
+    """Read a headered CSV into a Dataset.
+
+    The first row is the header. Every cell must parse as a finite real
+    number; empty, non-numeric, and non-finite cells raise DataError with
+    the 1-based file row (header is row 1) and the column name.
+
+    Well-formed files are parsed in one vectorized pass; any file that pass
+    cannot reproduce exactly is parsed again cell by cell, which also
+    produces the error messages.
+    """
+    with _open_csv(path) as fh:
+        header = _read_header(csv.reader(fh), path, roles)
+        table = _fast_table(fh, len(header))
+    if table is None:
+        return _load_csv_reference(path, roles)
+    return Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
 
 
 def write_csv(data: Dataset, path: str) -> None:

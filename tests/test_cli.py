@@ -1,8 +1,11 @@
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import dispdecomp
 from dispdecomp import RenderedReport, decompose_dic, main, render
 
 from conftest import build_dataset
@@ -344,3 +347,16 @@ class TestConsoleScript:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "usage" in out.lower()
+
+
+class TestModuleEntryPoint:
+    def test_help_runs(self):
+        src = os.path.dirname(os.path.dirname(dispdecomp.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dispdecomp", "--help"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0
+        assert "decompose" in proc.stdout
+        assert "simulate" in proc.stdout

@@ -119,6 +119,22 @@ class TestFitOls:
         npt.assert_allclose(scaled.r_squared, base.r_squared, rtol=1e-9)
         npt.assert_allclose(scaled.residual_sd, base.residual_sd, rtol=1e-9)
 
+    def test_unscaled_variances_frozen_line_fit(self):
+        # X'X = [[3, 3], [3, 5]], whose inverse has diagonal 5/6 and 1/2.
+        fit = fit_ols({"x": LINE_X}, LINE_Y)
+        variances = fit.unscaled_variances()
+        assert list(variances) == [INTERCEPT, "x"]
+        npt.assert_allclose([variances[INTERCEPT], variances["x"]], [5 / 6, 1 / 2], rtol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), intercept=st.booleans())
+    def test_unscaled_variances_match_inverse_gram_diagonal(self, seed, intercept):
+        rng = np.random.default_rng(seed)
+        cols = {"a": rng.normal(size=20) * 1e3, "b": rng.normal(size=20), "c": rng.normal(size=20)}
+        fit = fit_ols(cols, rng.normal(size=20), intercept=intercept)
+        design = np.column_stack(([np.ones(20)] if intercept else []) + list(cols.values()))
+        expected = np.diag(np.linalg.inv(design.T @ design))
+        npt.assert_allclose(list(fit.unscaled_variances().values()), expected, rtol=1e-9)
+
     @given(seed=st.integers(0, 2**32 - 1))
     def test_orthogonal_column_leaves_coefficients_unchanged(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,7 +17,9 @@ from dispdecomp import (
     decompose_cda,
     decompose_dic,
     grid,
+    sensitivity,
 )
+from dispdecomp.regress import RANK_TOL, partial_r2
 
 from conftest import build_dataset, random_dataset
 
@@ -38,6 +42,49 @@ def _residual_sd(design_cols, response):
     resid = response - design @ coef
     dof = len(response) - design.shape[1]
     return math.sqrt(float(resid @ resid) / dof)
+
+
+def _refit_strengths(data):
+    """Each covariate's (r2_with_y, r2_with_m) from partial_r2 on its own fits."""
+    roles = data.roles
+    design = {
+        roles.group: data.column(roles.group),
+        **{name: data.column(name) for name in roles.covariates},
+        roles.mediator: data.column(roles.mediator),
+    }
+    mediator_design = {k: v for k, v in design.items() if k != roles.mediator}
+    out = {}
+    for name in roles.covariates:
+        out[name] = (
+            partial_r2(design, data.column(roles.outcome), name, [c for c in design if c != name]),
+            partial_r2(
+                mediator_design,
+                data.column(roles.mediator),
+                name,
+                [c for c in mediator_design if c != name],
+            ),
+        )
+    return out
+
+
+def _exact_ssr(columns, response):
+    """Residual sum of squares of an intercept fit, in exact rational arithmetic."""
+    design = [[Fraction(1)] * len(response)] + [[Fraction(float(v)) for v in c] for c in columns]
+    y = [Fraction(float(v)) for v in response]
+    p = len(design)
+    rows = [
+        [sum(a * b for a, b in zip(design[i], design[j])) for j in range(p)]
+        + [sum(a * b for a, b in zip(design[i], y))]
+        for i in range(p)
+    ]
+    for i in range(p):
+        for k in range(p):
+            if k != i:
+                f = rows[k][i] / rows[i][i]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+    beta = [rows[i][p] / rows[i][i] for i in range(p)]
+    resid = [y[t] - sum(b * col[t] for b, col in zip(beta, design)) for t in range(len(y))]
+    return sum(r * r for r in resid)
 
 
 class TestParams:
@@ -91,6 +138,39 @@ class TestAdjust:
         npt.assert_allclose(adjusted.bias, expected, rtol=1e-10)
         npt.assert_allclose(adjusted.delta_adjusted, cda.explained - expected, rtol=1e-10)
         npt.assert_allclose(adjusted.zeta_adjusted, cda.unexplained + expected, rtol=1e-10)
+
+    def test_scales_come_from_pooled_regressions(self):
+        # The groups have different noise levels, so the residual sds of the
+        # pooled regressions (with R) differ from those of the group-1
+        # outcome and group-0 mediator regressions. The bias uses the pooled
+        # ones: outcome on R, X, C, M and mediator on R, X, C.
+        rng = np.random.default_rng(8)
+        n = 200
+        r = np.repeat([0.0, 1.0], n // 2)
+        c = rng.normal(size=n)
+        x = rng.normal(0.4 * r, 1.0)
+        m = 1.0 - 0.6 * r + 0.3 * c + 0.2 * x + rng.normal(size=n) * np.where(r == 1, 2.0, 0.5)
+        y = 0.5 * r + 0.25 * x + 0.4 * m + rng.normal(size=n) * np.where(r == 1, 3.0, 0.5)
+        data = build_dataset(
+            {"R": r, "C": c, "X": x, "M": m, "Y": y}, baseline=("C",), intermediate=("X",)
+        )
+        cda = decompose_cda(data, CdaSettings(seed=1))
+        bias = adjust(cda, data, SensitivityParams(r2_yu=0.3, r2_mu=0.2)).bias
+        mask0, mask1 = data.group_mask(0), data.group_mask(1)
+        preds = {}
+        for g, mask in ((0, mask0), (1, mask1)):
+            design = np.column_stack([np.ones(mask.sum()), c[mask]])
+            coef, _, _, _ = np.linalg.lstsq(design, m[mask], rcond=None)
+            preds[g] = coef[0] + coef[1] * c[mask1]
+        gap = float((preds[1] - preds[0]).mean())
+        factor = math.sqrt(0.3 * 0.2 / 0.8) * gap
+        pooled = _residual_sd([r, x, c, m], y) / _residual_sd([r, x, c], m)
+        by_group = _residual_sd([x[mask1], c[mask1], m[mask1]], y[mask1]) / _residual_sd(
+            [c[mask0]], m[mask0]
+        )
+        assert abs(pooled / by_group - 1.0) > 0.2
+        npt.assert_allclose(bias, factor * pooled, rtol=1e-10)
+        assert abs(bias - factor * by_group) > 0.2 * abs(factor * by_group)
 
     def test_sign_flips_bias_exactly(self):
         data = random_dataset(42, n=26, n_baseline=1)
@@ -203,6 +283,98 @@ class TestBenchmark:
         )
         with pytest.raises(EstimationError, match="covariate Z:"):
             benchmark(data)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_fits_match_per_covariate_partial_r2(self, seed):
+        n = (10, 24, 60, 400)[seed % 4]
+        data = random_dataset(100 + seed, n=n, n_baseline=1 + seed % 3, n_intermediate=seed % 4)
+        expected = _refit_strengths(data)
+        for b in benchmark(data):
+            npt.assert_allclose((b.r2_with_y, b.r2_with_m), expected[b.name], rtol=0, atol=1e-12)
+
+    def test_near_collinear_covariate_matches_partial_r2(self):
+        rng = np.random.default_rng(11)
+        n = 50
+        r = np.repeat([0.0, 1.0], n // 2)
+        c = rng.normal(size=n)
+        x = c + 1e-3 * rng.normal(size=n)
+        m = rng.normal(size=n) + 0.5 * c - 0.3 * r
+        y = rng.normal(size=n) + 0.4 * m + 0.2 * x + 0.5 * r
+        data = build_dataset(
+            {"R": r, "C": c, "X": x, "M": m, "Y": y}, baseline=("C",), intermediate=("X",)
+        )
+        expected = _refit_strengths(data)
+        for b in benchmark(data):
+            npt.assert_allclose((b.r2_with_y, b.r2_with_m), expected[b.name], rtol=0, atol=1e-12)
+
+    def test_covariate_just_above_rank_tol(self):
+        # X differs from C by 1e-9 of its scale, so its pivot in both designs
+        # sits within one decade of RANK_TOL. Double precision then fixes a
+        # partial R-squared only to about eps / pivot ratio, whatever the
+        # algorithm, so the two-fit path and the per-covariate refits are
+        # both held to 10 * eps / ratio of the exact rational value.
+        rng = np.random.default_rng(3)
+        n = 40
+        r = np.repeat([0.0, 1.0], n // 2)
+        c = rng.normal(size=n)
+        u = rng.normal(size=n)
+        x = c + 1e-9 * u
+        m = rng.normal(size=n) + 0.5 * c - 0.3 * r
+        y = rng.normal(size=n) + 0.4 * m + 0.2 * x + 0.5 * r + 0.7 * u
+        data = build_dataset(
+            {"R": r, "C": c, "X": x, "M": m, "Y": y}, baseline=("C",), intermediate=("X",)
+        )
+        strengths = {b.name: (b.r2_with_y, b.r2_with_m) for b in benchmark(data)}
+        refits = _refit_strengths(data)
+        designs = (({"R": r, "X": x, "C": c, "M": m}, y), ({"R": r, "X": x, "C": c}, m))
+        for axis, (columns, response) in enumerate(designs):
+            design = np.column_stack([np.ones(n), *columns.values()])
+            pivots = np.abs(np.diag(scipy.linalg.qr(design, mode="r", pivoting=True)[0]))
+            ratio = pivots[-1] / pivots[0]
+            assert RANK_TOL < ratio < 10 * RANK_TOL
+            tol = 10 * np.finfo(float).eps / ratio
+            full = _exact_ssr(columns.values(), response)
+            for name in ("X", "C"):
+                others = [v for k, v in columns.items() if k != name]
+                exact = float(1 - full / _exact_ssr(others, response))
+                assert abs(strengths[name][axis] - exact) < tol
+                assert abs(refits[name][axis] - exact) < tol
+
+    def test_two_fits_without_partial_r2(self, monkeypatch):
+        calls = []
+        fit_ols = sensitivity.fit_ols
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return fit_ols(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("partial_r2 called")
+
+        monkeypatch.setattr(sensitivity, "fit_ols", counting_fit)
+        monkeypatch.setattr(sensitivity, "partial_r2", refused)
+        data = random_dataset(49, n=40, n_baseline=2, n_intermediate=2)
+        assert len(benchmark(data)) == 4
+        assert len(calls) == 2
+
+    def test_exact_sum_covariate_names_dependent_columns(self):
+        rng = np.random.default_rng(5)
+        n = 30
+        z1, z2 = rng.normal(size=n), rng.normal(size=n)
+        data = build_dataset(
+            {
+                "R": np.repeat([0.0, 1.0], n // 2),
+                "Z1": z1,
+                "Z2": z2,
+                "Z3": z1 + z2,
+                "M": rng.normal(size=n) + 0.5 * z1,
+                "Y": rng.normal(size=n),
+            },
+            baseline=("Z1", "Z2", "Z3"),
+        )
+        with pytest.raises(EstimationError) as info:
+            benchmark(data)
+        assert str(info.value) == "covariate Z1: design columns are linearly dependent: Z2, Z3, Z1"
 
 
 class TestGrid:

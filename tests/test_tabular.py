@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dispdecomp import DataError, Dataset, RoleSpec, group_means, load_csv, write_csv
+from dispdecomp.tabular import _fast_table, _load_csv_reference
 
 from conftest import build_dataset
 
@@ -169,6 +170,113 @@ class TestLoadCsv:
         path = self.write(tmp_path, " R , M , Y \n 0 , 1 , 2 \n 1 , 3 , 4 \n")
         data = load_csv(path, minimal_roles())
         npt.assert_array_equal(data.column("M"), [1.0, 3.0])
+
+
+def _outcome(loader, path, roles):
+    """What a loader makes of a file: column bits by name, or the error text."""
+    try:
+        data = loader(path, roles)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("data", {name: col.view(np.uint64).tolist() for name, col in data.columns.items()})
+
+
+class TestLoadCsvMatchesReference:
+    """load_csv gives the reference parser's column bits or error text."""
+
+    def check(self, tmp_path, text, roles=None):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        roles = roles or minimal_roles()
+        fast = _outcome(load_csv, str(path), roles)
+        assert fast == _outcome(_load_csv_reference, str(path), roles)
+        return fast
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("R,M,Y\n0,1,2\n\n1,2,3\n", "row 3: expected 3 cells, found 0"),
+            ("R,M,Y\n0,1,2\n1,2,3\n\n\n", "row 4: expected 3 cells, found 0"),
+            ("R,M,Y\n0,1,2\n  \t \n1,2,3\n", "row 3: expected 3 cells, found 1"),
+            ("R,M,Y\n# note\n0,1,2\n1,2,3\n", "row 2: expected 3 cells, found 1"),
+            ("R,M,Y\n0,1#,2\n1,2,3\n", "row 2, column 'M': non-numeric value '1#'"),
+            ("R,M,Y\n0,1,nan\n1,2,3\n", "row 2, column 'Y': non-finite value 'nan'"),
+            ("R,M,Y\n0,1,2\n1,inf,3\n", "row 3, column 'M': non-finite value 'inf'"),
+            ("R,M,Y\n0,Infinity,2\n1,2,3\n", "row 2, column 'M': non-finite value 'Infinity'"),
+            ("R,M,Y\n0,1,2\n1,2,-inf\n", "row 3, column 'Y': non-finite value '-inf'"),
+            ("R,M,Y\n0,0x10,2\n1,2,3\n", "row 2, column 'M': non-numeric value '0x10'"),
+            ("R,M,Y\n0,1,2,\n1,2,3,\n", "row 2: expected 3 cells, found 4"),
+            ("R,M,Y\n0,1,2\n1,2\n", "row 3: expected 3 cells, found 2"),
+            ("R,M,Y\n0,1,2\n1,,3\n", "row 3, column 'M': empty cell"),
+            ("R,M,Y\n0,1,2\n", "group 1 has no rows"),
+            ("R,M,Y\n", "has a header but no data rows"),
+            ("R,M,Y\n\n", "row 2: expected 3 cells, found 0"),
+        ],
+    )
+    def test_error_cases(self, tmp_path, text, error):
+        kind, message = self.check(tmp_path, text)
+        assert kind == "error"
+        assert error in message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"R","M","Y"\n"0","1.5",2\n1," 2.5 ","3"\n',
+            "R,M,Y\r\n0,1.5,2\r\n1,2.5,3\r\n",
+            "R,M,Y\r0,1.5,2\r1,2.5,3\r",
+            "R,M,Y\n0,-0.0,2\n1,2.5,-0.0",
+            "R,M,Y\n0,1e-320,2.5e+300\n1,.5,5.\n",
+        ],
+    )
+    def test_loadable_cases(self, tmp_path, text):
+        kind, columns = self.check(tmp_path, text)
+        assert kind == "data"
+        assert len(columns["M"]) == 2
+
+    def test_underscore_digits_parse_as_float_does(self, tmp_path):
+        _, columns = self.check(tmp_path, "R,M,Y\n0,1_0,2\n1,2,3\n")
+        assert columns["M"][0] == np.float64(10.0).view(np.uint64)
+
+    def test_more_rows_than_one_loadtxt_chunk(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 50_003
+        values = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+        lines = [f"{i % 2},{a!r},{b!r}" for i, (a, b) in enumerate(values.tolist())]
+        kind, columns = self.check(tmp_path, "R,M,Y\n" + "\n".join(lines) + "\n")
+        assert kind == "data"
+        assert columns["M"] == values[:, 0].view(np.uint64).tolist()
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["0", "1", "-0.0", " 2.5 ", "1e3", '"4"', "1_0", "0x1", "nan",
+                     "-inf", "", " ", "#", '"5', "\xa07", "1e999", "٣"]
+                ),
+                min_size=2,
+                max_size=4,
+            ),
+            max_size=4,
+        ),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_random_cells(self, rows, newline, tmp_path_factory):
+        lines = ["R,M,Y", "0,1,2", "1,2,3"] + [",".join(row) for row in rows]
+        self.check(tmp_path_factory.mktemp("csv"), newline.join(lines) + newline)
+
+    def test_vectorized_pass_used_for_clean_input(self):
+        table = _fast_table(iter(["0,1.5,2\n", "1,2.5,3"]), 3)
+        npt.assert_array_equal(table, [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]])
+        assert _fast_table(iter(["0,1.5,2\n"]), 3).shape == (1, 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lines",
+        [[], ["\n", "\r\n"], ["0,1,2\n", "\n", "1,2,3\n"], ["0,1,2\n", "1,2,3,4\n"], ["0,1,2,3\n"],
+         ['0,"1\n', '",2\n'], ["0,1,inf\n"], ["0,1_0,2\n"]],
+    )
+    def test_vectorized_pass_declines(self, lines):
+        assert _fast_table(iter(lines), 3) is None
 
 
 class TestWriteCsv:
