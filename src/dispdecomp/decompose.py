@@ -48,6 +48,9 @@ RESIDUAL_MODES = ("empirical-resample", "parametric-normal")
 # meaningless; it is reported as an explicit undefined marker instead.
 PROPORTION_EPS = 1e-9
 
+# Residual draws made per block in decompose_cda (at least one unit's worth).
+_DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class DicDetail:
@@ -255,53 +258,61 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     try:
         mediator_model = fit_ols(c0, data.column(roles.mediator)[mask0])
         outcome_on_c0 = fit_ols(c0, y[mask0])
-        outcome_on_c1 = fit_ols(c1, y[mask1])
     except EstimationError as exc:
         raise EstimationError(f"baseline models: {exc}") from exc
 
-    x1 = _columns(data, roles.intermediate, mask1)
-    m1 = data.column(roles.mediator)[mask1]
-    g1_cols: dict[str, np.ndarray] = {**c1, **x1, roles.mediator: m1}
-    if settings.interactions:
-        g1_cols.update(_interaction_columns(roles.mediator, m1, {**c1, **x1}))
+    covariates1 = {**c1, **_columns(data, roles.intermediate, mask1)}
+
+    def outcome_columns(m: np.ndarray) -> dict[str, np.ndarray]:
+        cols = {**covariates1, roles.mediator: m}
+        if settings.interactions:
+            cols.update(_interaction_columns(roles.mediator, m, covariates1))
+        return cols
+
     try:
-        outcome_model = fit_ols(g1_cols, y[mask1])
+        outcome_model = fit_ols(
+            outcome_columns(data.column(roles.mediator)[mask1]), y[mask1]
+        )
     except EstimationError as exc:
+        # Both group-specific outcome-on-baseline models are preconditions
+        # whose failure is reported first. The group-1 one is fitted only
+        # here: its design is a column subset of the outcome model's, so a
+        # rank deficiency in it also sinks the outcome model.
+        try:
+            fit_ols(c1, y[mask1])
+        except EstimationError as base_exc:
+            raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
+    # Each unit's counterfactual mediator draws are reduced to their mean
+    # one block of whole units at a time, so memory stays O(n1) whatever
+    # the draw count. The generator carries its stream across calls and
+    # each row mean is reduced alone, so the result equals one (n1, draws)
+    # draw bit for bit.
     mu0 = mediator_model.predict(c1, n=n1)
     rng = substream(settings.seed)
     draws = settings.mc_draws_per_unit
-    if settings.residual_mode == "empirical-resample":
-        eps = rng.choice(mediator_model.residuals, size=(n1, draws), replace=True)
-    else:
-        eps = rng.normal(0.0, mediator_model.residual_sd, size=(n1, draws))
-    m_star = mu0[:, None] + eps
+    rows = max(1, _DRAW_BLOCK // draws)
+    mean_m_star = np.empty(n1)
+    for start in range(0, n1, rows):
+        block = mu0[start:start + rows]
+        if settings.residual_mode == "empirical-resample":
+            eps = rng.choice(
+                mediator_model.residuals, size=(block.size, draws), replace=True
+            )
+        else:
+            eps = rng.normal(0.0, mediator_model.residual_sd, size=(block.size, draws))
+        mean_m_star[start:start + rows] = (block[:, None] + eps).mean(axis=1)
 
     # The outcome model is linear in the mediator given the unit's own
     # covariates, so collapse it to per-unit intercept + slope before
     # averaging over draws.
-    unit_base = outcome_model.predict(
-        {**c1, **x1, roles.mediator: np.zeros(n1),
-         **_interaction_columns(roles.mediator, np.zeros(n1), {**c1, **x1})},
-        n=n1,
-    )
-    unit_slope = (
-        outcome_model.predict(
-            {**c1, **x1, roles.mediator: np.ones(n1),
-             **_interaction_columns(roles.mediator, np.ones(n1), {**c1, **x1})},
-            n=n1,
-        )
-        - unit_base
-    )
-    counterfactual = float(np.mean(unit_base + unit_slope * m_star.mean(axis=1)))
+    unit_base = outcome_model.predict(outcome_columns(np.zeros(n1)), n=n1)
+    unit_slope = outcome_model.predict(outcome_columns(np.ones(n1)), n=n1) - unit_base
+    counterfactual = float(np.mean(unit_base + unit_slope * mean_m_star))
 
     observed_mean = float(y[mask1].mean())
     standardized_ref = float(outcome_on_c0.predict(c1, n=n1).mean())
-    # outcome_on_c1 is fitted for the precondition that both group-specific
-    # outcome-on-baseline models exist; its fitted mean over group 1 equals
-    # the observed mean used below.
-    del outcome_on_c1
     initial = observed_mean - standardized_ref
     explained = observed_mean - counterfactual
     unexplained = counterfactual - standardized_ref

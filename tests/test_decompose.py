@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -208,6 +209,26 @@ class TestCda:
         with pytest.raises(EstimationError, match="baseline models:"):
             decompose_cda(data)
 
+    def test_baseline_error_in_group_1_only_takes_precedence(self):
+        # C is constant in group 1 only: the group-0 models fit, and the
+        # group-1 outcome-on-baseline model fails before the outcome model.
+        data = build_dataset(
+            {
+                "R": [0, 0, 0, 1, 1, 1],
+                "C": [0, 1, 2, 1, 1, 1],
+                "X": [1, 0, 2, 0, 2, 1],
+                "M": [1, 3, 2, 0, 1, 3],
+                "Y": [1, 2, 3, 2, 3, 5],
+            },
+            baseline=("C",),
+            intermediate=("X",),
+        )
+        with pytest.raises(
+            EstimationError,
+            match="^baseline models: design columns are linearly dependent: intercept, C$",
+        ):
+            decompose_cda(data)
+
     def test_outcome_model_error_tagged(self):
         # Group 1's mediator equals its baseline covariate, so the group-1
         # outcome design is rank deficient while group-0 models are fine.
@@ -257,6 +278,33 @@ class TestCda:
         npt.assert_allclose(inter.initial, plain.initial, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(inter.explained, plain.explained, rtol=1e-12, atol=1e-12)
         npt.assert_allclose(inter.unexplained, plain.unexplained, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
+    @pytest.mark.parametrize("draws", [1, 3, 11])
+    def test_draw_block_size_changes_nothing(self, monkeypatch, mode, draws):
+        # n1 = 13 is no multiple of the rows per block for blocks of 7
+        # draws; 11 draws exceed such a block; 10**9 draws all at once.
+        data = random_dataset(5, n=25, n_baseline=1, n_intermediate=1)
+        settings = CdaSettings(mc_draws_per_unit=draws, residual_mode=mode, seed=3)
+        results = []
+        for block in (10**9, 1, 7):
+            monkeypatch.setattr(decompose_module, "_DRAW_BLOCK", block)
+            res = decompose_cda(data, settings)
+            results.append((res.initial, res.explained, res.unexplained))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_memory_does_not_grow_with_draw_count(self):
+        # Two million draws held at once take 32 MB; blocks of units keep
+        # the peak near the O(n1) working arrays.
+        data = random_dataset(3, n=2000)
+        tracemalloc.start()
+        try:
+            decompose_cda(data, CdaSettings(mc_draws_per_unit=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBootstrap:
