@@ -22,13 +22,12 @@ import sys
 from dataclasses import replace
 
 from .decompose import (
+    _ESTIMATORS,
     METHODS,
     CdaSettings,
     DecompositionResult,
     bootstrap,
     decompose_cda,
-    decompose_dic,
-    decompose_kob,
 )
 from .regress import EstimationError
 from .sensitivity import (
@@ -327,7 +326,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", default=None, help="integer seed or 'random' (default: 0)")
     p.add_argument("--format", choices=FORMATS, default="markdown")
     p.add_argument(
-        "--workers", type=int, default=1, help="concurrent replication workers (default: 1)"
+        "--workers",
+        type=int,
+        default=1,
+        help="kept for compatibility; replications always run one after another (default: 1)",
     )
     p.add_argument(
         "--sensitivity",
@@ -360,12 +362,8 @@ def _run_decompose(args: argparse.Namespace) -> str:
     for method in _methods_for(args.method):
         if args.bootstrap:
             res = bootstrap(data, method, settings=settings, B=args.bootstrap, seed=seed)
-        elif method == "DIC":
-            res = decompose_dic(data)
-        elif method == "KOB":
-            res = decompose_kob(data)
         else:
-            res = decompose_cda(data, settings)
+            res = _ESTIMATORS[method](data, settings)
         results.append(res)
     return render(results, args.format).body
 

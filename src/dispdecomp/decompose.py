@@ -141,10 +141,33 @@ def _proportion(initial: float, explained: float, outcome: np.ndarray) -> float 
     return 100.0 * explained / initial
 
 
-def _columns(data: Dataset, names: tuple[str, ...], mask: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    if mask is None:
+def _columns(data: Dataset, names: tuple[str, ...], rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    if rows is None:
         return {name: data.column(name) for name in names}
-    return {name: data.column(name)[mask] for name in names}
+    return {name: data.column(name)[rows] for name in names}
+
+
+def _group_rows(data: Dataset, g: int) -> np.ndarray:
+    """Indices of group g's rows: faster to index columns with than the mask."""
+    return np.flatnonzero(data.group_mask(g))
+
+
+def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
+    """fit_ols of response on the named columns, over one group's rows or all (None).
+
+    Each (group, names, response) is fitted once per Dataset: a repeated
+    request returns the same OlsFit. Names are kept in their order, because
+    pivoted QR of the same columns in another order can differ in the last
+    bits. A fit that raises is not kept.
+    """
+    key = (group, names, response)
+    fit = data._fits.get(key)
+    if fit is None:
+        rows = None if group is None else _group_rows(data, group)
+        y = data.column(response)
+        fit = fit_ols(_columns(data, names, rows), y if rows is None else y[rows])
+        data._fits[key] = fit
+    return fit
 
 
 def decompose_dic(data: Dataset) -> DecompositionResult:
@@ -156,9 +179,9 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
     """
     roles = data.roles
     y = data.column(roles.outcome)
-    base = _columns(data, (roles.group,) + roles.intermediate + roles.baseline)
-    without_m = fit_ols(base, y)
-    with_m = fit_ols({**base, roles.mediator: data.column(roles.mediator)}, y)
+    base = (roles.group,) + roles.intermediate + roles.baseline
+    without_m = _fit(data, None, base, roles.outcome)
+    with_m = _fit(data, None, base + (roles.mediator,), roles.outcome)
     alpha = without_m.coef(roles.group)
     beta = with_m.coef(roles.group)
     explained = alpha - beta
@@ -177,10 +200,8 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
 
 
 def _group_fit(data: Dataset, g: int, names: tuple[str, ...]) -> OlsFit:
-    mask = data.group_mask(g)
-    y = data.column(data.roles.outcome)[mask]
     try:
-        return fit_ols(_columns(data, names, mask), y)
+        return _fit(data, g, names, data.roles.outcome)
     except EstimationError as exc:
         raise EstimationError(f"group {g}: {exc}") from exc
 
@@ -248,20 +269,19 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     """
     settings = settings or CdaSettings()
     roles = data.roles
-    mask1 = data.group_mask(1)
-    mask0 = data.group_mask(0)
+    rows1 = _group_rows(data, 1)
     y = data.column(roles.outcome)
-    n1 = int(mask1.sum())
+    y1 = y[rows1]
+    n1 = rows1.size
 
-    c0 = _columns(data, roles.baseline, mask0)
-    c1 = _columns(data, roles.baseline, mask1)
     try:
-        mediator_model = fit_ols(c0, data.column(roles.mediator)[mask0])
-        outcome_on_c0 = fit_ols(c0, y[mask0])
+        mediator_model = _fit(data, 0, roles.baseline, roles.mediator)
+        outcome_on_c0 = _fit(data, 0, roles.baseline, roles.outcome)
     except EstimationError as exc:
         raise EstimationError(f"baseline models: {exc}") from exc
 
-    covariates1 = {**c1, **_columns(data, roles.intermediate, mask1)}
+    c1 = _columns(data, roles.baseline, rows1)
+    covariates1 = {**c1, **_columns(data, roles.intermediate, rows1)}
 
     def outcome_columns(m: np.ndarray) -> dict[str, np.ndarray]:
         cols = {**covariates1, roles.mediator: m}
@@ -270,16 +290,21 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
         return cols
 
     try:
-        outcome_model = fit_ols(
-            outcome_columns(data.column(roles.mediator)[mask1]), y[mask1]
-        )
+        if settings.interactions:
+            outcome_model = fit_ols(
+                outcome_columns(data.column(roles.mediator)[rows1]), y1
+            )
+        else:
+            outcome_model = _fit(
+                data, 1, roles.baseline + roles.intermediate + (roles.mediator,), roles.outcome
+            )
     except EstimationError as exc:
         # Both group-specific outcome-on-baseline models are preconditions
         # whose failure is reported first. The group-1 one is fitted only
         # here: its design is a column subset of the outcome model's, so a
         # rank deficiency in it also sinks the outcome model.
         try:
-            fit_ols(c1, y[mask1])
+            _fit(data, 1, roles.baseline, roles.outcome)
         except EstimationError as base_exc:
             raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
@@ -302,17 +327,18 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
             )
         else:
             eps = rng.normal(0.0, mediator_model.residual_sd, size=(block.size, draws))
-        mean_m_star[start:start + rows] = (block[:, None] + eps).mean(axis=1)
+        eps += block[:, None]
+        mean_m_star[start:start + rows] = eps.sum(axis=1) / draws
 
     # The outcome model is linear in the mediator given the unit's own
     # covariates, so collapse it to per-unit intercept + slope before
     # averaging over draws.
     unit_base = outcome_model.predict(outcome_columns(np.zeros(n1)), n=n1)
     unit_slope = outcome_model.predict(outcome_columns(np.ones(n1)), n=n1) - unit_base
-    counterfactual = float(np.mean(unit_base + unit_slope * mean_m_star))
+    counterfactual = float((unit_base + unit_slope * mean_m_star).sum() / n1)
 
-    observed_mean = float(y[mask1].mean())
-    standardized_ref = float(outcome_on_c0.predict(c1, n=n1).mean())
+    observed_mean = float(y1.sum() / n1)
+    standardized_ref = float(outcome_on_c0.predict(c1, n=n1).sum() / n1)
     initial = observed_mean - standardized_ref
     explained = observed_mean - counterfactual
     unexplained = counterfactual - standardized_ref

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = ["EstimationError", "OlsFit", "fit_ols", "partial_r2"]
 
@@ -114,6 +115,50 @@ def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> 
     return sorted(members, key=names.index)
 
 
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK routine with its optimal workspace, as scipy.linalg does.
+
+    The workspace size is queried first: a smaller one makes LAPACK switch
+    to its unblocked code on wide designs, which rounds differently.
+    """
+    kwargs["lwork"] = -1
+    kwargs["lwork"] = int(routine(*args, **kwargs)[-2][0])
+    *out, _, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
+
+
+def _pivoted_qr(design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economic column-pivoted QR, design[:, piv] = q @ r, for n >= p.
+
+    The LAPACK calls and workspace sizes of
+    scipy.linalg.qr(design, mode="economic", pivoting=True), so q, r and
+    piv are the same bit for bit. Q is formed in place in the Fortran-order
+    copy that dgeqp3 factors; r is C-ordered, like scipy's.
+    """
+    p = design.shape[1]
+    qr, piv, tau = _lapack(lapack.dgeqp3, np.array(design, order="F"), overwrite_a=1)
+    piv -= 1
+    r = np.zeros((p, p))
+    for i in range(p):
+        r[i, i:] = qr[i, i:]
+    (q,) = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
+    return q, r, piv
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r x = b for the C-ordered upper-triangular r with a nonzero diagonal.
+
+    This is scipy.linalg.solve_triangular(r, b): LAPACK reads a C-ordered
+    matrix as its transpose, so it solves the lower system transposed.
+    """
+    x, info = lapack.dtrtrs(r.T, b, lower=1, trans=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs failed with info {info}")
+    return x
+
+
 def fit_ols(
     columns: Mapping[str, np.ndarray],
     response: np.ndarray,
@@ -151,9 +196,9 @@ def fit_ols(
     if not np.isfinite(design).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in design or response")
 
-    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(r))
-    top = diag[0] if diag.size else 0.0
+    q, r, piv = _pivoted_qr(design)
+    diag = np.abs(r.diagonal())
+    top = diag[0]
     deficient = np.nonzero(diag <= RANK_TOL * top)[0]
     if top == 0.0 or deficient.size:
         k = 0 if top == 0.0 else int(deficient[0])
@@ -162,21 +207,20 @@ def fit_ols(
             "design columns are linearly dependent: " + ", ".join(dep)
         )
 
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y, check_finite=False)
+    beta_piv = _solve_upper(r, q.T @ y)
     beta = np.empty(p)
     beta[piv] = beta_piv
     # One step of iterative refinement; on well-scaled problems this lands
     # small-integer solutions exactly instead of within a few ulp.
     resid0 = y - design @ beta
-    delta = scipy.linalg.solve_triangular(r, q.T @ resid0, check_finite=False)
-    beta[piv] += delta
+    beta[piv] += _solve_upper(r, q.T @ resid0)
     residuals = y - design @ beta
     ssr = float(residuals @ residuals)
     # n == p is an interpolating fit: residuals are identically zero and
     # there are no degrees of freedom left, so residual_sd is 0 by convention.
     residual_sd = 0.0 if n == p else float(np.sqrt(max(ssr, 0.0) / (n - p)))
     if intercept:
-        centered = y - y.mean()
+        centered = y - y.sum() / n
         sst = float(centered @ centered)
     else:
         sst = float(y @ y)

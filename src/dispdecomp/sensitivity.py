@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult
+from .decompose import DecompositionResult, _columns, _fit, _group_rows
 from .regress import EstimationError, OlsFit, fit_ols, partial_r2
 from .tabular import Dataset
 
@@ -104,20 +104,17 @@ def _standardized_mediator_gap(data: Dataset) -> float:
     group difference in mediator means.
     """
     roles = data.roles
-    baseline = {name: data.column(name) for name in roles.baseline}
-    m = data.column(roles.mediator)
-    mask1 = data.group_mask(1)
     fits = {}
     for g in (0, 1):
-        mask = data.group_mask(g)
         try:
-            fits[g] = fit_ols({k: v[mask] for k, v in baseline.items()}, m[mask])
+            fits[g] = _fit(data, g, roles.baseline, roles.mediator)
         except EstimationError as exc:
             raise EstimationError(f"group {g} mediator model: {exc}") from exc
-    at_group1 = {k: v[mask1] for k, v in baseline.items()}
-    n1 = int(mask1.sum())
+    rows1 = _group_rows(data, 1)
+    at_group1 = _columns(data, roles.baseline, rows1)
+    n1 = rows1.size
     diff = fits[1].predict(at_group1, n=n1) - fits[0].predict(at_group1, n=n1)
-    return float(diff.mean())
+    return float(diff.sum() / n1)
 
 
 def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
@@ -129,12 +126,10 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     is the baseline-standardized mediator gap.
     """
     roles = data.roles
-    covs = {name: data.column(name) for name in roles.covariates}
-    r = data.column(roles.group)
+    regressors = (roles.group,) + roles.covariates
+    outcome_fit = _fit(data, None, regressors + (roles.mediator,), roles.outcome)
+    mediator_fit = _fit(data, None, regressors, roles.mediator)
     m = data.column(roles.mediator)
-    y = data.column(roles.outcome)
-    outcome_fit = fit_ols({roles.group: r, **covs, roles.mediator: m}, y)
-    mediator_fit = fit_ols({roles.group: r, **covs}, m)
     sd_m_perp = mediator_fit.residual_sd
     scale = float(np.max(np.abs(m))) or 1.0
     if sd_m_perp <= 1e-12 * scale:

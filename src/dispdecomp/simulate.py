@@ -35,20 +35,12 @@ the group and baseline variables.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._streams import stream_seed, substream
-from .decompose import (
-    CdaSettings,
-    DecompositionResult,
-    _percentile_bounds,
-    decompose_cda,
-    decompose_dic,
-    decompose_kob,
-)
+from .decompose import _ESTIMATORS, METHODS, CdaSettings, _percentile_bounds
 from .regress import EstimationError
 from .sensitivity import SensitivityParams, adjust
 from .tabular import DataError, Dataset, RoleSpec
@@ -80,7 +72,7 @@ SCENARIOS = ("none", "c-only", "x-only", "cx", "xm-conf", "my-conf", "both")
 
 ACTIVE_LOADING = 0.5
 
-HARNESS_METHODS = ("DIC", "KOB", "CDA")
+HARNESS_METHODS = METHODS
 ADJUSTED_METHOD = "CDA_adjusted"
 
 
@@ -742,23 +734,17 @@ def _one_replication(
     params: SensitivityParams | None,
 ) -> dict[str, tuple[float, float, float]]:
     out: dict[str, tuple[float, float, float]] = {}
-    cda_result: DecompositionResult | None = None
+    settings = None
+    if "CDA" in methods:
+        settings = replace(cda_settings, seed=stream_seed(config.seed, rep, 1))
     try:
         data = generate(config, rep)
-        for method in methods:
-            if method == "DIC":
-                res = decompose_dic(data)
-            elif method == "KOB":
-                res = decompose_kob(data)
-            else:
-                res = decompose_cda(
-                    data, replace(cda_settings, seed=stream_seed(config.seed, rep, 1))
-                )
-                cda_result = res
+        results = {method: _ESTIMATORS[method](data, settings) for method in methods}
+        for method, res in results.items():
             out[method] = (res.initial, res.explained, res.unexplained)
         if adjusted:
-            assert cda_result is not None and params is not None
-            adj = adjust(cda_result, data, params)
+            assert params is not None
+            adj = adjust(results["CDA"], data, params)
             out[ADJUSTED_METHOD] = (adj.tau, adj.delta_adjusted, adj.zeta_adjusted)
     except (DataError, EstimationError) as exc:
         raise EstimationError(f"replication {rep}: {exc}") from exc
@@ -776,8 +762,10 @@ def run_harness(
 
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Replications use per-index substreams, so
-    the report is byte-identical for any worker count.
+    configuration's coefficients. Replications run one after another in
+    this thread; workers (>= 1) is kept for compatibility and changes
+    nothing, and per-index substreams make the report byte-identical for
+    any value of it.
     """
     methods = tuple(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in HARNESS_METHODS]
@@ -795,19 +783,10 @@ def run_harness(
     truths = compute_truths(config)
 
     reps = config.reps
-    if workers == 1:
-        results = [
-            _one_replication(config, rep, methods, sensitivity, settings, params)
-            for rep in range(reps)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda rep: _one_replication(config, rep, methods, sensitivity, settings, params),
-                    range(reps),
-                )
-            )
+    results = [
+        _one_replication(config, rep, methods, sensitivity, settings, params)
+        for rep in range(reps)
+    ]
 
     report_methods = methods + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []

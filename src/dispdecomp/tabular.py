@@ -67,11 +67,14 @@ class Dataset:
     Construction validates everything the estimators rely on: the role
     columns exist, every value is finite, the group column is exactly 0/1,
     and both groups are non-empty. Column insertion order is preserved.
+    Fits made from the table are kept in a private memo (see
+    decompose._fit), which take() does not carry over.
     """
 
     columns: dict[str, np.ndarray]
     roles: RoleSpec
     n: int = field(init=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -250,6 +253,6 @@ def group_means(data: Dataset) -> dict[int, dict[str, float]]:
     """Per-group mean of every column, keyed by group value then column name."""
     out: dict[int, dict[str, float]] = {}
     for g in (0, 1):
-        mask = data.group_mask(g)
-        out[g] = {name: float(col[mask].mean()) for name, col in data.columns.items()}
+        rows = np.flatnonzero(data.group_mask(g))
+        out[g] = {name: float(col[rows].sum() / rows.size) for name, col in data.columns.items()}
     return out

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import dispdecomp.cli
-from dispdecomp import RenderedReport, decompose_dic, main, render
+import dispdecomp.decompose
+from dispdecomp import DecompositionResult, RenderedReport, decompose_dic, main, render
 
 from conftest import build_dataset
 
@@ -90,6 +91,13 @@ class TestDecomposeCommand:
         assert lines[2] == "DIC,explained,2,,"
         assert lines[3] == "DIC,unexplained,1,,"
         assert lines[4] == "DIC,proportion_explained_pct,66.6667,,"
+
+    def test_estimators_come_from_the_dispatch_table(self, worked_csv, capsys, monkeypatch):
+        stub = DecompositionResult("KOB", 1.0, 0.25, 0.75, 25.0)
+        monkeypatch.setitem(dispdecomp.decompose._ESTIMATORS, "KOB", lambda data, settings: stub)
+        argv = ["decompose", *base_flags(worked_csv), "--method", "kob", "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:3] == ["KOB,initial,1,,", "KOB,explained,0.25,,"]
 
     def test_all_methods_in_canonical_order(self, worked_csv, capsys):
         assert main(["decompose", *base_flags(worked_csv)]) == 0

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from dispdecomp import (
     CdaSettings,
+    Dataset,
     EstimationError,
     bootstrap,
     decompose_cda,
     decompose_dic,
     decompose_kob,
+    fit_ols,
 )
 from dispdecomp._streams import substream
 import dispdecomp.decompose as decompose_module
@@ -404,3 +406,49 @@ class TestBootstrap:
             EstimationError, match=r"bootstrap abandoned: 21 failed resamples \(limit 20\)"
         ):
             bootstrap(data, "DIC", B=2, seed=0)
+
+
+class TestFitMemo:
+    def test_repeated_request_returns_the_same_fit(self):
+        data = random_dataset(60, n_intermediate=2)
+        names = ("X1", "X2", "C1")
+        first = decompose_module._fit(data, None, names, "Y")
+        assert decompose_module._fit(data, None, names, "Y") is first
+        assert decompose_module._fit(data, 1, names, "Y") is not first
+        assert decompose_module._fit(data, None, names, "M") is not first
+        # Another column order is another fit: pivoted QR may round differently.
+        assert decompose_module._fit(data, None, ("C1", "X1", "X2"), "Y") is not first
+        assert len(data._fits) == 4
+
+    def test_group_fit_matches_fit_ols_on_the_group_rows(self):
+        data = random_dataset(61)
+        rows = data.group_mask(0)
+        fit = decompose_module._fit(data, 0, ("C1",), "M")
+        expected = fit_ols({"C1": data.column("C1")[rows]}, data.column("M")[rows])
+        assert fit.coefficients == expected.coefficients
+        assert np.array_equal(fit.residuals, expected.residuals)
+
+    def test_failed_fit_is_not_kept(self):
+        data = build_dataset(
+            {"R": [0, 0, 0, 1, 1, 1], "C": [1, 2, 4, 5, 5, 5], "M": [1, 0, 2, 3, 1, 2], "Y": [0, 1, 1, 2, 3, 5]},
+            baseline=("C",),
+        )
+        with pytest.raises(EstimationError, match="intercept, C"):
+            decompose_module._fit(data, 1, ("C",), "Y")
+        assert data._fits == {}
+
+    def test_take_starts_an_empty_memo(self):
+        data = random_dataset(62)
+        decompose_dic(data)
+        assert len(data._fits) == 2
+        assert data.take(np.arange(data.n))._fits == {}
+
+    def test_memo_is_outside_repr_and_eq(self):
+        data = random_dataset(63)
+        before = repr(data)
+        decompose_kob(data)
+        assert data._fits
+        assert repr(data) == before
+        assert "_fits" not in before
+        memo = {f.name: f for f in dataclasses.fields(Dataset)}["_fits"]
+        assert not memo.repr and not memo.compare and not memo.init

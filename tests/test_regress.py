@@ -1,11 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dispdecomp import EstimationError, fit_ols, partial_r2
-from dispdecomp.regress import INTERCEPT
+from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set
 
 # Constants below were computed once with exact rational arithmetic
 # (normal equations over fractions.Fraction), independent of this
@@ -199,3 +200,146 @@ class TestPartialR2:
             {"w1": a * w1 + b, "w2": w2 + mix * w1, "z": z}, y, "z", ["w1", "w2"]
         )
         npt.assert_allclose(recoded, base, rtol=1e-8, atol=1e-12)
+
+
+def reference_fit_ols(columns, response, intercept=True):
+    """fit_ols as written on scipy.linalg.qr and solve_triangular.
+
+    Returns (coefficients, residuals, residual_sd, r_squared, r_factor,
+    pivots). fit_ols calls the LAPACK routines behind these two functions
+    directly and must reproduce every value bit for bit.
+    """
+    y = np.asarray(response, dtype=np.float64)
+    if y.ndim != 1:
+        raise EstimationError("response must be one-dimensional")
+    n = y.size
+    names = ([INTERCEPT] if intercept else []) + list(columns)
+    p = len(names)
+    if p == 0:
+        raise EstimationError("empty design: no columns and no intercept")
+    design = np.empty((n, p))
+    if intercept:
+        design[:, 0] = 1.0
+    for j, (name, col) in enumerate(columns.items(), start=1 if intercept else 0):
+        arr = np.asarray(col, dtype=np.float64)
+        if arr.shape != (n,):
+            raise EstimationError(f"column {name!r} has shape {arr.shape}, expected ({n},)")
+        design[:, j] = arr
+    if n < p:
+        raise EstimationError(f"insufficient observations: {n} rows for {p} design columns")
+    if not np.isfinite(design).all() or not np.isfinite(y).all():
+        raise EstimationError("non-finite values in design or response")
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(r))
+    top = diag[0] if diag.size else 0.0
+    deficient = np.nonzero(diag <= RANK_TOL * top)[0]
+    if top == 0.0 or deficient.size:
+        k = 0 if top == 0.0 else int(deficient[0])
+        dep = _dependent_set(r, piv, k, names)
+        raise EstimationError("design columns are linearly dependent: " + ", ".join(dep))
+    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y, check_finite=False)
+    beta = np.empty(p)
+    beta[piv] = beta_piv
+    resid0 = y - design @ beta
+    delta = scipy.linalg.solve_triangular(r, q.T @ resid0, check_finite=False)
+    beta[piv] += delta
+    residuals = y - design @ beta
+    ssr = float(residuals @ residuals)
+    residual_sd = 0.0 if n == p else float(np.sqrt(max(ssr, 0.0) / (n - p)))
+    if intercept:
+        centered = y - y.mean()
+        sst = float(centered @ centered)
+    else:
+        sst = float(y @ y)
+    r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
+    r_squared = min(1.0, max(0.0, r_squared))
+    coefficients = {name: float(b) for name, b in zip(names, beta)}
+    return coefficients, residuals, residual_sd, r_squared, r, piv
+
+
+def random_columns(rng, n, k, scales=(1.0,)):
+    return {f"x{j}": rng.normal(size=n) * scales[j % len(scales)] for j in range(k)}
+
+
+class TestFitOlsMatchesScipyReference:
+    """fit_ols equals the scipy.linalg formulation bit for bit (== throughout)."""
+
+    def assert_same(self, columns, response, intercept=True):
+        coefficients, residuals, residual_sd, r_squared, r, piv = reference_fit_ols(
+            columns, response, intercept
+        )
+        fit = fit_ols(columns, response, intercept)
+        assert fit.coefficients == coefficients
+        assert np.array_equal(fit.residuals, residuals)
+        assert fit.residual_sd == residual_sd
+        assert fit.r_squared == r_squared
+        assert np.array_equal(fit.r_factor, r)
+        assert fit.r_factor.flags.c_contiguous == r.flags.c_contiguous
+        assert np.array_equal(fit.pivots, piv)
+        return fit
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 300))
+        k = int(rng.integers(0, 7))
+        self.assert_same(random_columns(rng, n, k), rng.normal(size=n) + 3.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_without_intercept(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        self.assert_same(random_columns(rng, 50, 1 + seed % 4), rng.normal(size=50), intercept=False)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_n_equals_p(self, p):
+        rng = np.random.default_rng(p)
+        fit = self.assert_same(random_columns(rng, p, p - 1), rng.normal(size=p))
+        assert fit.residual_sd == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_scaled_by_powers_of_ten(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        cols = random_columns(rng, 120, 5, scales=(1e-3, 1e3, 1.0, 1e3, 1e-3))
+        self.assert_same(cols, rng.normal(size=120) * 1e3)
+
+    def test_covariate_just_above_rank_tol(self):
+        rng = np.random.default_rng(3)
+        n = 40
+        c = rng.normal(size=n)
+        cols = {"c": c, "x": c + 1e-9 * rng.normal(size=n), "z": rng.normal(size=n)}
+        fit = self.assert_same(cols, rng.normal(size=n))
+        diag = np.abs(fit.r_factor.diagonal())
+        assert RANK_TOL < diag[-1] / diag[0] < 10 * RANK_TOL
+
+    def test_wide_design_takes_the_blocked_lapack_path(self):
+        # dgeqp3 and dorgqr switch to blocked code beyond about 128 columns,
+        # and only with the optimal workspace size.
+        rng = np.random.default_rng(7)
+        self.assert_same(random_columns(rng, 400, 140), rng.normal(size=400))
+
+    @pytest.mark.parametrize(
+        "columns, response",
+        [
+            ({"a": np.arange(5.0), "b": 2.0 * np.arange(5.0), "c": np.ones(5)}, np.arange(5.0)),
+            ({"k": np.full(6, 3.0), "x": np.arange(6.0)}, np.arange(6.0)),
+            ({"a": np.zeros(4)}, np.ones(4)),
+            ({"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}, np.array([1.0, 2.0])),
+            ({"x": np.array([1.0, np.nan, 3.0])}, np.ones(3)),
+            ({"x": np.arange(3.0)}, np.array([1.0, np.inf, 3.0])),
+            ({"x": np.arange(3.0)}, np.ones((3, 1))),
+            ({"x": np.arange(4.0)}, np.ones(3)),
+        ],
+    )
+    def test_same_error_text(self, columns, response):
+        with pytest.raises(EstimationError) as expected:
+            reference_fit_ols(columns, response)
+        with pytest.raises(EstimationError) as got:
+            fit_ols(columns, response)
+        assert str(got.value) == str(expected.value)
+
+    def test_empty_design_without_intercept(self):
+        with pytest.raises(EstimationError) as expected:
+            reference_fit_ols({}, np.ones(3), intercept=False)
+        with pytest.raises(EstimationError) as got:
+            fit_ols({}, np.ones(3), intercept=False)
+        assert str(got.value) == str(expected.value)

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import dispdecomp.decompose as decompose_module
+import dispdecomp.sensitivity as sensitivity_module
 import dispdecomp.simulate as simulate_module
 from dispdecomp import (
     ADJUSTED_METHOD,
@@ -20,7 +23,10 @@ from dispdecomp import (
     baseline_pathway_contribution,
     compute_truths,
     config_from_json,
+    adjust,
     decompose_cda,
+    decompose_dic,
+    decompose_kob,
     default_coefficients,
     generate,
     implied_moments,
@@ -32,6 +38,7 @@ from dispdecomp import (
     scenario_has_confounder,
     scenario_has_intermediate,
 )
+from dispdecomp._streams import stream_seed
 
 # Population values of the three estimands under the default coefficients,
 # derived by hand from the structural equations (path algebra over the
@@ -489,10 +496,10 @@ class TestRunHarness:
             run_harness(config, workers=0)
 
     def test_replication_failures_are_tagged(self, monkeypatch):
-        def boom(data):
+        def boom(data, settings):
             raise EstimationError("synthetic failure")
 
-        monkeypatch.setattr(simulate_module, "decompose_kob", boom)
+        monkeypatch.setitem(decompose_module._ESTIMATORS, "KOB", boom)
         config = ScenarioConfig("none", n=60, reps=2, seed=1)
         with pytest.raises(EstimationError, match="replication 0: synthetic failure"):
             run_harness(config, methods=("KOB",))
@@ -504,3 +511,67 @@ class TestRunHarness:
         ordered = np.sort(cell.estimates)
         assert cell.lower == ordered[0]  # ceil(0.025 * 40) = 1
         assert cell.upper == ordered[38]  # ceil(0.975 * 40) = 39
+
+
+class TestHarnessDispatch:
+    def test_estimators_run_in_the_calling_thread(self, monkeypatch):
+        threads = set()
+        dic = decompose_module._ESTIMATORS["DIC"]
+
+        def record(data, settings):
+            threads.add(threading.get_ident())
+            return dic(data, settings)
+
+        monkeypatch.setitem(decompose_module._ESTIMATORS, "DIC", record)
+        run_harness(ScenarioConfig("none", n=60, reps=8), methods=("DIC",), workers=4)
+        assert threads == {threading.get_ident()}
+
+    def test_cda_seed_is_derived_only_for_cda(self, monkeypatch):
+        def no_seed(*args):
+            raise AssertionError("stream_seed called without CDA")
+
+        monkeypatch.setattr(simulate_module, "stream_seed", no_seed)
+        report = run_harness(ScenarioConfig("cx", n=60, reps=2), methods=("DIC", "KOB"))
+        assert report.methods == ("DIC", "KOB")
+
+
+class TestSharedFits:
+    @pytest.mark.parametrize(
+        "scenario, sensitivity, per_replication",
+        [("both", True, 9), ("none", False, 6), ("cx", False, 7)],
+    )
+    def test_fits_per_replication(self, monkeypatch, scenario, sensitivity, per_replication):
+        calls = []
+        fit_ols = decompose_module.fit_ols
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_ols(*args, **kwargs)
+
+        for module in (decompose_module, sensitivity_module):
+            monkeypatch.setattr(module, "fit_ols", counting)
+        run_harness(ScenarioConfig(scenario, n=200, reps=3), sensitivity=sensitivity)
+        assert len(calls) == 3 * per_replication
+
+    @pytest.mark.parametrize("scenario", ["both", "c-only"])
+    def test_estimates_equal_those_on_fresh_copies(self, scenario):
+        # Every estimator and the adjustment run on their own copy of the
+        # replication's data, so none of them sees another's fits.
+        config = ScenarioConfig(scenario, n=200, reps=3, seed=4)
+        report = run_harness(config, sensitivity=True)
+        params = oracle_sensitivity_params(config)
+        for rep in range(config.reps):
+            settings = CdaSettings(seed=stream_seed(config.seed, rep, 1))
+            cda = decompose_cda(generate(config, rep), settings)
+            adjusted = adjust(cda, generate(config, rep), params)
+            expected = {
+                "DIC": decompose_dic(generate(config, rep)),
+                "KOB": decompose_kob(generate(config, rep)),
+                "CDA": cda,
+            }
+            for method, result in expected.items():
+                for q in ("initial", "explained", "unexplained"):
+                    assert report.cell(method, q).estimates[rep] == result.quantity(q)
+            assert report.cell(ADJUSTED_METHOD, "initial").estimates[rep] == adjusted.tau
+            assert report.cell(ADJUSTED_METHOD, "explained").estimates[rep] == adjusted.delta_adjusted
+            assert report.cell(ADJUSTED_METHOD, "unexplained").estimates[rep] == adjusted.zeta_adjusted
