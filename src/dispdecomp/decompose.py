@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._streams import stream_seed, substream
-from .regress import EstimationError, OlsFit, fit_ols
+from .regress import EstimationError, OlsFit, _one_blas_thread, fit_ols
 from .tabular import Dataset, group_means
 
 __all__ = [
@@ -250,24 +250,40 @@ def _interaction_columns(
     return {f"{mediator}:{name}": m * col for name, col in covariates.items()}
 
 
-def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
-    """Causal decomposition by Monte-Carlo mediator imputation.
+@dataclass(frozen=True)
+class _CdaModels:
+    """The fitted parts of a CDA on the group-1 units, before any draw.
 
-    Over the group-1 units (the standardization population):
-
-    * initial = mean observed outcome minus the group-0 outcome-on-baseline
-      regression evaluated at group-1 baseline values (regression
-      standardization);
-    * the counterfactual mean redraws each unit's mediator from the group-0
-      mediator-on-baseline model (its prediction plus a residual draw) and
-      pushes the draws through the group-1 outcome model;
-    * explained = mean observed outcome - counterfactual mean;
-      unexplained = counterfactual mean - standardized group-0 mean.
-
-    Deterministic given (data, settings.seed); explained + unexplained
-    equals the initial disparity by construction.
+    mu0 is each unit's predicted mediator under the group-0 model; the
+    outcome model is collapsed to unit_base + unit_slope * m per unit.
     """
-    settings = settings or CdaSettings()
+
+    mediator_model: OlsFit
+    mu0: np.ndarray
+    unit_base: np.ndarray
+    unit_slope: np.ndarray
+    observed_mean: float
+    standardized_ref: float
+    outcome: np.ndarray
+
+    def result(self, mean_m_star: np.ndarray) -> DecompositionResult:
+        """The decomposition, given each unit's mean counterfactual mediator."""
+        n1 = self.mu0.size
+        counterfactual = float((self.unit_base + self.unit_slope * mean_m_star).sum() / n1)
+        initial = self.observed_mean - self.standardized_ref
+        explained = self.observed_mean - counterfactual
+        unexplained = counterfactual - self.standardized_ref
+        return DecompositionResult(
+            method="CDA",
+            initial=initial,
+            explained=explained,
+            unexplained=unexplained,
+            proportion_explained_pct=_proportion(initial, explained, self.outcome),
+        )
+
+
+def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
+    """Fit the models of decompose_cda; the errors name the failing one."""
     roles = data.roles
     rows1 = _group_rows(data, 1)
     y = data.column(roles.outcome)
@@ -309,12 +325,50 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
             raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
+    # The outcome model is linear in the mediator given the unit's own
+    # covariates, so collapse it to per-unit intercept + slope before
+    # averaging over draws.
+    unit_base = outcome_model.predict(outcome_columns(np.zeros(n1)), n=n1)
+    unit_slope = outcome_model.predict(outcome_columns(np.ones(n1)), n=n1) - unit_base
+    return _CdaModels(
+        mediator_model=mediator_model,
+        mu0=mediator_model.predict(c1, n=n1),
+        unit_base=unit_base,
+        unit_slope=unit_slope,
+        observed_mean=float(y1.sum() / n1),
+        standardized_ref=float(outcome_on_c0.predict(c1, n=n1).sum() / n1),
+        outcome=y,
+    )
+
+
+def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
+    """Causal decomposition by Monte-Carlo mediator imputation.
+
+    Over the group-1 units (the standardization population):
+
+    * initial = mean observed outcome minus the group-0 outcome-on-baseline
+      regression evaluated at group-1 baseline values (regression
+      standardization);
+    * the counterfactual mean redraws each unit's mediator from the group-0
+      mediator-on-baseline model (its prediction plus a residual draw) and
+      pushes the draws through the group-1 outcome model;
+    * explained = mean observed outcome - counterfactual mean;
+      unexplained = counterfactual mean - standardized group-0 mean.
+
+    Deterministic given (data, settings.seed); explained + unexplained
+    equals the initial disparity by construction.
+    """
+    settings = settings or CdaSettings()
+    models = _cda_models(data, settings)
+    mediator_model = models.mediator_model
+
     # Each unit's counterfactual mediator draws are reduced to their mean
     # one block of whole units at a time, so memory stays O(n1) whatever
     # the draw count. The generator carries its stream across calls and
     # each row mean is reduced alone, so the result equals one (n1, draws)
     # draw bit for bit.
-    mu0 = mediator_model.predict(c1, n=n1)
+    mu0 = models.mu0
+    n1 = mu0.size
     rng = substream(settings.seed)
     draws = settings.mc_draws_per_unit
     rows = max(1, _DRAW_BLOCK // draws)
@@ -329,26 +383,25 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
             eps = rng.normal(0.0, mediator_model.residual_sd, size=(block.size, draws))
         eps += block[:, None]
         mean_m_star[start:start + rows] = eps.sum(axis=1) / draws
+    return models.result(mean_m_star)
 
-    # The outcome model is linear in the mediator given the unit's own
-    # covariates, so collapse it to per-unit intercept + slope before
-    # averaging over draws.
-    unit_base = outcome_model.predict(outcome_columns(np.zeros(n1)), n=n1)
-    unit_slope = outcome_model.predict(outcome_columns(np.ones(n1)), n=n1) - unit_base
-    counterfactual = float((unit_base + unit_slope * mean_m_star).sum() / n1)
 
-    observed_mean = float(y1.sum() / n1)
-    standardized_ref = float(outcome_on_c0.predict(c1, n=n1).sum() / n1)
-    initial = observed_mean - standardized_ref
-    explained = observed_mean - counterfactual
-    unexplained = counterfactual - standardized_ref
-    return DecompositionResult(
-        method="CDA",
-        initial=initial,
-        explained=explained,
-        unexplained=unexplained,
-        proportion_explained_pct=_proportion(initial, explained, y),
-    )
+def _cda_draw_limit(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
+    """decompose_cda in the limit of infinitely many draws per unit.
+
+    A unit's mean counterfactual mediator tends to mu0 + s, s being the
+    mean of the group-0 mediator residuals (empirical-resample) or 0
+    (parametric-normal); the draws add only zero-mean noise, with sd about
+    |mean unit_slope| * residual_sd / sqrt(n1 * draws) on the
+    counterfactual mean. settings.seed and mc_draws_per_unit are unused.
+    """
+    settings = settings or CdaSettings()
+    models = _cda_models(data, settings)
+    shift = 0.0
+    if settings.residual_mode == "empirical-resample":
+        residuals = models.mediator_model.residuals
+        shift = float(residuals.sum() / residuals.size)
+    return models.result(models.mu0 + shift)
 
 
 _ESTIMATORS = {
@@ -392,6 +445,10 @@ def bootstrap(
     keyed by (seed, b), so results do not depend on evaluation order.
     Resamples that break an estimator precondition (e.g. a degenerate
     design) are retried with fresh draws, up to 10*B failures in total.
+    The resample loop holds the OpenBLAS that numpy and scipy bundle to one
+    thread, since a second one only spins on these small fits, and
+    restores its thread count afterwards; the point estimate keeps the
+    default threading.
     """
     if method not in _ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
@@ -405,34 +462,35 @@ def bootstrap(
     failures = 0
     max_failures = 10 * B
     samples = np.empty((B, 3))
-    for b in range(B):
-        attempt = 0
-        while True:
-            rng = substream(seed, b, attempt)
-            resample = np.concatenate(
-                [
-                    idx0[rng.integers(0, idx0.size, idx0.size)],
-                    idx1[rng.integers(0, idx1.size, idx1.size)],
-                ]
-            )
-            replicate_settings = settings
-            if method == "CDA":
-                replicate_settings = replace(
-                    settings or CdaSettings(), seed=stream_seed(seed, b, attempt, 1)
+    with _one_blas_thread():
+        for b in range(B):
+            attempt = 0
+            while True:
+                rng = substream(seed, b, attempt)
+                resample = np.concatenate(
+                    [
+                        idx0[rng.integers(0, idx0.size, idx0.size)],
+                        idx1[rng.integers(0, idx1.size, idx1.size)],
+                    ]
                 )
-            try:
-                result = estimator(data.take(resample), replicate_settings)
-            except EstimationError:
-                failures += 1
-                attempt += 1
-                if failures > max_failures:
-                    raise EstimationError(
-                        f"bootstrap abandoned: {failures} failed resamples "
-                        f"(limit {max_failures}) for method {method}"
-                    ) from None
-                continue
-            samples[b] = (result.initial, result.explained, result.unexplained)
-            break
+                replicate_settings = settings
+                if method == "CDA":
+                    replicate_settings = replace(
+                        settings or CdaSettings(), seed=stream_seed(seed, b, attempt, 1)
+                    )
+                try:
+                    result = estimator(data.take(resample, _trusted=True), replicate_settings)
+                except EstimationError:
+                    failures += 1
+                    attempt += 1
+                    if failures > max_failures:
+                        raise EstimationError(
+                            f"bootstrap abandoned: {failures} failed resamples "
+                            f"(limit {max_failures}) for method {method}"
+                        ) from None
+                    continue
+                samples[b] = (result.initial, result.explained, result.unexplained)
+                break
 
     intervals = {
         name: _percentile_bounds(samples[:, i])

@@ -8,8 +8,13 @@ sensitivity analysis, benchmarking) is built on these two entry points.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -113,6 +118,57 @@ def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> 
     involved = [names[piv[j]] for j in range(k) if abs(coef[j]) > 1e-8 * scale]
     members = involved + [dep]
     return sorted(members, key=names.index)
+
+
+# The OpenBLAS builds that the numpy and scipy wheels bundle in
+# <package>.libs/, with the symbol pattern of their thread-count controls.
+_BUNDLED_OPENBLAS = (
+    (np, "scipy_openblas_{}_num_threads64_"),
+    (scipy, "scipy_openblas_{}_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of each bundled OpenBLAS in this process.
+
+    Looked up on first use. A library is opened only if it is already
+    loaded (RTLD_NOLOAD), so no second copy is ever brought in. Builds
+    without these symbols (MKL, Accelerate, a system OpenBLAS) give none.
+    """
+    controls = []
+    for package, symbol in _BUNDLED_OPENBLAS:
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get, set_ = (getattr(lib, symbol.format(verb)) for verb in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with every bundled OpenBLAS on one thread; restore after.
+
+    For loops over many small fits (n in the low thousands, a handful of
+    columns), where a second BLAS thread only spins: it doubles CPU time
+    and does not lower wall time. Results are bit-identical on those
+    designs. Does nothing when no bundled OpenBLAS is found.
+    """
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 def _lapack(routine, *args, **kwargs):

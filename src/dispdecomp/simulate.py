@@ -41,7 +41,7 @@ import numpy as np
 
 from ._streams import stream_seed, substream
 from .decompose import _ESTIMATORS, METHODS, CdaSettings, _percentile_bounds
-from .regress import EstimationError
+from .regress import EstimationError, _one_blas_thread
 from .sensitivity import SensitivityParams, adjust
 from .tabular import DataError, Dataset, RoleSpec
 
@@ -765,7 +765,10 @@ def run_harness(
     configuration's coefficients. Replications run one after another in
     this thread; workers (>= 1) is kept for compatibility and changes
     nothing, and per-index substreams make the report byte-identical for
-    any value of it.
+    any value of it. The replications hold the OpenBLAS that numpy and
+    scipy bundle to one thread, since a second one only spins on these
+    small fits, and restore its thread count afterwards; other callers of
+    the estimators keep the default threading.
     """
     methods = tuple(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in HARNESS_METHODS]
@@ -783,10 +786,11 @@ def run_harness(
     truths = compute_truths(config)
 
     reps = config.reps
-    results = [
-        _one_replication(config, rep, methods, sensitivity, settings, params)
-        for rep in range(reps)
-    ]
+    with _one_blas_thread():
+        results = [
+            _one_replication(config, rep, methods, sensitivity, settings, params)
+            for rep in range(reps)
+        ]
 
     report_methods = methods + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []

@@ -125,10 +125,30 @@ class Dataset:
     def group_size(self, value: int) -> int:
         return int(self.group_mask(value).sum())
 
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset/resample by integer indices (validated like any Dataset)."""
+    def take(self, indices: np.ndarray, *, _trusted: bool = False) -> "Dataset":
+        """Row subset/resample by integer indices (validated like any Dataset).
+
+        _trusted is for within-group resamples (decompose.bootstrap), whose
+        indices keep both groups by construction: the rows of a validated
+        Dataset are finite and 0/1 already, so they are not checked again.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset({k: v[idx] for k, v in self.columns.items()}, self.roles)
+        columns = {k: v[idx] for k, v in self.columns.items()}
+        if _trusted:
+            return Dataset._from_valid(columns, self.roles, idx.size)
+        return Dataset(columns, self.roles)
+
+    @classmethod
+    def _from_valid(cls, columns: dict[str, np.ndarray], roles: RoleSpec, n: int) -> "Dataset":
+        """A Dataset of C-contiguous float64 columns that __post_init__ would accept, unchecked."""
+        data = object.__new__(cls)
+        for arr in columns.values():
+            arr.setflags(write=False)
+        object.__setattr__(data, "columns", columns)
+        object.__setattr__(data, "roles", roles)
+        object.__setattr__(data, "n", n)
+        object.__setattr__(data, "_fits", {})
+        return data
 
 
 def _open_csv(path: str) -> TextIO:

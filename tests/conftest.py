@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +15,18 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("deterministic")
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env():
+    """Subprocess environment that imports dispdecomp from this checkout's src/.
+
+    src/ goes in front of any PYTHONPATH the caller set, which is kept.
+    """
+    inherited = os.environ.get("PYTHONPATH")
+    path = os.pathsep.join([SRC_DIR, inherited]) if inherited else SRC_DIR
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def build_dataset(columns, *, group="R", outcome="Y", mediator="M", baseline=(), intermediate=()):

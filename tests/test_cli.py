@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +8,9 @@ import dispdecomp.cli
 import dispdecomp.decompose
 from dispdecomp import DecompositionResult, RenderedReport, decompose_dic, main, render
 
-from conftest import build_dataset
+from conftest import build_dataset, src_env
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_DIR = str(REPO_ROOT / "src")
 
 WORKED_CSV = "r,m,y\n0,0,0\n0,1,2\n1,1,3\n1,2,5\n"
 
@@ -21,16 +19,6 @@ BENCH_CSV = (
     "0,1,2,1\n0,2,1,2\n0,3,3,2\n0,4,2,3\n"
     "1,2,4,3\n1,3,3,4\n1,4,5,4\n1,5,4,6\n"
 )
-
-
-def src_env():
-    """Subprocess environment that imports dispdecomp from this checkout's src/.
-
-    src/ goes in front of any PYTHONPATH the caller set, which is kept.
-    """
-    inherited = os.environ.get("PYTHONPATH")
-    path = os.pathsep.join([SRC_DIR, inherited]) if inherited else SRC_DIR
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def console_script(directory):

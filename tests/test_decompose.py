@@ -17,7 +17,9 @@ from dispdecomp import (
     decompose_kob,
     fit_ols,
 )
-from dispdecomp._streams import substream
+from dispdecomp import DecompositionResult, ScenarioConfig, generate
+from dispdecomp._streams import stream_seed, substream
+from dispdecomp.simulate import SCENARIOS
 import dispdecomp.decompose as decompose_module
 
 from conftest import build_dataset, random_dataset
@@ -190,6 +192,33 @@ class TestCda:
         ref = (coef[0] + coef[1] * c[mask1]).mean()
         npt.assert_allclose(res.initial, y[mask1].mean() - ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
+    @pytest.mark.parametrize("interactions", [False, True])
+    def test_monte_carlo_estimate_within_four_sd_of_the_draw_limit(self, scenario, mode, interactions):
+        data = generate(ScenarioConfig(scenario, seed=11), 0)
+        settings = CdaSettings(residual_mode=mode, seed=6, interactions=interactions)
+        mc = decompose_cda(data, settings)
+        limit = decompose_module._cda_draw_limit(data, settings)
+        models = decompose_module._cda_models(data, settings)
+        n1 = models.mu0.size
+        sd = (
+            abs(models.unit_slope.sum() / n1)
+            * models.mediator_model.residual_sd
+            / np.sqrt(n1 * settings.mc_draws_per_unit)
+        )
+        assert sd > 0
+        assert mc.initial == limit.initial
+        assert abs(mc.explained - limit.explained) <= 4 * sd
+        assert abs(mc.unexplained - limit.unexplained) <= 4 * sd
+
+    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
+    def test_draw_limit_equals_the_draws_when_residuals_are_zero(self, worked_cda_dataset, mode):
+        settings = CdaSettings(residual_mode=mode, seed=9)
+        assert decompose_module._cda_draw_limit(worked_cda_dataset, settings) == decompose_cda(
+            worked_cda_dataset, settings
+        )
+
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="mc_draws_per_unit"):
             CdaSettings(mc_draws_per_unit=0)
@@ -345,6 +374,33 @@ class TestBootstrap:
         values = [r.explained for r in replicates]
         assert booted.intervals["explained"] == (min(values), max(values))
 
+    @pytest.mark.parametrize("method", ["DIC", "KOB", "CDA"])
+    def test_equals_a_loop_over_validated_takes(self, method):
+        # The same replicates through the public, validating take() and the
+        # default BLAS threading: the trusted resample changes no bit.
+        data = generate(ScenarioConfig("both", n=500, seed=3), 0)
+        settings = CdaSettings(mc_draws_per_unit=20, seed=4)
+        booted = bootstrap(data, method, settings=settings, B=40, seed=6)
+        idx0 = np.nonzero(data.group_mask(0))[0]
+        idx1 = np.nonzero(data.group_mask(1))[0]
+        samples = []
+        for b in range(40):
+            rng = substream(6, b, 0)
+            resample = np.concatenate(
+                [
+                    idx0[rng.integers(0, idx0.size, idx0.size)],
+                    idx1[rng.integers(0, idx1.size, idx1.size)],
+                ]
+            )
+            replicate_settings = dataclasses.replace(settings, seed=stream_seed(6, b, 0, 1))
+            res = decompose_module._ESTIMATORS[method](data.take(resample), replicate_settings)
+            samples.append((res.initial, res.explained, res.unexplained))
+        samples = np.array(samples)
+        assert booted.intervals == {
+            name: decompose_module._percentile_bounds(samples[:, i])
+            for i, name in enumerate(DecompositionResult.QUANTITIES)
+        }
+
     def test_noise_free_outcome_gives_zero_width_intervals(self):
         # Y equals R exactly, so every resample recovers the same
         # coefficients and the percentile interval collapses to a point.
@@ -452,3 +508,111 @@ class TestFitMemo:
         assert "_fits" not in before
         memo = {f.name: f for f in dataclasses.fields(Dataset)}["_fits"]
         assert not memo.repr and not memo.compare and not memo.init
+
+
+def _with_columns(data, **changes):
+    columns = {**data.columns, **changes}
+    return Dataset(columns, data.roles)
+
+
+ESTIMATES = {
+    "DIC": lambda data: decompose_dic(data),
+    "KOB": lambda data: decompose_kob(data),
+    "CDA": lambda data: decompose_cda(data, CdaSettings(mc_draws_per_unit=30, seed=8)),
+    "CDA-normal": lambda data: decompose_cda(
+        data, CdaSettings(mc_draws_per_unit=30, seed=8, residual_mode="parametric-normal")
+    ),
+    "CDA-interactions": lambda data: decompose_cda(
+        data, CdaSettings(mc_draws_per_unit=30, seed=8, interactions=True)
+    ),
+}
+
+
+class TestAffineEquivariance:
+    """Y -> a + bY scales every estimate by b; M -> a + cM moves none of them."""
+
+    @pytest.mark.parametrize("method", list(ESTIMATES))
+    @pytest.mark.parametrize("shift, scale", [(50.0, 1.0), (0.0, -3.0), (-7.5, 0.25)])
+    def test_outcome(self, method, shift, scale):
+        data = random_dataset(40, n=60, n_baseline=1, n_intermediate=2)
+        base = ESTIMATES[method](data)
+        moved = ESTIMATES[method](_with_columns(data, Y=shift + scale * data.column("Y")))
+        for name in DecompositionResult.QUANTITIES:
+            npt.assert_allclose(moved.quantity(name), scale * base.quantity(name), rtol=1e-9, atol=1e-11)
+        if base.proportion_explained_pct is not None:
+            npt.assert_allclose(moved.proportion_explained_pct, base.proportion_explained_pct, rtol=1e-9)
+        if method == "DIC":
+            npt.assert_allclose(moved.detail.mediator_coef, scale * base.detail.mediator_coef, rtol=1e-9)
+
+    @pytest.mark.parametrize("method", list(ESTIMATES))
+    @pytest.mark.parametrize("shift, scale", [(50.0, 1.0), (0.0, -3.0), (-7.5, 0.25)])
+    def test_mediator(self, method, shift, scale):
+        data = random_dataset(41, n=60, n_baseline=1, n_intermediate=2)
+        moved_data = _with_columns(data, M=shift + scale * data.column("M"))
+        estimate = ESTIMATES[method]
+        if method == "CDA-normal" and scale < 0:
+            # Normal draws are residual_sd * z, so they keep their sign when
+            # M flips its own: the same distribution on another path. The
+            # draw limit has no path.
+            settings = CdaSettings(residual_mode="parametric-normal")
+            estimate = lambda d: decompose_module._cda_draw_limit(d, settings)  # noqa: E731
+        base, moved = estimate(data), estimate(moved_data)
+        for name in DecompositionResult.QUANTITIES:
+            npt.assert_allclose(moved.quantity(name), base.quantity(name), rtol=1e-9, atol=1e-11)
+        if method == "DIC":
+            npt.assert_allclose(moved.detail.mediator_coef, base.detail.mediator_coef / scale, rtol=1e-9)
+
+
+class TestGroupOneAsSmallAsItsOutcomeModel:
+    """n1 == p: the group-1 outcome model interpolates, with residual_sd 0."""
+
+    # Group 1 lies exactly on Y = 1 + 2C + 0.5M; 3 rows for intercept, C, M.
+    C1, M1 = [0.0, 1.0, 2.0], [0.0, 1.0, 3.0]
+
+    def data(self):
+        rng = np.random.default_rng(5)
+        c0 = rng.normal(0.5, 1.0, 12)
+        m0 = rng.normal(1.0 + 0.3 * c0, 1.0)
+        y0 = rng.normal(0.2 + c0 + 0.4 * m0, 1.0)
+        c1, m1 = np.array(self.C1), np.array(self.M1)
+        return build_dataset(
+            {
+                "R": [0.0] * 12 + [1.0] * 3,
+                "C": np.concatenate([c0, c1]),
+                "M": np.concatenate([m0, m1]),
+                "Y": np.concatenate([y0, 1.0 + 2.0 * c1 + 0.5 * m1]),
+            },
+            baseline=("C",),
+        )
+
+    def test_outcome_fit_interpolates(self):
+        fit = decompose_module._fit(self.data(), 1, ("C", "M"), "Y")
+        assert (fit.n, fit.p, fit.residual_sd) == (3, 3, 0.0)
+        npt.assert_allclose(fit.residuals, 0.0, atol=1e-12)
+        npt.assert_allclose([fit.intercept, fit.coef("C"), fit.coef("M")], [1.0, 2.0, 0.5], rtol=1e-12)
+
+    def test_kob_explained_uses_the_exact_group_1_slope(self):
+        data = self.data()
+        res = decompose_kob(data)
+        m = data.column("M")
+        gap = m[data.group_mask(1)].mean() - m[data.group_mask(0)].mean()
+        npt.assert_allclose(res.explained, 0.5 * gap, rtol=1e-12)
+        npt.assert_allclose(res.detail.total(), res.initial, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
+    def test_cda_explained_uses_the_exact_group_1_slope(self, mode):
+        data = self.data()
+        c, m = data.column("C"), data.column("M")
+        g0, g1 = data.group_mask(0), data.group_mask(1)
+        a, b = np.polynomial.polynomial.polyfit(c[g0], m[g0], 1)
+        limit = decompose_module._cda_draw_limit(data, CdaSettings(residual_mode=mode))
+        npt.assert_allclose(limit.explained, 0.5 * (m[g1] - (a + b * c[g1])).mean(), rtol=1e-10)
+        res = decompose_cda(data, CdaSettings(residual_mode=mode, mc_draws_per_unit=50, seed=2))
+        assert np.isfinite([res.initial, res.explained, res.unexplained]).all()
+        npt.assert_allclose(res.initial, res.explained + res.unexplained, atol=1e-12)
+
+    def test_one_row_fewer_is_an_estimation_error(self):
+        data = self.data()
+        short = data.take(np.arange(data.n - 1))
+        with pytest.raises(EstimationError, match="insufficient observations: 2 rows for 3"):
+            decompose_kob(short)

@@ -112,6 +112,18 @@ class TestDataset:
         with pytest.raises(DataError, match="group 0 has no rows"):
             data.take(np.array([1, 2]))
 
+    def test_trusted_take_equals_the_validated_one(self):
+        data = build_dataset({"R": [0, 1, 1, 0], "M": [1, 2, 3, 4], "Y": [4, 5, 6, 7]})
+        idx = np.array([3, 3, 1, 2, 0])
+        checked, trusted = data.take(idx), data.take(idx, _trusted=True)
+        assert trusted.roles == checked.roles
+        assert (trusted.n, trusted._fits) == (checked.n, {})
+        assert list(trusted.columns) == list(checked.columns)
+        for name, col in trusted.columns.items():
+            assert col.dtype == np.float64 and col.flags.c_contiguous
+            assert not col.flags.writeable
+            npt.assert_array_equal(col, checked.column(name))
+
     def test_group_means(self):
         data = build_dataset({"R": [0, 0, 1], "M": [1, 3, 5], "Y": [2, 4, 9]})
         means = group_means(data)
