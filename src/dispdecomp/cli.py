@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .decompose import (
     _ESTIMATORS,
@@ -47,22 +47,12 @@ __all__ = ["RenderedReport", "render", "main"]
 FORMATS = ("markdown", "csv")
 
 
+@dataclass(frozen=True)
 class RenderedReport:
     """A rendered table: ``format`` in {markdown, csv} and the text body."""
 
-    __slots__ = ("format", "body")
-
-    def __init__(self, format: str, body: str) -> None:
-        self.format = format
-        self.body = body
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RenderedReport):
-            return NotImplemented
-        return (self.format, self.body) == (other.format, other.body)
-
-    def __repr__(self) -> str:
-        return f"RenderedReport(format={self.format!r}, body={self.body!r})"
+    format: str
+    body: str
 
 
 class UsageError(Exception):

@@ -457,8 +457,8 @@ def bootstrap(
     estimator = _ESTIMATORS[method]
     point = estimator(data, settings)
 
-    idx0 = np.nonzero(data.group_mask(0))[0]
-    idx1 = np.nonzero(data.group_mask(1))[0]
+    idx0 = _group_rows(data, 0)
+    idx1 = _group_rows(data, 1)
     failures = 0
     max_failures = 10 * B
     samples = np.empty((B, 3))

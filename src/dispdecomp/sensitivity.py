@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import DecompositionResult, _columns, _fit, _group_rows
-from .regress import EstimationError, OlsFit, fit_ols, partial_r2
+from .regress import EstimationError, OlsFit, partial_r2
 from .tabular import Dataset
 
 __all__ = [
@@ -117,6 +117,15 @@ def _standardized_mediator_gap(data: Dataset) -> float:
     return float(diff.sum() / n1)
 
 
+def _pooled_models(data: Dataset) -> tuple[tuple[tuple[str, ...], str], ...]:
+    """(regressors, response) of the pooled outcome model (on group,
+    covariates, and mediator) and of the pooled mediator model (on group
+    and covariates). Their fits are shared through the Dataset."""
+    roles = data.roles
+    regressors = (roles.group,) + roles.covariates
+    return (regressors + (roles.mediator,), roles.outcome), (regressors, roles.mediator)
+
+
 def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     """Observable scale factors: (sd_y_perp, sd_m_perp, mediator gap).
 
@@ -125,11 +134,8 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     pooled mediator regression (mediator on group and covariates); the gap
     is the baseline-standardized mediator gap.
     """
-    roles = data.roles
-    regressors = (roles.group,) + roles.covariates
-    outcome_fit = _fit(data, None, regressors + (roles.mediator,), roles.outcome)
-    mediator_fit = _fit(data, None, regressors, roles.mediator)
-    m = data.column(roles.mediator)
+    outcome_fit, mediator_fit = (_fit(data, None, *model) for model in _pooled_models(data))
+    m = data.column(data.roles.mediator)
     sd_m_perp = mediator_fit.residual_sd
     scale = float(np.max(np.abs(m))) or 1.0
     if sd_m_perp <= 1e-12 * scale:
@@ -191,16 +197,13 @@ def _partial_r2_from_t(fit: OlsFit, names: list[str]) -> dict[str, float]:
     return out
 
 
-def _partial_r2_by_refits(
-    designs: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-    responses: tuple[np.ndarray, np.ndarray],
-    names: list[str],
-) -> tuple[dict[str, float], dict[str, float]]:
-    """partial_r2 for each covariate on each design: two fits per value."""
+def _partial_r2_by_refits(data: Dataset, names: list[str]) -> tuple[dict[str, float], dict[str, float]]:
+    """partial_r2 for each covariate on each pooled design: two fits per value."""
+    models = [(_columns(data, regressors), data.column(y)) for regressors, y in _pooled_models(data)]
     out: tuple[dict[str, float], dict[str, float]] = ({}, {})
     for name in names:
         try:
-            for design, response, values in zip(designs, responses, out):
+            for (design, response), values in zip(models, out):
                 controls = [c for c in design if c != name]
                 values[name] = partial_r2(design, response, name, controls)
         except EstimationError as exc:
@@ -219,8 +222,9 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     role-order.
 
     All values come from the t-statistics of two fits: the outcome on
-    every column and the mediator on every column. When either fit fails
-    or is perfect, each value is computed from its own pair of fits
+    every column and the mediator on every column. These are the pooled
+    fits of adjust and grid, so a Dataset shares them. When either fit
+    fails or is perfect, each value is computed from its own pair of fits
     instead, and the error names the covariate whose partial R-squared is
     undefined.
     """
@@ -228,22 +232,14 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     names = list(roles.covariates)
     if not names:
         return ()
-    outcome_design = {
-        roles.group: data.column(roles.group),
-        **{name: data.column(name) for name in names},
-        roles.mediator: data.column(roles.mediator),
-    }
-    mediator_design = {k: v for k, v in outcome_design.items() if k != roles.mediator}
-    designs = (outcome_design, mediator_design)
-    responses = (data.column(roles.outcome), data.column(roles.mediator))
     try:
-        fits = [fit_ols(x, y) for x, y in zip(designs, responses)]
+        fits = [_fit(data, None, *model) for model in _pooled_models(data)]
     except EstimationError:
         fits = []
     if fits and all(fit.r_squared < 1.0 - 1e-12 for fit in fits):
         with_y, with_m = (_partial_r2_from_t(fit, names) for fit in fits)
     else:
-        with_y, with_m = _partial_r2_by_refits(designs, responses, names)
+        with_y, with_m = _partial_r2_by_refits(data, names)
     out = [
         CovariateBenchmark(name=name, r2_with_y=with_y[name], r2_with_m=with_m[name])
         for name in names

@@ -21,21 +21,27 @@ may be nonzero (active loadings default to 0.5):
     my-conf  C, X, and U loading on M and Y (mediator-outcome confounding)
     both     C, X, and U loading on X, M, and Y
 
-Truths come from closed-form moment propagation, never from sampling: the
-implied means/covariances give population regression projections for the
-pooled and group-specific models, and the structural equations give the
+One table (_STRUCTURE) gives each scenario's structure, and one list of
+equations (_equations) gives the SEM after R; the generator and the truth
+oracle both read that list. Truths come from closed-form moment
+propagation, never from sampling: the implied means/covariances give
+population regression projections for the pooled and group-specific
+models, and a noise-free walk of the equations gives the
 conditional-expectation estimands for the causal decomposition. Because
 estimator targets are defined by each method's own assumptions, the truth
 oracle evaluates projections on the confounder-free twin of the
-configuration (loadings zeroed, all else identical); for unconfounded
+configuration (the equations without their U terms); for unconfounded
 scenarios the twin is the scenario itself, and the causal estimands are
 identical either way since the confounder is mean-zero and independent of
-the group and baseline variables.
+the group and baseline variables. The oracle's independence from the
+generator is held by the tests: a hand-expanded copy of the generator,
+hand-derived truths, and a 10^6-row brute-force check.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,7 +74,23 @@ __all__ = [
     "run_harness",
 ]
 
-SCENARIOS = ("none", "c-only", "x-only", "cx", "xm-conf", "my-conf", "both")
+class _Structure(NamedTuple):
+    baseline: bool  # C exists
+    intermediate: bool  # X1..Xk exist
+    loads: tuple[str, ...]  # which of X, M and Y the confounder U loads on
+
+
+_STRUCTURE = {
+    "none": _Structure(False, False, ()),
+    "c-only": _Structure(True, False, ()),
+    "x-only": _Structure(False, True, ()),
+    "cx": _Structure(True, True, ()),
+    "xm-conf": _Structure(True, True, ("X", "M")),
+    "my-conf": _Structure(True, True, ("M", "Y")),
+    "both": _Structure(True, True, ("X", "M", "Y")),
+}
+
+SCENARIOS = tuple(_STRUCTURE)
 
 ACTIVE_LOADING = 0.5
 
@@ -76,16 +98,23 @@ HARNESS_METHODS = METHODS
 ADJUSTED_METHOD = "CDA_adjusted"
 
 
+def _structure(scenario: str) -> _Structure:
+    try:
+        return _STRUCTURE[scenario]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}") from None
+
+
 def scenario_has_baseline(scenario: str) -> bool:
-    return scenario != "none" and scenario != "x-only"
+    return _structure(scenario).baseline
 
 
 def scenario_has_intermediate(scenario: str) -> bool:
-    return scenario != "none" and scenario != "c-only"
+    return _structure(scenario).intermediate
 
 
 def scenario_has_confounder(scenario: str) -> bool:
-    return scenario in ("xm-conf", "my-conf", "both")
+    return bool(_structure(scenario).loads)
 
 
 @dataclass(frozen=True)
@@ -166,19 +195,18 @@ class SemCoefficients:
 
 def default_coefficients(scenario: str) -> SemCoefficients:
     """Default coefficient set with the scenario's active confounder loadings."""
+    loads = _structure(scenario).loads
     coefs = SemCoefficients()
-    if scenario in ("xm-conf", "both"):
-        coefs = replace(
-            coefs,
-            intermediate=tuple(
-                replace(eq, on_confounder=ACTIVE_LOADING) for eq in coefs.intermediate
-            ),
-        )
-    if scenario_has_confounder(scenario):
-        coefs = replace(coefs, mediator=replace(coefs.mediator, on_confounder=ACTIVE_LOADING))
-    if scenario in ("my-conf", "both"):
-        coefs = replace(coefs, outcome=replace(coefs.outcome, on_confounder=ACTIVE_LOADING))
-    return coefs
+
+    def load(eq, variable: str):
+        return replace(eq, on_confounder=ACTIVE_LOADING) if variable in loads else eq
+
+    return replace(
+        coefs,
+        intermediate=tuple(load(eq, "X") for eq in coefs.intermediate),
+        mediator=load(coefs.mediator, "M"),
+        outcome=load(coefs.outcome, "Y"),
+    )
 
 
 @dataclass(frozen=True)
@@ -190,31 +218,20 @@ class ScenarioConfig:
     coefficients: SemCoefficients | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        loads = _structure(self.scenario).loads
         if self.n < 50:
             raise ValueError(f"n must be >= 50, got {self.n}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if self.coefficients is None:
             object.__setattr__(self, "coefficients", default_coefficients(self.scenario))
-        self._check_loadings()
-
-    def _check_loadings(self) -> None:
         coefs = self.coefficients
-        assert coefs is not None
-        lam_x_ok = self.scenario in ("xm-conf", "both")
-        lam_m_ok = scenario_has_confounder(self.scenario)
-        lam_y_ok = self.scenario in ("my-conf", "both")
-        for i, eq in enumerate(coefs.intermediate, start=1):
-            if eq.on_confounder != 0.0 and not lam_x_ok:
+        labelled = [(f"X{i}", eq) for i, eq in enumerate(coefs.intermediate, start=1)]
+        for label, eq in labelled + [("M", coefs.mediator), ("Y", coefs.outcome)]:
+            if eq.on_confounder != 0.0 and label[0] not in loads:  # X, M or Y
                 raise ValueError(
-                    f"scenario {self.scenario!r} forbids a confounder loading on X{i}"
+                    f"scenario {self.scenario!r} forbids a confounder loading on {label}"
                 )
-        if coefs.mediator.on_confounder != 0.0 and not lam_m_ok:
-            raise ValueError(f"scenario {self.scenario!r} forbids a confounder loading on M")
-        if coefs.outcome.on_confounder != 0.0 and not lam_y_ok:
-            raise ValueError(f"scenario {self.scenario!r} forbids a confounder loading on Y")
 
 
 def _merge_equation(cls, defaults, spec: dict, context: str):
@@ -245,8 +262,6 @@ def config_from_json(text: str) -> ScenarioConfig:
     if "scenario" not in doc:
         raise ValueError("scenario config must name a scenario")
     scenario = doc["scenario"]
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     coefs = default_coefficients(scenario)
     spec = doc.get("coefficients", {})
     if not isinstance(spec, dict):
@@ -332,30 +347,24 @@ class _Moments:
         self.cov = np.empty((0, 0))
 
     def add_root(self, name: str, mean: float, var: float) -> None:
-        k = len(self.names)
-        new_mean = np.append(self.mean, mean)
-        new_cov = np.zeros((k + 1, k + 1))
-        new_cov[:k, :k] = self.cov
-        new_cov[k, k] = var
-        self.names.append(name)
-        self.mean, self.cov = new_mean, new_cov
+        self._append(name, mean, np.zeros(len(self.names)), var)
 
     def add_linear(self, name: str, intercept: float, weights: dict[str, float], noise_sd: float) -> None:
-        k = len(self.names)
-        w = np.zeros(k)
+        w = np.zeros(len(self.names))
         for parent, coef in weights.items():
             w[self.names.index(parent)] = coef
-        mean = intercept + float(w @ self.mean)
         cross = self.cov @ w
-        var = float(w @ cross) + noise_sd**2
-        new_mean = np.append(self.mean, mean)
+        self._append(name, intercept + float(w @ self.mean), cross, float(w @ cross) + noise_sd**2)
+
+    def _append(self, name: str, mean: float, cross: np.ndarray, var: float) -> None:
+        k = len(self.names)
         new_cov = np.zeros((k + 1, k + 1))
         new_cov[:k, :k] = self.cov
         new_cov[:k, k] = cross
         new_cov[k, :k] = cross
         new_cov[k, k] = var
         self.names.append(name)
-        self.mean, self.cov = new_mean, new_cov
+        self.mean, self.cov = np.append(self.mean, mean), new_cov
 
     def mean_of(self, name: str) -> float:
         return float(self.mean[self.names.index(name)])
@@ -377,13 +386,8 @@ class _Moments:
         return intercept, dict(zip(regressors, (float(c) for c in coef))), max(resid_var, 0.0)
 
 
-def _strip_confounding(coefs: SemCoefficients) -> SemCoefficients:
-    return replace(
-        coefs,
-        intermediate=tuple(replace(eq, on_confounder=0.0) for eq in coefs.intermediate),
-        mediator=replace(coefs.mediator, on_confounder=0.0),
-        outcome=replace(coefs.outcome, on_confounder=0.0),
-    )
+# Marks the place in an equation's terms where its noise is added.
+_NOISE = (None, 1.0)
 
 
 def _x_names(config: ScenarioConfig) -> list[str]:
@@ -391,6 +395,83 @@ def _x_names(config: ScenarioConfig) -> list[str]:
         return []
     assert config.coefficients is not None
     return [f"X{i}" for i in range(1, len(config.coefficients.intermediate) + 1)]
+
+
+def _covariates(config: ScenarioConfig) -> list[str]:
+    """Intermediate then baseline covariates, as in RoleSpec.covariates."""
+    return _x_names(config) + (["C"] if scenario_has_baseline(config.scenario) else [])
+
+
+def _equations(config: ScenarioConfig, confounded: bool) -> list[tuple[str, float, list, float]]:
+    """The SEM after R in topological order: (name, intercept, terms, noise_sd).
+
+    terms are (parent, coefficient) pairs in the order generate adds them,
+    with _NOISE where the noise goes; parents the scenario lacks are left
+    out. confounded=False gives the confounder-free twin: no U and no U
+    terms. generate, implied_moments and the conditional means all read the
+    structural equations from here.
+    """
+    coefs = config.coefficients
+    assert coefs is not None
+    structure = _structure(config.scenario)
+    has_c = structure.baseline
+    loads = structure.loads if confounded else ()
+
+    def given(present: bool, parent: str, coef: float) -> list[tuple[str, float]]:
+        return [(parent, coef)] if present else []
+
+    xs = _x_names(config)
+    base, med, out = coefs.baseline, coefs.mediator, coefs.outcome
+    equations = []
+    if has_c:
+        equations.append(("C", base.intercept, [("R", base.on_group), _NOISE], base.noise_sd))
+    if loads:
+        equations.append(("U", 0.0, [_NOISE], 1.0))
+    for name, eq in zip(xs, coefs.intermediate):
+        terms = [
+            ("R", eq.on_group),
+            *given(has_c, "C", eq.on_baseline),
+            *given("X" in loads, "U", eq.on_confounder),
+            _NOISE,
+        ]
+        equations.append((name, eq.intercept, terms, eq.noise_sd))
+    terms = [
+        ("R", med.on_group),
+        *given("M" in loads, "U", med.on_confounder),
+        _NOISE,
+        *given(has_c, "C", med.on_baseline),
+        *zip(xs, med.on_intermediate),
+    ]
+    equations.append(("M", med.intercept, terms, med.noise_sd))
+    terms = [
+        ("R", out.on_group),
+        ("M", out.on_mediator),
+        *given("Y" in loads, "U", out.on_confounder),
+        _NOISE,
+        *given(has_c, "C", out.on_baseline),
+        *zip(xs, out.on_intermediate),
+    ]
+    equations.append(("Y", out.intercept, terms, out.noise_sd))
+    return equations
+
+
+def _walk(equations: list, values: dict, noise: Callable[[float], np.ndarray] | None = None) -> dict:
+    """Evaluate the equations in order into values; pinned names are kept.
+
+    noise(sd) draws an equation's noise where its terms place it. With
+    noise=None every noise is zero.
+    """
+    for name, intercept, terms, sd in equations:
+        if name in values:
+            continue
+        value = intercept
+        for parent, coef in terms:
+            if parent is not None:
+                value = value + coef * values[parent]
+            elif noise is not None:
+                value = value + noise(sd)
+        values[name] = value
+    return values
 
 
 def implied_moments(
@@ -405,70 +486,27 @@ def implied_moments(
     """
     coefs = config.coefficients
     assert coefs is not None
-    if not confounded:
-        coefs = _strip_confounding(coefs)
-    has_c = scenario_has_baseline(config.scenario)
-    has_u = scenario_has_confounder(config.scenario) and confounded
     mom = _Moments()
     if group is None:
         mom.add_root("R", coefs.p_r, coefs.p_r * (1.0 - coefs.p_r))
     else:
         mom.add_root("R", float(group), 0.0)
-    if has_c:
-        mom.add_linear("C", coefs.baseline.intercept, {"R": coefs.baseline.on_group}, coefs.baseline.noise_sd)
-    if has_u:
-        mom.add_root("U", 0.0, 1.0)
-    xs = _x_names(config)
-    for name, eq in zip(xs, coefs.intermediate):
-        w = {"R": eq.on_group}
-        if has_c:
-            w["C"] = eq.on_baseline
-        if has_u:
-            w["U"] = eq.on_confounder
-        mom.add_linear(name, eq.intercept, w, eq.noise_sd)
-    med = coefs.mediator
-    w = {"R": med.on_group}
-    if has_c:
-        w["C"] = med.on_baseline
-    if has_u:
-        w["U"] = med.on_confounder
-    for name, coef in zip(xs, med.on_intermediate):
-        w[name] = coef
-    mom.add_linear("M", med.intercept, w, med.noise_sd)
-    out = coefs.outcome
-    w = {"R": out.on_group, "M": out.on_mediator}
-    if has_c:
-        w["C"] = out.on_baseline
-    if has_u:
-        w["U"] = out.on_confounder
-    for name, coef in zip(xs, out.on_intermediate):
-        w[name] = coef
-    mom.add_linear("Y", out.intercept, w, out.noise_sd)
+    for name, intercept, terms, sd in _equations(config, confounded):
+        mom.add_linear(name, intercept, {p: c for p, c in terms if p is not None}, sd)
     return mom
 
 
-def _structural_means(config: ScenarioConfig, group: int, c: float) -> tuple[list[float], float, float]:
-    """E[X], E[M], E[Y] given group and baseline value, from the structure.
+def _standardized_means(config: ScenarioConfig) -> tuple[dict, dict]:
+    """Means of every variable given R = 1 and given R = 0, at the group-1 baseline mean.
 
-    Exact without any normality assumption: the confounder and the noises
-    are mean-zero and independent of (group, baseline), so they drop out.
+    Noise-free walks with U = 0. Exact without any normality assumption:
+    the confounder and the noises are mean-zero and independent of (group,
+    baseline), so they drop out.
     """
-    coefs = config.coefficients
-    assert coefs is not None
-    has_c = scenario_has_baseline(config.scenario)
-    has_x = scenario_has_intermediate(config.scenario)
-    c_term = c if has_c else 0.0
-    e_x: list[float] = []
-    if has_x:
-        for eq in coefs.intermediate:
-            e_x.append(eq.intercept + eq.on_group * group + eq.on_baseline * c_term)
-    med = coefs.mediator
-    e_m = med.intercept + med.on_group * group + (med.on_baseline * c_term if has_c else 0.0)
-    e_m += sum(a * x for a, x in zip(med.on_intermediate, e_x))
-    out = coefs.outcome
-    e_y = out.intercept + out.on_group * group + (out.on_baseline * c_term if has_c else 0.0)
-    e_y += sum(b * x for b, x in zip(out.on_intermediate, e_x)) + out.on_mediator * e_m
-    return e_x, e_m, e_y
+    equations = _equations(config, confounded=False)
+    treated = _walk(equations, {"R": 1.0})
+    control = _walk(equations, {"R": 0.0, "C": treated.get("C", 0.0)})
+    return treated, control
 
 
 def _cda_truth(config: ScenarioConfig) -> MethodTruth:
@@ -478,13 +516,9 @@ def _cda_truth(config: ScenarioConfig) -> MethodTruth:
     averaging over the group-1 baseline distribution is evaluation at its
     mean.
     """
-    coefs = config.coefficients
-    assert coefs is not None
-    has_c = scenario_has_baseline(config.scenario)
-    cbar1 = coefs.baseline.intercept + coefs.baseline.on_group if has_c else 0.0
-    e_x1, e_m1, e_y1 = _structural_means(config, 1, cbar1)
-    _, e_m0, e_y0 = _structural_means(config, 0, cbar1)
-    out = coefs.outcome
+    treated, control = _standardized_means(config)
+    e_y1, e_m1, e_y0, e_m0 = treated["Y"], treated["M"], control["Y"], control["M"]
+    out = config.coefficients.outcome
     counterfactual = e_y1 - out.on_mediator * (e_m1 - e_m0)
     tau = e_y1 - e_y0
     delta = e_y1 - counterfactual
@@ -501,19 +535,18 @@ def compute_truths(config: ScenarioConfig) -> TrueValues:
     itself. The causal estimands are computed structurally and are
     unaffected by the confounder either way.
     """
-    xs = _x_names(config)
-    cs = ["C"] if scenario_has_baseline(config.scenario) else []
+    covariates = _covariates(config)
 
     pooled = implied_moments(config, confounded=False)
-    _, coefs_a, _ = pooled.project("Y", ["R"] + xs + cs)
-    _, coefs_b, _ = pooled.project("Y", ["R"] + xs + cs + ["M"])
+    _, coefs_a, _ = pooled.project("Y", ["R"] + covariates)
+    _, coefs_b, _ = pooled.project("Y", ["R"] + covariates + ["M"])
     alpha = coefs_a["R"]
     beta = coefs_b["R"]
     dic = MethodTruth(initial=alpha, explained=alpha - beta, unexplained=beta)
 
     mom1 = implied_moments(config, group=1, confounded=False)
     mom0 = implied_moments(config, group=0, confounded=False)
-    _, coefs_g1, _ = mom1.project("Y", xs + cs + ["M"])
+    _, coefs_g1, _ = mom1.project("Y", covariates + ["M"])
     raw_gap = mom1.mean_of("Y") - mom0.mean_of("Y")
     explained = coefs_g1["M"] * (mom1.mean_of("M") - mom0.mean_of("M"))
     kob = MethodTruth(initial=raw_gap, explained=explained, unexplained=raw_gap - explained)
@@ -573,8 +606,7 @@ def oracle_sensitivity_params(config: ScenarioConfig) -> SensitivityParams:
     coefs = config.coefficients
     assert coefs is not None
     mom = implied_moments(config, confounded=True)
-    xs = _x_names(config)
-    cs = ["C"] if scenario_has_baseline(config.scenario) else []
+    covariates = _covariates(config)
 
     def partial(target: str, controls: list[str]) -> float:
         _, _, v_without = mom.project(target, controls)
@@ -583,8 +615,8 @@ def oracle_sensitivity_params(config: ScenarioConfig) -> SensitivityParams:
             raise EstimationError(f"{target} fully explained without the confounder")
         return min(1.0, max(0.0, 1.0 - v_with / v_without))
 
-    r2_mu = partial("M", ["R"] + xs + cs)
-    r2_yu = partial("Y", ["R"] + xs + cs + ["M"])
+    r2_mu = partial("M", ["R"] + covariates)
+    r2_yu = partial("Y", ["R"] + covariates + ["M"])
     product = coefs.mediator.on_confounder * coefs.outcome.on_confounder
     return SensitivityParams(r2_yu=r2_yu, r2_mu=r2_mu, sign=-1 if product < 0 else +1)
 
@@ -605,14 +637,9 @@ def oracle_explained_bias(config: ScenarioConfig) -> float:
     if lam_m == 0.0 or lam_y == 0.0 or not scenario_has_confounder(config.scenario):
         return 0.0
     mom = implied_moments(config, confounded=True)
-    xs = _x_names(config)
-    cs = ["C"] if scenario_has_baseline(config.scenario) else []
-    _, _, var_m_perp = mom.project("M", ["R"] + xs + cs)
-    has_c = scenario_has_baseline(config.scenario)
-    cbar1 = coefs.baseline.intercept + coefs.baseline.on_group if has_c else 0.0
-    _, e_m1, _ = _structural_means(config, 1, cbar1)
-    _, e_m0, _ = _structural_means(config, 0, cbar1)
-    return lam_y * (lam_m * 1.0 / var_m_perp) * (e_m1 - e_m0)
+    _, _, var_m_perp = mom.project("M", ["R"] + _covariates(config))
+    treated, control = _standardized_means(config)
+    return lam_y * (lam_m * 1.0 / var_m_perp) * (treated["M"] - control["M"])
 
 
 # ---------------------------------------------------------------------------
@@ -632,56 +659,15 @@ def generate(config: ScenarioConfig, rep_index: int) -> Dataset:
     assert coefs is not None
     n = config.n
     rng = substream(config.seed, rep_index, 0)
-    has_c = scenario_has_baseline(config.scenario)
-    has_u = scenario_has_confounder(config.scenario)
-
     r = (rng.random(n) < coefs.p_r).astype(np.float64)
-    columns: dict[str, np.ndarray] = {"R": r}
-    c = np.zeros(n)
-    if has_c:
-        b = coefs.baseline
-        c = b.intercept + b.on_group * r + rng.normal(0.0, b.noise_sd, n)
-        columns["C"] = c
-    u = rng.normal(0.0, 1.0, n) if has_u else np.zeros(n)
-    xs = _x_names(config)
-    x_cols: list[np.ndarray] = []
-    for name, eq in zip(xs, coefs.intermediate):
-        x = (
-            eq.intercept
-            + eq.on_group * r
-            + eq.on_baseline * c
-            + eq.on_confounder * u
-            + rng.normal(0.0, eq.noise_sd, n)
-        )
-        x_cols.append(x)
-        columns[name] = x
-    med = coefs.mediator
-    m = med.intercept + med.on_group * r + med.on_confounder * u + rng.normal(0.0, med.noise_sd, n)
-    if has_c:
-        m = m + med.on_baseline * c
-    for a, x in zip(med.on_intermediate, x_cols):
-        m = m + a * x
-    columns["M"] = m
-    out = coefs.outcome
-    y = (
-        out.intercept
-        + out.on_group * r
-        + out.on_mediator * m
-        + out.on_confounder * u
-        + rng.normal(0.0, out.noise_sd, n)
-    )
-    if has_c:
-        y = y + out.on_baseline * c
-    for b_x, x in zip(out.on_intermediate, x_cols):
-        y = y + b_x * x
-    columns["Y"] = y
-
+    columns = _walk(_equations(config, True), {"R": r}, lambda sd: rng.normal(0.0, sd, n))
+    columns.pop("U", None)  # the confounder is unobserved
     roles = RoleSpec(
         group="R",
         outcome="Y",
         mediator="M",
-        baseline=("C",) if has_c else (),
-        intermediate=tuple(xs),
+        baseline=("C",) if "C" in columns else (),
+        intermediate=tuple(_x_names(config)),
     )
     return Dataset(columns, roles)
 

@@ -346,6 +346,7 @@ class TestRender:
         assert a == RenderedReport("csv", "x\n")
         assert a != RenderedReport("markdown", "x\n")
         assert "csv" in repr(a)
+        assert repr(a) == "RenderedReport(format='csv', body='x\\n')"
 
     def test_markdown_has_constant_column_count(self):
         data = build_dataset({"R": [0, 0, 1, 1], "M": [0, 1, 1, 2], "Y": [0, 2, 3, 5]})

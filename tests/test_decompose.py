@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from dispdecomp import (
 )
 from dispdecomp import DecompositionResult, ScenarioConfig, generate
 from dispdecomp._streams import stream_seed, substream
+from dispdecomp.regress import RANK_TOL
 from dispdecomp.simulate import SCENARIOS
 import dispdecomp.decompose as decompose_module
 
@@ -616,3 +618,68 @@ class TestGroupOneAsSmallAsItsOutcomeModel:
         short = data.take(np.arange(data.n - 1))
         with pytest.raises(EstimationError, match="insufficient observations: 2 rows for 3"):
             decompose_kob(short)
+
+
+class TestCovariateAtTheRankTolerance:
+    """Z = C + eps * U, with Z's pivot ratio within a decade of RANK_TOL."""
+
+    ESTIMATORS = {
+        "DIC": decompose_dic,
+        "KOB": decompose_kob,
+        "CDA": lambda data: decompose_cda(data, CdaSettings(seed=1)),
+    }
+
+    @staticmethod
+    def data(eps, role):
+        rng = np.random.default_rng(3)
+        n = 200
+        r = np.repeat([0.0, 1.0], n // 2)
+        c = rng.normal(size=n)
+        u = rng.normal(size=n)
+        m = rng.normal(size=n) + 0.5 * c - 0.3 * r
+        y = rng.normal(size=n) + 0.4 * m + 0.2 * c + 0.5 * r + 0.7 * u
+        columns = {"R": r, "C": c, "Z": c + eps * u, "M": m, "Y": y}
+        if role == "baseline":
+            return build_dataset(columns, baseline=("C", "Z"))
+        return build_dataset(columns, baseline=("C",), intermediate=("Z",))
+
+    @staticmethod
+    def pooled_pivot_ratio(data):
+        names = ("R", "C", "Z", "M")
+        design = np.column_stack([np.ones(data.n)] + [data.column(k) for k in names])
+        diag = np.abs(np.diag(scipy.linalg.qr(design, mode="r", pivoting=True)[0]))
+        return diag[-1] / diag[0]
+
+    @pytest.mark.parametrize("role", ["intermediate", "baseline"])
+    @pytest.mark.parametrize("method", ["DIC", "KOB", "CDA"])
+    def test_just_above_gives_finite_additive_results(self, method, role):
+        data = self.data(5e-10, role)
+        assert RANK_TOL < self.pooled_pivot_ratio(data) < 10 * RANK_TOL
+        res = self.ESTIMATORS[method](data)
+        assert np.isfinite([res.initial, res.explained, res.unexplained]).all()
+        gap = abs(res.explained + res.unexplained - res.initial)
+        assert gap <= 1e-9 * max(1.0, abs(res.initial))
+        # Every fit the method made on both C and Z sat at the edge too.
+        edge = [fit for (_, names, _), fit in data._fits.items() if {"C", "Z"} <= set(names)]
+        assert edge
+        for fit in edge:
+            diag = np.abs(fit.r_factor.diagonal())
+            assert RANK_TOL < diag[-1] / diag[0] < 10 * RANK_TOL
+
+    @pytest.mark.parametrize(
+        "role, method, prefix, columns",
+        [
+            ("intermediate", "DIC", "", "Z, C"),
+            ("intermediate", "KOB", "group 1: ", "Z, C"),
+            ("intermediate", "CDA", "group 1 outcome model: ", "C, Z"),
+            ("baseline", "DIC", "", "C, Z"),
+            ("baseline", "KOB", "group 1: ", "C, Z"),
+            ("baseline", "CDA", "baseline models: ", "C, Z"),
+        ],
+    )
+    def test_just_below_names_the_dependent_columns(self, role, method, prefix, columns):
+        data = self.data(5e-11, role)
+        assert RANK_TOL / 10 < self.pooled_pivot_ratio(data) < RANK_TOL
+        with pytest.raises(EstimationError) as info:
+            self.ESTIMATORS[method](data)
+        assert str(info.value) == f"{prefix}design columns are linearly dependent: {columns}"

@@ -8,14 +8,17 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dispdecomp.decompose as decompose_module
 from dispdecomp import (
     CdaSettings,
     EstimationError,
+    ScenarioConfig,
     SensitivityParams,
     adjust,
     benchmark,
     decompose_cda,
     decompose_dic,
+    generate,
     grid,
     sensitivity,
 )
@@ -342,7 +345,7 @@ class TestBenchmark:
 
     def test_two_fits_without_partial_r2(self, monkeypatch):
         calls = []
-        fit_ols = sensitivity.fit_ols
+        fit_ols = decompose_module.fit_ols
 
         def counting_fit(*args, **kwargs):
             calls.append(1)
@@ -351,7 +354,8 @@ class TestBenchmark:
         def refused(*args, **kwargs):
             raise AssertionError("partial_r2 called")
 
-        monkeypatch.setattr(sensitivity, "fit_ols", counting_fit)
+        # benchmark fits through decompose._fit, which calls decompose's fit_ols.
+        monkeypatch.setattr(decompose_module, "fit_ols", counting_fit)
         monkeypatch.setattr(sensitivity, "partial_r2", refused)
         data = random_dataset(49, n=40, n_baseline=2, n_intermediate=2)
         assert len(benchmark(data)) == 4
@@ -375,6 +379,62 @@ class TestBenchmark:
         with pytest.raises(EstimationError) as info:
             benchmark(data)
         assert str(info.value) == "covariate Z1: design columns are linearly dependent: Z2, Z3, Z1"
+
+
+class TestSharedPooledFits:
+    GRID = ((0.05, 0.2), (0.1, 0.3))
+
+    @staticmethod
+    def data():
+        return generate(ScenarioConfig("cx", n=500, reps=1, seed=2), 0)
+
+    def test_benchmark_after_grid_makes_no_fit(self, monkeypatch):
+        calls = []
+        fit_ols = decompose_module.fit_ols
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return fit_ols(*args, **kwargs)
+
+        monkeypatch.setattr(decompose_module, "fit_ols", counting_fit)
+        data = self.data()
+        cda = decompose_cda(data, CdaSettings(seed=3))
+        after_cda = len(calls)
+        swept = grid(cda, data, *self.GRID)
+        after_grid = len(calls)
+        strengths = benchmark(data)
+        assert (after_cda, after_grid, len(calls)) == (3, 6, 6)
+
+        monkeypatch.undo()
+        assert grid(cda, self.data(), *self.GRID) == swept
+        assert benchmark(self.data()) == strengths
+
+    def test_grid_after_benchmark_reuses_the_pooled_fits(self, monkeypatch):
+        calls = []
+        fit_ols = decompose_module.fit_ols
+
+        def counting_fit(columns, response, **kwargs):
+            calls.append(tuple(columns))
+            return fit_ols(columns, response, **kwargs)
+
+        monkeypatch.setattr(decompose_module, "fit_ols", counting_fit)
+        data = self.data()
+        strengths = benchmark(data)
+        cda = decompose_cda(data, CdaSettings(seed=3))
+        swept = grid(cda, data, *self.GRID)
+        # The pooled outcome and mediator fits once each, then CDA's three
+        # and the group-1 mediator model of the standardized gap.
+        assert calls == [
+            ("R", "X1", "X2", "X3", "C", "M"),
+            ("R", "X1", "X2", "X3", "C"),
+            ("C",),
+            ("C",),
+            ("C", "X1", "X2", "X3", "M"),
+            ("C",),
+        ]
+        monkeypatch.undo()
+        assert grid(cda, self.data(), *self.GRID) == swept
+        assert benchmark(self.data()) == strengths
 
 
 class TestGrid:

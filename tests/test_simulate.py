@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import threading
 
@@ -7,7 +8,6 @@ import numpy.testing as npt
 import pytest
 
 import dispdecomp.decompose as decompose_module
-import dispdecomp.sensitivity as sensitivity_module
 import dispdecomp.simulate as simulate_module
 from dispdecomp import (
     ADJUSTED_METHOD,
@@ -38,7 +38,7 @@ from dispdecomp import (
     scenario_has_confounder,
     scenario_has_intermediate,
 )
-from dispdecomp._streams import stream_seed
+from dispdecomp._streams import stream_seed, substream
 
 # Population values of the three estimands under the default coefficients,
 # derived by hand from the structural equations (path algebra over the
@@ -71,6 +71,186 @@ MY_CONF_R2_MU = 0.2
 MY_CONF_BIAS = -0.072  # 0.5 * (0.5 / 1.25) * (-0.36)
 
 
+
+def reference_generate(config, rep_index):
+    """generate written out by hand, equation by equation: the columns and roles.
+
+    Terms are added in generate's order, so the columns must match its
+    bytes; absent parents add nothing.
+    """
+    coefs = config.coefficients
+    n = config.n
+    rng = substream(config.seed, rep_index, 0)
+    has_c = scenario_has_baseline(config.scenario)
+    has_u = scenario_has_confounder(config.scenario)
+
+    r = (rng.random(n) < coefs.p_r).astype(np.float64)
+    columns = {"R": r}
+    c = np.zeros(n)
+    if has_c:
+        b = coefs.baseline
+        c = b.intercept + b.on_group * r + rng.normal(0.0, b.noise_sd, n)
+        columns["C"] = c
+    u = rng.normal(0.0, 1.0, n) if has_u else np.zeros(n)
+    k = len(coefs.intermediate) if scenario_has_intermediate(config.scenario) else 0
+    xs = [f"X{i}" for i in range(1, k + 1)]
+    x_cols = []
+    for name, eq in zip(xs, coefs.intermediate):
+        x = (
+            eq.intercept
+            + eq.on_group * r
+            + eq.on_baseline * c
+            + eq.on_confounder * u
+            + rng.normal(0.0, eq.noise_sd, n)
+        )
+        x_cols.append(x)
+        columns[name] = x
+    med = coefs.mediator
+    m = med.intercept + med.on_group * r + med.on_confounder * u + rng.normal(0.0, med.noise_sd, n)
+    if has_c:
+        m = m + med.on_baseline * c
+    for a, x in zip(med.on_intermediate, x_cols):
+        m = m + a * x
+    columns["M"] = m
+    out = coefs.outcome
+    y = (
+        out.intercept
+        + out.on_group * r
+        + out.on_mediator * m
+        + out.on_confounder * u
+        + rng.normal(0.0, out.noise_sd, n)
+    )
+    if has_c:
+        y = y + out.on_baseline * c
+    for b_x, x in zip(out.on_intermediate, x_cols):
+        y = y + b_x * x
+    columns["Y"] = y
+    return columns, (("C",) if has_c else ()), tuple(xs)
+
+
+def reference_implied_moments(config, group=None, confounded=True):
+    """implied_moments written out by hand: (names, mean, cov).
+
+    The confounder-free twin zeroes every loading; U is a root of mean 0
+    and variance 1.
+    """
+    coefs = config.coefficients
+    if not confounded:
+        coefs = dataclasses.replace(
+            coefs,
+            intermediate=tuple(
+                dataclasses.replace(eq, on_confounder=0.0) for eq in coefs.intermediate
+            ),
+            mediator=dataclasses.replace(coefs.mediator, on_confounder=0.0),
+            outcome=dataclasses.replace(coefs.outcome, on_confounder=0.0),
+        )
+    has_c = scenario_has_baseline(config.scenario)
+    has_u = scenario_has_confounder(config.scenario) and confounded
+    names, mean, cov = [], np.empty(0), np.empty((0, 0))
+
+    def add(name, mean_value, cross, var):
+        nonlocal mean, cov
+        k = len(names)
+        new_cov = np.zeros((k + 1, k + 1))
+        new_cov[:k, :k] = cov
+        new_cov[:k, k] = cross
+        new_cov[k, :k] = cross
+        new_cov[k, k] = var
+        names.append(name)
+        mean, cov = np.append(mean, mean_value), new_cov
+
+    def add_linear(name, intercept, weights, noise_sd):
+        w = np.zeros(len(names))
+        for parent, coef in weights.items():
+            w[names.index(parent)] = coef
+        cross = cov @ w
+        add(name, intercept + float(w @ mean), cross, float(w @ cross) + noise_sd**2)
+
+    if group is None:
+        add("R", coefs.p_r, np.zeros(0), coefs.p_r * (1.0 - coefs.p_r))
+    else:
+        add("R", float(group), np.zeros(0), 0.0)
+    if has_c:
+        add_linear("C", coefs.baseline.intercept, {"R": coefs.baseline.on_group}, coefs.baseline.noise_sd)
+    if has_u:
+        add("U", 0.0, np.zeros(len(names)), 1.0)
+    k = len(coefs.intermediate) if scenario_has_intermediate(config.scenario) else 0
+    xs = [f"X{i}" for i in range(1, k + 1)]
+    for name, eq in zip(xs, coefs.intermediate):
+        w = {"R": eq.on_group}
+        if has_c:
+            w["C"] = eq.on_baseline
+        if has_u:
+            w["U"] = eq.on_confounder
+        add_linear(name, eq.intercept, w, eq.noise_sd)
+    med = coefs.mediator
+    w = {"R": med.on_group}
+    if has_c:
+        w["C"] = med.on_baseline
+    if has_u:
+        w["U"] = med.on_confounder
+    for name, coef in zip(xs, med.on_intermediate):
+        w[name] = coef
+    add_linear("M", med.intercept, w, med.noise_sd)
+    out = coefs.outcome
+    w = {"R": out.on_group, "M": out.on_mediator}
+    if has_c:
+        w["C"] = out.on_baseline
+    if has_u:
+        w["U"] = out.on_confounder
+    for name, coef in zip(xs, out.on_intermediate):
+        w[name] = coef
+    add_linear("Y", out.intercept, w, out.noise_sd)
+    return names, mean, cov
+
+
+LOADED = {"xm-conf": "XM", "my-conf": "MY", "both": "XMY"}
+
+
+def random_config_json(rng, scenario, k):
+    """A JSON config with k intermediates, random coefficients and every allowed loading."""
+
+    def coef():
+        return round(float(rng.uniform(-1.0, 1.0)), 3)
+
+    def sd():
+        return round(float(rng.uniform(0.5, 2.0)), 3)
+
+    loads = LOADED.get(scenario, "")
+
+    def loading(variable):
+        return {"on_confounder": coef()} if variable in loads else {}
+
+    coefficients = {
+        "p_r": round(float(rng.uniform(0.3, 0.7)), 3),
+        "baseline": {"intercept": coef(), "on_group": coef(), "noise_sd": sd()},
+        "intermediate": [
+            {"intercept": coef(), "on_group": coef(), "on_baseline": coef(), "noise_sd": sd(), **loading("X")}
+            for _ in range(k)
+        ],
+        "mediator": {
+            "intercept": coef(), "on_group": coef(), "on_baseline": coef(),
+            "on_intermediate": [coef() for _ in range(k)], "noise_sd": sd(), **loading("M"),
+        },
+        "outcome": {
+            "intercept": coef(), "on_group": coef(), "on_baseline": coef(), "on_mediator": coef(),
+            "on_intermediate": [coef() for _ in range(k)], "noise_sd": sd(), **loading("Y"),
+        },
+    }
+    seed = int(rng.integers(0, 1000))
+    return json.dumps({"scenario": scenario, "n": 50, "reps": 2, "seed": seed, "coefficients": coefficients})
+
+
+def random_configs():
+    """63 configs: every scenario with k = 1, 2 and 5 intermediates, three draws each."""
+    rng = np.random.default_rng(20)
+    return [
+        config_from_json(random_config_json(rng, scenario, k))
+        for scenario in SCENARIOS
+        for k in (1, 2, 5)
+        for _ in range(3)
+    ]
+
 class TestScenarioHelpers:
     def test_flags(self):
         assert [scenario_has_baseline(s) for s in SCENARIOS] == [
@@ -82,6 +262,54 @@ class TestScenarioHelpers:
         assert [scenario_has_confounder(s) for s in SCENARIOS] == [
             False, False, False, False, True, True, True,
         ]
+
+    @pytest.mark.parametrize("name", ["mystery", "Both"])
+    @pytest.mark.parametrize(
+        "helper",
+        [scenario_has_baseline, scenario_has_intermediate, scenario_has_confounder, default_coefficients],
+    )
+    def test_unknown_scenario_raises(self, helper, name):
+        expected = f"unknown scenario {name!r}, expected one of {SCENARIOS}"
+        with pytest.raises(ValueError) as info:
+            helper(name)
+        assert str(info.value) == expected
+
+
+class TestOneModel:
+    """generate and implied_moments against their hand-written references."""
+
+    @staticmethod
+    def assert_generate_matches(config, rep):
+        data = generate(config, rep)
+        columns, baseline, intermediate = reference_generate(config, rep)
+        assert list(data.columns) == list(columns)
+        for name, column in columns.items():
+            assert data.column(name).tobytes() == column.tobytes(), name
+        assert data.roles.baseline == baseline
+        assert data.roles.intermediate == intermediate
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_generate_on_default_scenarios(self, scenario):
+        config = ScenarioConfig(scenario, n=200, reps=2, seed=11)
+        for rep in (0, 1):
+            self.assert_generate_matches(config, rep)
+
+    def test_generate_on_random_configs(self):
+        configs = random_configs()
+        assert len(configs) >= 50
+        assert {len(c.coefficients.intermediate) for c in configs} == {1, 2, 5}
+        for i, config in enumerate(configs):
+            self.assert_generate_matches(config, i % 3)
+
+    def test_implied_moments(self):
+        for config in [ScenarioConfig(s) for s in SCENARIOS] + random_configs():
+            for group in (None, 0, 1):
+                for confounded in (True, False):
+                    mom = implied_moments(config, group=group, confounded=confounded)
+                    names, mean, cov = reference_implied_moments(config, group, confounded)
+                    assert mom.names == names
+                    assert np.array_equal(mom.mean, mean)
+                    assert np.array_equal(mom.cov, cov)
 
 
 class TestCoefficients:
@@ -207,6 +435,11 @@ class TestConfigFromJson:
             config_from_json(
                 '{"scenario": "cx", "coefficients": {"mediator": {"on_confounder": 0.5}}}'
             )
+
+
+    def test_unhashable_scenario_is_unknown(self):
+        with pytest.raises(ValueError, match=r"unknown scenario \['cx'\]"):
+            config_from_json('{"scenario": ["cx"]}')
 
 
 class TestImpliedMoments:
@@ -504,6 +737,28 @@ class TestRunHarness:
         with pytest.raises(EstimationError, match="replication 0: synthetic failure"):
             run_harness(config, methods=("KOB",))
 
+    def test_empty_group_one_names_the_replication(self):
+        coefs = dataclasses.replace(default_coefficients("cx"), p_r=1e-6)
+        config = ScenarioConfig("cx", n=60, reps=5, coefficients=coefs)
+        with pytest.raises(EstimationError) as info:
+            run_harness(config)
+        assert str(info.value) == "replication 0: group 1 has no rows"
+
+    def test_group_one_too_small_names_the_replication(self):
+        # Group 1 needs 6 rows for the KOB model on X1..X3, C and M.
+        coefs = dataclasses.replace(default_coefficients("cx"), p_r=0.15)
+        config = ScenarioConfig("cx", n=60, reps=40, coefficients=coefs)
+        sizes = []
+        while not sizes or sizes[-1] >= 6:
+            sizes.append(int(generate(config, len(sizes)).group_mask(1).sum()))
+        k = len(sizes) - 1
+        assert k > 0 and sizes[k] > 0
+        with pytest.raises(EstimationError) as info:
+            run_harness(config)
+        assert str(info.value).startswith(
+            f"replication {k}: group 1: insufficient observations: {sizes[k]} rows for 6"
+        )
+
     def test_percentile_rule_matches_order_statistics(self):
         config = ScenarioConfig("none", n=60, reps=40, seed=9)
         report = run_harness(config, methods=("DIC",))
@@ -548,8 +803,8 @@ class TestSharedFits:
             calls.append(args)
             return fit_ols(*args, **kwargs)
 
-        for module in (decompose_module, sensitivity_module):
-            monkeypatch.setattr(module, "fit_ols", counting)
+        # Every fit, the sensitivity adjustment's too, goes through decompose._fit.
+        monkeypatch.setattr(decompose_module, "fit_ols", counting)
         run_harness(ScenarioConfig(scenario, n=200, reps=3), sensitivity=sensitivity)
         assert len(calls) == 3 * per_replication
 
