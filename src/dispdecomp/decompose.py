@@ -20,7 +20,7 @@ of the three on a single dataset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
     """
     roles = data.roles
     y = data.column(roles.outcome)
-    base = (roles.group,) + roles.intermediate + roles.baseline
+    base = (roles.group,) + roles.covariates
     without_m = _fit(data, None, base, roles.outcome)
     with_m = _fit(data, None, base + (roles.mediator,), roles.outcome)
     alpha = without_m.coef(roles.group)
@@ -297,7 +297,7 @@ def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
         raise EstimationError(f"baseline models: {exc}") from exc
 
     c1 = _columns(data, roles.baseline, rows1)
-    covariates1 = {**c1, **_columns(data, roles.intermediate, rows1)}
+    covariates1 = _columns(data, roles.covariates, rows1)
 
     def outcome_columns(m: np.ndarray) -> dict[str, np.ndarray]:
         cols = {**covariates1, roles.mediator: m}
@@ -311,9 +311,7 @@ def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
                 outcome_columns(data.column(roles.mediator)[rows1]), y1
             )
         else:
-            outcome_model = _fit(
-                data, 1, roles.baseline + roles.intermediate + (roles.mediator,), roles.outcome
-            )
+            outcome_model = _fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
     except EstimationError as exc:
         # Both group-specific outcome-on-baseline models are preconditions
         # whose failure is reported first. The group-1 one is fitted only

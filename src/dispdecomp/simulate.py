@@ -234,12 +234,29 @@ class ScenarioConfig:
                 )
 
 
+def _checked(value, kind: str, path: str):
+    """value if it is a JSON value of kind ("integer", "number", "object"),
+    else a ValueError naming its key path."""
+    types = {"integer": int, "number": (int, float), "object": dict}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{path} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _merge_equation(cls, defaults, spec: dict, context: str):
     allowed = {f.name for f in fields(cls)}
-    unknown = set(spec) - allowed
+    unknown = set(_checked(spec, "object", context)) - allowed
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    merged = {k: (tuple(v) if isinstance(v, list) else v) for k, v in spec.items()}
+    merged = {}
+    for key, value in spec.items():
+        path = f"{context}.{key}"
+        if key != "on_intermediate":
+            merged[key] = _checked(value, "number", path)
+        elif isinstance(value, list):
+            merged[key] = tuple(_checked(v, "number", f"{path}[{i}]") for i, v in enumerate(value))
+        else:
+            raise ValueError(f"{path} must be a JSON array of numbers, got {json.dumps(value)}")
     return replace(defaults, **merged)
 
 
@@ -270,7 +287,7 @@ def config_from_json(text: str) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r} in coefficients")
     if "p_r" in spec:
-        coefs = replace(coefs, p_r=spec["p_r"])
+        coefs = replace(coefs, p_r=_checked(spec["p_r"], "number", "p_r"))
     if "baseline" in spec:
         coefs = replace(
             coefs, baseline=_merge_equation(BaselineEquation, coefs.baseline, spec["baseline"], "baseline")
@@ -302,9 +319,9 @@ def config_from_json(text: str) -> ScenarioConfig:
         )
     return ScenarioConfig(
         scenario=scenario,
-        n=doc.get("n", 2000),
-        reps=doc.get("reps", 200),
-        seed=doc.get("seed", 0),
+        n=_checked(doc.get("n", 2000), "integer", "n"),
+        reps=_checked(doc.get("reps", 200), "integer", "reps"),
+        seed=_checked(doc.get("seed", 0), "integer", "seed"),
         coefficients=coefs,
     )
 
@@ -514,16 +531,17 @@ def _cda_truth(config: ScenarioConfig) -> MethodTruth:
 
     All conditional expectations are linear in the baseline value, so
     averaging over the group-1 baseline distribution is evaluation at its
-    mean.
+    mean. The counterfactual walks Y with every other group-1 mean pinned
+    and M at its group-0 mean.
     """
     treated, control = _standardized_means(config)
-    e_y1, e_m1, e_y0, e_m0 = treated["Y"], treated["M"], control["Y"], control["M"]
-    out = config.coefficients.outcome
-    counterfactual = e_y1 - out.on_mediator * (e_m1 - e_m0)
-    tau = e_y1 - e_y0
-    delta = e_y1 - counterfactual
-    zeta = counterfactual - e_y0
-    return MethodTruth(initial=tau, explained=delta, unexplained=zeta)
+    pinned = {name: v for name, v in treated.items() if name != "Y"}
+    counterfactual = _walk(_equations(config, confounded=False), {**pinned, "M": control["M"]})["Y"]
+    return MethodTruth(
+        initial=treated["Y"] - control["Y"],
+        explained=treated["Y"] - counterfactual,
+        unexplained=counterfactual - control["Y"],
+    )
 
 
 def compute_truths(config: ScenarioConfig) -> TrueValues:

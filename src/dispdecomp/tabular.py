@@ -56,7 +56,7 @@ class RoleSpec:
 
     @property
     def covariates(self) -> tuple[str, ...]:
-        """Intermediate then baseline covariates, the order used in reports."""
+        """Intermediate then baseline covariates: the regressor order of every fit and report."""
         return self.intermediate + self.baseline
 
 

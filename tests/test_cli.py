@@ -323,6 +323,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", "none", "--n", "10"]) == 1
         assert "n must be >= 50" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"scenario": "cx", "n": "100"}', 'n must be a JSON integer, got "100"'),
+            (
+                '{"scenario": "cx", "coefficients": {"outcome": {"on_intermediate": 0.2}}}',
+                "outcome.on_intermediate must be a JSON array of numbers, got 0.2",
+            ),
+        ],
+    )
+    def test_config_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(doc)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_seed_random_allowed(self, capsys):
         argv = ["simulate", "--scenario", "none", "--reps", "2", "--n", "60",
                 "--seed", "random"]

@@ -12,6 +12,9 @@ from dispdecomp import (
     CdaSettings,
     Dataset,
     EstimationError,
+    SensitivityParams,
+    adjust,
+    benchmark,
     bootstrap,
     decompose_cda,
     decompose_dic,
@@ -512,6 +515,69 @@ class TestFitMemo:
         assert not memo.repr and not memo.compare and not memo.init
 
 
+class TestOneRegressorOrder:
+    """Every design lists its columns as group, intermediates, baseline,
+    mediator, so KOB and CDA share their group-1 outcome fit."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        fit_ols = decompose_module.fit_ols
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fit_ols(*args, **kwargs)
+
+        monkeypatch.setattr(decompose_module, "fit_ols", counting)
+        return calls
+
+    @staticmethod
+    def data():
+        return generate(ScenarioConfig("cx", n=300, reps=1, seed=5), 0)
+
+    def test_cda_after_kob_reuses_the_group_1_outcome_fit(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        fit = decompose_module._fit
+        returned = {}
+
+        def recording(data, group, names, response):
+            returned[(group, names, response)] = fit(data, group, names, response)
+            return returned[(group, names, response)]
+
+        data = self.data()
+        roles = data.roles
+        key = (1, roles.covariates + (roles.mediator,), roles.outcome)
+        decompose_kob(data)
+        assert len(calls) == 2
+        kob_group_1 = data._fits[key]
+        monkeypatch.setattr(decompose_module, "_fit", recording)
+        decompose_cda(data, CdaSettings(seed=1))
+        assert len(calls) == 2 + 2
+        assert returned[key] is kob_group_1
+        assert len(data._fits) == 4
+
+    def test_kob_after_cda_makes_one_fit(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        data = self.data()
+        decompose_cda(data, CdaSettings(seed=1))
+        after_cda = len(calls)
+        decompose_kob(data)
+        assert (after_cda, len(calls) - after_cda) == (3, 1)
+
+    def test_every_memo_key_follows_the_role_order(self):
+        data = self.data()
+        roles = data.roles
+        decompose_dic(data)
+        decompose_kob(data)
+        cda = decompose_cda(data, CdaSettings(seed=1))
+        adjust(cda, data, SensitivityParams(r2_yu=0.1, r2_mu=0.1))
+        benchmark(data)
+        order = (roles.group,) + roles.covariates + (roles.mediator,)
+        assert len(data._fits) == 8
+        for _, names, _ in data._fits:
+            assert names == tuple(name for name in order if name in names)
+
+
 def _with_columns(data, **changes):
     columns = {**data.columns, **changes}
     return Dataset(columns, data.roles)
@@ -671,7 +737,7 @@ class TestCovariateAtTheRankTolerance:
         [
             ("intermediate", "DIC", "", "Z, C"),
             ("intermediate", "KOB", "group 1: ", "Z, C"),
-            ("intermediate", "CDA", "group 1 outcome model: ", "C, Z"),
+            ("intermediate", "CDA", "group 1 outcome model: ", "Z, C"),
             ("baseline", "DIC", "", "C, Z"),
             ("baseline", "KOB", "group 1: ", "C, Z"),
             ("baseline", "CDA", "baseline models: ", "C, Z"),

@@ -429,7 +429,7 @@ class TestSharedPooledFits:
             ("R", "X1", "X2", "X3", "C"),
             ("C",),
             ("C",),
-            ("C", "X1", "X2", "X3", "M"),
+            ("X1", "X2", "X3", "C", "M"),
             ("C",),
         ]
         monkeypatch.undo()

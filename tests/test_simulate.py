@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -437,6 +438,56 @@ class TestConfigFromJson:
             )
 
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"n": "100"', 'n must be a JSON integer, got "100"'),
+            ('"n": 100.5', "n must be a JSON integer, got 100.5"),
+            ('"reps": true', "reps must be a JSON integer, got true"),
+            ('"seed": "7"', 'seed must be a JSON integer, got "7"'),
+            ('"coefficients": {"p_r": "0.5"}', 'p_r must be a JSON number, got "0.5"'),
+            ('"coefficients": {"baseline": 5}', "baseline must be a JSON object, got 5"),
+            ('"coefficients": {"baseline": [1]}', "baseline must be a JSON object, got [1]"),
+            ('"coefficients": {"intermediate": [5]}', "intermediate[0] must be a JSON object, got 5"),
+            (
+                '"coefficients": {"intermediate": [{}, {"on_group": "x"}]}',
+                'intermediate[1].on_group must be a JSON number, got "x"',
+            ),
+            ('"coefficients": {"mediator": {"on_group": false}}', "mediator.on_group must be a JSON number, got false"),
+            (
+                '"coefficients": {"outcome": {"on_intermediate": 0.2}}',
+                "outcome.on_intermediate must be a JSON array of numbers, got 0.2",
+            ),
+            (
+                '"coefficients": {"outcome": {"on_intermediate": [0.1, null, 0.3]}}',
+                "outcome.on_intermediate[1] must be a JSON number, got null",
+            ),
+        ],
+    )
+    def test_values_of_the_wrong_type_name_their_key_path(self, entry, message):
+        with pytest.raises(ValueError) as info:
+            config_from_json('{"scenario": "cx", %s}' % entry)
+        assert str(info.value) == message
+
+    def test_integral_numbers_are_accepted_where_numbers_are(self):
+        config = config_from_json(
+            '{"scenario": "cx", "coefficients": {"mediator": {"on_group": -1, "on_intermediate": [1, 0.5, 0]}}}'
+        )
+        assert config.coefficients.mediator.on_group == -1
+        assert config.coefficients.mediator.on_intermediate == (1, 0.5, 0)
+
+    def test_readme_example_is_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### simulate\n", 1)[1].split("\n### ", 1)[0]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = config_from_json(example)
+        doc = json.loads(example)
+        assert (config.scenario, config.n, config.reps, config.seed) == tuple(
+            doc[key] for key in ("scenario", "n", "reps", "seed")
+        )
+        assert config.coefficients.p_r == doc["coefficients"]["p_r"]
+        assert len(config.coefficients.intermediate) == len(doc["coefficients"]["intermediate"])
+
     def test_unhashable_scenario_is_unknown(self):
         with pytest.raises(ValueError, match=r"unknown scenario \['cx'\]"):
             config_from_json('{"scenario": ["cx"]}')
@@ -793,7 +844,7 @@ class TestHarnessDispatch:
 class TestSharedFits:
     @pytest.mark.parametrize(
         "scenario, sensitivity, per_replication",
-        [("both", True, 9), ("none", False, 6), ("cx", False, 7)],
+        [("both", True, 8), ("none", False, 6), ("cx", False, 6)],
     )
     def test_fits_per_replication(self, monkeypatch, scenario, sensitivity, per_replication):
         calls = []
