@@ -147,11 +147,6 @@ def _columns(data: Dataset, names: tuple[str, ...], rows: np.ndarray | None = No
     return {name: data.column(name)[rows] for name in names}
 
 
-def _group_rows(data: Dataset, g: int) -> np.ndarray:
-    """Indices of group g's rows: faster to index columns with than the mask."""
-    return np.flatnonzero(data.group_mask(g))
-
-
 def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
     """fit_ols of response on the named columns, over one group's rows or all (None).
 
@@ -163,7 +158,7 @@ def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str
     key = (group, names, response)
     fit = data._fits.get(key)
     if fit is None:
-        rows = None if group is None else _group_rows(data, group)
+        rows = None if group is None else data._rows[group]
         y = data.column(response)
         fit = fit_ols(_columns(data, names, rows), y if rows is None else y[rows])
         data._fits[key] = fit
@@ -285,7 +280,7 @@ class _CdaModels:
 def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
     """Fit the models of decompose_cda; the errors name the failing one."""
     roles = data.roles
-    rows1 = _group_rows(data, 1)
+    rows1 = data._rows[1]
     y = data.column(roles.outcome)
     y1 = y[rows1]
     n1 = rows1.size
@@ -455,8 +450,7 @@ def bootstrap(
     estimator = _ESTIMATORS[method]
     point = estimator(data, settings)
 
-    idx0 = _group_rows(data, 0)
-    idx1 = _group_rows(data, 1)
+    idx0, idx1 = data._rows
     failures = 0
     max_failures = 10 * B
     samples = np.empty((B, 3))
@@ -477,7 +471,7 @@ def bootstrap(
                         settings or CdaSettings(), seed=stream_seed(seed, b, attempt, 1)
                     )
                 try:
-                    result = estimator(data.take(resample, _trusted=True), replicate_settings)
+                    result = estimator(data.take(resample), replicate_settings)
                 except EstimationError:
                     failures += 1
                     attempt += 1

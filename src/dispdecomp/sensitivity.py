@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult, _columns, _fit, _group_rows
+from .decompose import DecompositionResult, _columns, _fit
 from .regress import EstimationError, OlsFit, partial_r2
 from .tabular import Dataset
 
@@ -110,7 +110,7 @@ def _standardized_mediator_gap(data: Dataset) -> float:
             fits[g] = _fit(data, g, roles.baseline, roles.mediator)
         except EstimationError as exc:
             raise EstimationError(f"group {g} mediator model: {exc}") from exc
-    rows1 = _group_rows(data, 1)
+    rows1 = data._rows[1]
     at_group1 = _columns(data, roles.baseline, rows1)
     n1 = rows1.size
     diff = fits[1].predict(at_group1, n=n1) - fits[0].predict(at_group1, n=n1)

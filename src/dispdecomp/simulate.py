@@ -40,6 +40,7 @@ hand-derived truths, and a 10^6-row brute-force check.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -236,9 +237,15 @@ class ScenarioConfig:
 
 def _checked(value, kind: str, path: str):
     """value if it is a JSON value of kind ("integer", "number", "object"),
-    else a ValueError naming its key path."""
+    else a ValueError naming its key path. A number must be finite as a float:
+    json.loads also parses NaN, Infinity and -Infinity, which are not JSON
+    numbers, and integers beyond the float range (abs(NaN) <= max is False)."""
     types = {"integer": int, "number": (int, float), "object": dict}[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, types)
+        or (kind == "number" and not abs(value) <= sys.float_info.max)
+    ):
         raise ValueError(f"{path} must be a JSON {kind}, got {json.dumps(value)}")
     return value
 

@@ -67,13 +67,16 @@ class Dataset:
     Construction validates everything the estimators rely on: the role
     columns exist, every value is finite, the group column is exactly 0/1,
     and both groups are non-empty. Column insertion order is preserved.
-    Fits made from the table are kept in a private memo (see
-    decompose._fit), which take() does not carry over.
+    The validation also splits the rows by group once: _rows[g] holds the
+    read-only, ascending indices of group g's rows, which every estimator
+    and the bootstrap read. Fits made from the table are kept in a private
+    memo (see decompose._fit), which take() does not carry over.
     """
 
     columns: dict[str, np.ndarray]
     roles: RoleSpec
     n: int = field(init=False)
+    _rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -102,16 +105,19 @@ class Dataset:
             if name not in clean:
                 raise DataError(f"role column {name!r} not found in data")
         g = clean[self.roles.group]
-        if not np.isin(g, (0.0, 1.0)).all():
-            bad = g[~np.isin(g, (0.0, 1.0))][0]
+        rows = (np.flatnonzero(g == 0.0), np.flatnonzero(g == 1.0))
+        if rows[0].size + rows[1].size != n:
+            bad = g[(g != 0.0) & (g != 1.0)][0]
             raise DataError(
-                f"group column {self.roles.group!r} must contain only 0 and 1, found {bad!r}"
+                f"group column {self.roles.group!r} must contain only 0 and 1, found {float(bad)}"
             )
-        if not (g == 0.0).any() or not (g == 1.0).any():
-            missing = 1 if (g == 0.0).any() else 0
-            raise DataError(f"group {missing} has no rows")
+        for value, group_rows in enumerate(rows):
+            if group_rows.size == 0:
+                raise DataError(f"group {value} has no rows")
+            group_rows.setflags(write=False)
         object.__setattr__(self, "columns", clean)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_rows", rows)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -125,30 +131,10 @@ class Dataset:
     def group_size(self, value: int) -> int:
         return int(self.group_mask(value).sum())
 
-    def take(self, indices: np.ndarray, *, _trusted: bool = False) -> "Dataset":
-        """Row subset/resample by integer indices (validated like any Dataset).
-
-        _trusted is for within-group resamples (decompose.bootstrap), whose
-        indices keep both groups by construction: the rows of a validated
-        Dataset are finite and 0/1 already, so they are not checked again.
-        """
+    def take(self, indices: np.ndarray) -> "Dataset":
+        """Row subset/resample by integer indices (validated like any Dataset)."""
         idx = np.asarray(indices, dtype=np.intp)
-        columns = {k: v[idx] for k, v in self.columns.items()}
-        if _trusted:
-            return Dataset._from_valid(columns, self.roles, idx.size)
-        return Dataset(columns, self.roles)
-
-    @classmethod
-    def _from_valid(cls, columns: dict[str, np.ndarray], roles: RoleSpec, n: int) -> "Dataset":
-        """A Dataset of C-contiguous float64 columns that __post_init__ would accept, unchecked."""
-        data = object.__new__(cls)
-        for arr in columns.values():
-            arr.setflags(write=False)
-        object.__setattr__(data, "columns", columns)
-        object.__setattr__(data, "roles", roles)
-        object.__setattr__(data, "n", n)
-        object.__setattr__(data, "_fits", {})
-        return data
+        return Dataset({k: v[idx] for k, v in self.columns.items()}, self.roles)
 
 
 def _open_csv(path: str) -> TextIO:
@@ -273,6 +259,6 @@ def group_means(data: Dataset) -> dict[int, dict[str, float]]:
     """Per-group mean of every column, keyed by group value then column name."""
     out: dict[int, dict[str, float]] = {}
     for g in (0, 1):
-        rows = np.flatnonzero(data.group_mask(g))
+        rows = data._rows[g]
         out[g] = {name: float(col[rows].sum() / rows.size) for name, col in data.columns.items()}
     return out

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,14 @@ class TestDecomposeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "row 2" in err and "'m'" in err
+
+    def test_bad_group_value_is_printed_as_a_plain_number(self, tmp_path, capsys):
+        path = tmp_path / "bad_group.csv"
+        path.write_text("r,m,y\n0,0,0\n2,1,2\n1,1,3\n1,2,5\n")
+        assert main(["decompose", *base_flags(str(path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: group column 'r' must contain only 0 and 1, found 2.0\n"
+        assert captured.out == ""
 
     def test_collinear_design_is_estimation_error(self, tmp_path, capsys):
         path = tmp_path / "collinear.csv"
@@ -340,6 +349,18 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {message}\n"
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_config_number_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(
+            '{"scenario": "cx", "n": 60, "reps": 3, "coefficients": {"baseline": {"noise_sd": Infinity}}}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: baseline.noise_sd must be a JSON number, got Infinity\n"
         assert captured.out == ""
 
     def test_seed_random_allowed(self, capsys):

@@ -20,6 +20,8 @@ from dispdecomp import (
     decompose_dic,
     decompose_kob,
     fit_ols,
+    grid,
+    run_harness,
 )
 from dispdecomp import DecompositionResult, ScenarioConfig, generate
 from dispdecomp._streams import stream_seed, substream
@@ -381,8 +383,8 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("method", ["DIC", "KOB", "CDA"])
     def test_equals_a_loop_over_validated_takes(self, method):
-        # The same replicates through the public, validating take() and the
-        # default BLAS threading: the trusted resample changes no bit.
+        # The same replicates through take() and the default BLAS threading:
+        # the one-thread resample loop changes no bit.
         data = generate(ScenarioConfig("both", n=500, seed=3), 0)
         settings = CdaSettings(mc_draws_per_unit=20, seed=4)
         booted = bootstrap(data, method, settings=settings, B=40, seed=6)
@@ -513,6 +515,29 @@ class TestFitMemo:
         assert "_fits" not in before
         memo = {f.name: f for f in dataclasses.fields(Dataset)}["_fits"]
         assert not memo.repr and not memo.compare and not memo.init
+
+
+class TestGroupSplit:
+    def test_estimators_read_the_split_made_at_validation(self, monkeypatch):
+        # Every fit, the CDA standardization and the bootstrap take their
+        # group rows from Dataset._rows; none recomputes the group mask.
+        def no_mask(self, value):
+            raise AssertionError("group_mask called")
+
+        config = ScenarioConfig("both", n=120, reps=3, seed=5)
+        data = generate(config, 0)
+        monkeypatch.setattr(Dataset, "group_mask", no_mask)
+        settings = CdaSettings(mc_draws_per_unit=5, seed=1)
+        decompose_dic(data)
+        decompose_kob(data)
+        cda = decompose_cda(data, settings)
+        adjust(cda, data, SensitivityParams(0.1, 0.1))
+        grid(cda, data, (0.0, 0.1), (0.0, 0.2))
+        benchmark(data)
+        for method in ("DIC", "KOB", "CDA"):
+            bootstrap(data, method, settings=settings, B=3, seed=2)
+        report = run_harness(config, sensitivity=True, cda_settings=settings)
+        assert report.reps == 3
 
 
 class TestOneRegressorOrder:

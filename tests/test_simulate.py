@@ -462,12 +462,27 @@ class TestConfigFromJson:
                 '"coefficients": {"outcome": {"on_intermediate": [0.1, null, 0.3]}}',
                 "outcome.on_intermediate[1] must be a JSON number, got null",
             ),
+            # json.loads parses these, but they are not JSON numbers.
+            ('"coefficients": {"baseline": {"noise_sd": Infinity}}', "baseline.noise_sd must be a JSON number, got Infinity"),
+            ('"coefficients": {"outcome": {"on_mediator": NaN}}', "outcome.on_mediator must be a JSON number, got NaN"),
+            (
+                '"coefficients": {"mediator": {"on_intermediate": [-Infinity]}}',
+                "mediator.on_intermediate[0] must be a JSON number, got -Infinity",
+            ),
+            ('"coefficients": {"p_r": NaN}', "p_r must be a JSON number, got NaN"),
+            ('"coefficients": {"p_r": 1e400}', "p_r must be a JSON number, got Infinity"),
         ],
     )
     def test_values_of_the_wrong_type_name_their_key_path(self, entry, message):
         with pytest.raises(ValueError) as info:
             config_from_json('{"scenario": "cx", %s}' % entry)
         assert str(info.value) == message
+
+    def test_integer_beyond_the_float_range_is_rejected(self):
+        huge = str(10**400)
+        with pytest.raises(ValueError) as info:
+            config_from_json('{"scenario": "cx", "coefficients": {"outcome": {"on_group": %s}}}' % huge)
+        assert str(info.value) == f"outcome.on_group must be a JSON number, got {huge}"
 
     def test_integral_numbers_are_accepted_where_numbers_are(self):
         config = config_from_json(

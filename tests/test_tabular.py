@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dispdecomp import DataError, Dataset, RoleSpec, group_means, load_csv, write_csv
+from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, group_means, load_csv, write_csv
 from dispdecomp.tabular import _fast_table, _load_csv_reference
 
 from conftest import build_dataset
@@ -112,17 +114,53 @@ class TestDataset:
         with pytest.raises(DataError, match="group 0 has no rows"):
             data.take(np.array([1, 2]))
 
-    def test_trusted_take_equals_the_validated_one(self):
+    def test_take_that_drops_group_1_is_rejected(self):
+        data = build_dataset({"R": [0, 1, 1], "M": [1, 2, 3], "Y": [4, 5, 6]})
+        with pytest.raises(DataError, match="group 1 has no rows"):
+            data.take(np.array([0, 0]))
+
+    def test_take_equals_a_dataset_of_the_indexed_columns(self):
         data = build_dataset({"R": [0, 1, 1, 0], "M": [1, 2, 3, 4], "Y": [4, 5, 6, 7]})
+        decompose_dic(data)
         idx = np.array([3, 3, 1, 2, 0])
-        checked, trusted = data.take(idx), data.take(idx, _trusted=True)
-        assert trusted.roles == checked.roles
-        assert (trusted.n, trusted._fits) == (checked.n, {})
-        assert list(trusted.columns) == list(checked.columns)
-        for name, col in trusted.columns.items():
+        taken = data.take(idx)
+        built = Dataset({k: v[idx] for k, v in data.columns.items()}, data.roles)
+        assert taken.roles == built.roles
+        assert (taken.n, taken._fits) == (built.n, {})
+        assert list(taken.columns) == list(built.columns)
+        for name, col in taken.columns.items():
             assert col.dtype == np.float64 and col.flags.c_contiguous
             assert not col.flags.writeable
-            npt.assert_array_equal(col, checked.column(name))
+            npt.assert_array_equal(col, built.column(name))
+        for g in (0, 1):
+            npt.assert_array_equal(taken._rows[g], built._rows[g])
+
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=40).filter(
+            lambda g: 0.0 in g and 1.0 in g
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_group_rows_are_the_read_only_group_masks(self, groups, seed):
+        rng = np.random.default_rng(seed)
+        r = np.array(groups)
+        data = build_dataset({"R": r, "M": rng.normal(size=r.size), "Y": rng.normal(size=r.size)})
+        idx0, idx1 = (np.flatnonzero(r == g) for g in (0.0, 1.0))
+        # A within-group resample, as the bootstrap draws it.
+        resampled = data.take(
+            np.concatenate([rng.choice(idx0, idx0.size), rng.choice(idx1, idx1.size)])
+        )
+        for table in (data, resampled):
+            for g in (0, 1):
+                rows = table._rows[g]
+                npt.assert_array_equal(rows, np.flatnonzero(table.group_mask(g)))
+                assert rows.dtype == np.intp
+                assert not rows.flags.writeable
+        npt.assert_array_equal(resampled._rows[1], np.arange(idx0.size, r.size))
+
+    def test_group_rows_are_outside_init_repr_and_eq(self):
+        split = {f.name: f for f in dataclasses.fields(Dataset)}["_rows"]
+        assert not split.init and not split.repr and not split.compare
 
     def test_group_means(self):
         data = build_dataset({"R": [0, 0, 1], "M": [1, 3, 5], "Y": [2, 4, 9]})
@@ -173,6 +211,12 @@ class TestLoadCsv:
     def test_non_numeric_cell(self, tmp_path):
         with pytest.raises(DataError, match=r"row 3, column 'Y': non-numeric value 'abc'"):
             load_csv(self.write(tmp_path, "R,M,Y\n0,1,2\n1,2,abc\n"), minimal_roles())
+
+    def test_bad_group_value_is_printed_as_a_plain_number(self, tmp_path):
+        path = self.write(tmp_path, "R,M,Y\n0,1,2\n2,3,4\n1,5,6\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, minimal_roles())
+        assert str(info.value) == "group column 'R' must contain only 0 and 1, found 2.0"
 
     def test_non_finite_cell(self, tmp_path):
         with pytest.raises(DataError, match=r"row 2, column 'Y': non-finite value"):
