@@ -260,13 +260,7 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=FORMATS, default="markdown")
 
 
-def _add_estimation_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--method",
-        choices=("dic", "kob", "cda", "all"),
-        default="all",
-        help="decomposition method (default: all)",
-    )
+def _add_cda_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mc-draws",
         type=int,
@@ -282,7 +276,13 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("decompose", help="decompose a disparity in a CSV dataset")
     _add_data_flags(p)
-    _add_estimation_flags(p)
+    p.add_argument(
+        "--method",
+        choices=("dic", "kob", "cda", "all"),
+        default="all",
+        help="decomposition method (default: all)",
+    )
+    _add_cda_flags(p)
     p.add_argument(
         "--bootstrap",
         type=int,
@@ -295,7 +295,7 @@ def _build_parser() -> _Parser:
         "sensitivity", help="bias-adjust the causal decomposition for a confounder"
     )
     _add_data_flags(p)
-    _add_estimation_flags(p)
+    _add_cda_flags(p)
     p.add_argument("--r2-yu", type=float, default=None, help="confounder-outcome partial R^2")
     p.add_argument("--r2-mu", type=float, default=None, help="confounder-mediator partial R^2")
     p.add_argument("--sign", choices=("+", "-"), default="+", help="bias direction (default: +)")

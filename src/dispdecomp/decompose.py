@@ -42,8 +42,6 @@ __all__ = [
 
 METHODS = ("DIC", "KOB", "CDA")
 
-RESIDUAL_MODES = ("empirical-resample", "parametric-normal")
-
 # |initial| below 1e-9 x the outcome scale makes the explained proportion
 # meaningless; it is reported as an explicit undefined marker instead.
 PROPORTION_EPS = 1e-9
@@ -91,22 +89,18 @@ class KobDetail:
 
 @dataclass(frozen=True)
 class CdaSettings:
-    """Knobs for the Monte-Carlo imputation estimator."""
+    """CDA's Monte-Carlo knobs: residual draws per group-1 unit, and their seed."""
 
     mc_draws_per_unit: int = 100
-    residual_mode: str = "empirical-resample"
     seed: int = 0
-    interactions: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("mc_draws_per_unit", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mc_draws_per_unit < 1:
-            raise ValueError(
-                f"mc_draws_per_unit must be >= 1, got {self.mc_draws_per_unit}"
-            )
-        if self.residual_mode not in RESIDUAL_MODES:
-            raise ValueError(
-                f"residual_mode must be one of {RESIDUAL_MODES}, got {self.residual_mode!r}"
-            )
+            raise ValueError(f"mc_draws_per_unit must be >= 1, got {self.mc_draws_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -239,12 +233,6 @@ def decompose_kob(data: Dataset) -> DecompositionResult:
     )
 
 
-def _interaction_columns(
-    mediator: str, m: np.ndarray, covariates: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    return {f"{mediator}:{name}": m * col for name, col in covariates.items()}
-
-
 @dataclass(frozen=True)
 class _CdaModels:
     """The fitted parts of a CDA on the group-1 units, before any draw.
@@ -277,7 +265,7 @@ class _CdaModels:
         )
 
 
-def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
+def _cda_models(data: Dataset) -> _CdaModels:
     """Fit the models of decompose_cda; the errors name the failing one."""
     roles = data.roles
     rows1 = data._rows[1]
@@ -293,20 +281,8 @@ def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
 
     c1 = _columns(data, roles.baseline, rows1)
     covariates1 = _columns(data, roles.covariates, rows1)
-
-    def outcome_columns(m: np.ndarray) -> dict[str, np.ndarray]:
-        cols = {**covariates1, roles.mediator: m}
-        if settings.interactions:
-            cols.update(_interaction_columns(roles.mediator, m, covariates1))
-        return cols
-
     try:
-        if settings.interactions:
-            outcome_model = fit_ols(
-                outcome_columns(data.column(roles.mediator)[rows1]), y1
-            )
-        else:
-            outcome_model = _fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
+        outcome_model = _fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
     except EstimationError as exc:
         # Both group-specific outcome-on-baseline models are preconditions
         # whose failure is reported first. The group-1 one is fitted only
@@ -321,8 +297,8 @@ def _cda_models(data: Dataset, settings: CdaSettings) -> _CdaModels:
     # The outcome model is linear in the mediator given the unit's own
     # covariates, so collapse it to per-unit intercept + slope before
     # averaging over draws.
-    unit_base = outcome_model.predict(outcome_columns(np.zeros(n1)), n=n1)
-    unit_slope = outcome_model.predict(outcome_columns(np.ones(n1)), n=n1) - unit_base
+    unit_base = outcome_model.predict({**covariates1, roles.mediator: np.zeros(n1)}, n=n1)
+    unit_slope = outcome_model.predict({**covariates1, roles.mediator: np.ones(n1)}, n=n1) - unit_base
     return _CdaModels(
         mediator_model=mediator_model,
         mu0=mediator_model.predict(c1, n=n1),
@@ -343,7 +319,8 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
       regression evaluated at group-1 baseline values (regression
       standardization);
     * the counterfactual mean redraws each unit's mediator from the group-0
-      mediator-on-baseline model (its prediction plus a residual draw) and
+      mediator-on-baseline model (its prediction plus a residual resampled
+      with replacement from that model's residuals) and
       pushes the draws through the group-1 outcome model;
     * explained = mean observed outcome - counterfactual mean;
       unexplained = counterfactual mean - standardized group-0 mean.
@@ -352,8 +329,8 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     equals the initial disparity by construction.
     """
     settings = settings or CdaSettings()
-    models = _cda_models(data, settings)
-    mediator_model = models.mediator_model
+    models = _cda_models(data)
+    residuals = models.mediator_model.residuals
 
     # Each unit's counterfactual mediator draws are reduced to their mean
     # one block of whole units at a time, so memory stays O(n1) whatever
@@ -368,33 +345,23 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     mean_m_star = np.empty(n1)
     for start in range(0, n1, rows):
         block = mu0[start:start + rows]
-        if settings.residual_mode == "empirical-resample":
-            eps = rng.choice(
-                mediator_model.residuals, size=(block.size, draws), replace=True
-            )
-        else:
-            eps = rng.normal(0.0, mediator_model.residual_sd, size=(block.size, draws))
+        eps = rng.choice(residuals, size=(block.size, draws), replace=True)
         eps += block[:, None]
         mean_m_star[start:start + rows] = eps.sum(axis=1) / draws
     return models.result(mean_m_star)
 
 
-def _cda_draw_limit(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
+def _cda_draw_limit(data: Dataset) -> DecompositionResult:
     """decompose_cda in the limit of infinitely many draws per unit.
 
     A unit's mean counterfactual mediator tends to mu0 + s, s being the
-    mean of the group-0 mediator residuals (empirical-resample) or 0
-    (parametric-normal); the draws add only zero-mean noise, with sd about
-    |mean unit_slope| * residual_sd / sqrt(n1 * draws) on the
-    counterfactual mean. settings.seed and mc_draws_per_unit are unused.
+    mean of the group-0 mediator residuals; the draws add only zero-mean
+    noise, with sd about |mean unit_slope| * residual_sd / sqrt(n1 * draws)
+    on the counterfactual mean.
     """
-    settings = settings or CdaSettings()
-    models = _cda_models(data, settings)
-    shift = 0.0
-    if settings.residual_mode == "empirical-resample":
-        residuals = models.mediator_model.residuals
-        shift = float(residuals.sum() / residuals.size)
-    return models.result(models.mu0 + shift)
+    models = _cda_models(data)
+    residuals = models.mediator_model.residuals
+    return models.result(models.mu0 + float(residuals.sum() / residuals.size))
 
 
 _ESTIMATORS = {
@@ -435,7 +402,9 @@ def bootstrap(
     sizes preserved), recomputes the estimator B times, and attaches
     2.5/97.5 percentile intervals for initial/explained/unexplained to the
     point estimate on the original data. Replicate b draws from a stream
-    keyed by (seed, b), so results do not depend on evaluation order.
+    keyed by (seed, b), so results do not depend on evaluation order. For
+    CDA the point estimate uses settings as given, but each replicate keeps
+    only its draw count and takes the seed stream_seed(seed, b, attempt, 1).
     Resamples that break an estimator precondition (e.g. a degenerate
     design) are retried with fresh draws, up to 10*B failures in total.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one

@@ -773,7 +773,9 @@ def run_harness(
 
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Replications run one after another in
+    configuration's coefficients. Only the draw count of cda_settings is
+    used: replication rep runs CDA with seed stream_seed(config.seed, rep, 1),
+    so every draw stream follows from config.seed. Replications run one after another in
     this thread; workers (>= 1) is kept for compatibility and changes
     nothing, and per-index substreams make the report byte-identical for
     any value of it. The replications hold the OpenBLAS that numpy and

@@ -204,6 +204,19 @@ class TestSensitivityCommand:
         assert main(["sensitivity", *base_flags(worked_csv), "--r2-yu", "0.3"]) == 1
         capsys.readouterr()
 
+    def test_method_is_a_usage_error(self, worked_csv, capsys):
+        # The adjustment is defined for CDA only, so there is no method to pick.
+        assert main(
+            [
+                "sensitivity", *base_flags(worked_csv),
+                "--r2-yu", "0.1", "--r2-mu", "0.2", "--method", "dic",
+            ]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert "--method" in captured.err
+
     def test_out_of_range_parameter(self, worked_csv, capsys):
         assert main(
             [

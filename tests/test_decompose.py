@@ -131,13 +131,12 @@ class TestKob:
 
 
 class TestCda:
-    def test_worked_example_both_residual_modes(self, worked_cda_dataset):
-        for mode in ("empirical-resample", "parametric-normal"):
-            res = decompose_cda(worked_cda_dataset, CdaSettings(residual_mode=mode, seed=9))
-            assert res.method == "CDA"
-            npt.assert_allclose(res.initial, -1.0, rtol=1e-9)
-            npt.assert_allclose(res.explained, -1.0, rtol=1e-9)
-            npt.assert_allclose(res.unexplained, 0.0, atol=1e-9)
+    def test_worked_example(self, worked_cda_dataset):
+        res = decompose_cda(worked_cda_dataset, CdaSettings(seed=9))
+        assert res.method == "CDA"
+        npt.assert_allclose(res.initial, -1.0, rtol=1e-9)
+        npt.assert_allclose(res.explained, -1.0, rtol=1e-9)
+        npt.assert_allclose(res.unexplained, 0.0, atol=1e-9)
 
     def test_identical_noise_free_groups_exact_zero(self):
         # Y depends only on C (zero residuals, zero mediator slope), and the
@@ -200,14 +199,14 @@ class TestCda:
         npt.assert_allclose(res.initial, y[mask1].mean() - ref, rtol=1e-10)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
-    @pytest.mark.parametrize("interactions", [False, True])
-    def test_monte_carlo_estimate_within_four_sd_of_the_draw_limit(self, scenario, mode, interactions):
+    @pytest.mark.parametrize("draws", [1, 7, 30, 100])
+    def test_monte_carlo_estimate_within_four_sd_of_the_draw_limit(self, scenario, draws):
+        # The sd shrinks with the draw count; 100 is the default.
         data = generate(ScenarioConfig(scenario, seed=11), 0)
-        settings = CdaSettings(residual_mode=mode, seed=6, interactions=interactions)
+        settings = CdaSettings(mc_draws_per_unit=draws, seed=6)
         mc = decompose_cda(data, settings)
-        limit = decompose_module._cda_draw_limit(data, settings)
-        models = decompose_module._cda_models(data, settings)
+        limit = decompose_module._cda_draw_limit(data)
+        models = decompose_module._cda_models(data)
         n1 = models.mu0.size
         sd = (
             abs(models.unit_slope.sum() / n1)
@@ -219,18 +218,31 @@ class TestCda:
         assert abs(mc.explained - limit.explained) <= 4 * sd
         assert abs(mc.unexplained - limit.unexplained) <= 4 * sd
 
-    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
-    def test_draw_limit_equals_the_draws_when_residuals_are_zero(self, worked_cda_dataset, mode):
-        settings = CdaSettings(residual_mode=mode, seed=9)
-        assert decompose_module._cda_draw_limit(worked_cda_dataset, settings) == decompose_cda(
-            worked_cda_dataset, settings
+    def test_draw_limit_equals_the_draws_when_residuals_are_zero(self, worked_cda_dataset):
+        assert decompose_module._cda_draw_limit(worked_cda_dataset) == decompose_cda(
+            worked_cda_dataset, CdaSettings(seed=9)
         )
 
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="mc_draws_per_unit"):
             CdaSettings(mc_draws_per_unit=0)
-        with pytest.raises(ValueError, match="residual_mode"):
-            CdaSettings(residual_mode="bootstrap")
+
+    def test_settings_are_the_draw_count_and_the_seed(self):
+        fields = [f.name for f in dataclasses.fields(CdaSettings)]
+        assert fields == ["mc_draws_per_unit", "seed"]
+
+    @pytest.mark.parametrize("field", ["mc_draws_per_unit", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True, False])
+    def test_settings_reject_a_non_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            CdaSettings(**{field: value})
+
+    def test_settings_accept_numpy_integers(self):
+        settings = CdaSettings(mc_draws_per_unit=np.int64(4), seed=np.uint64(2**63))
+        data = random_dataset(8, n=30, n_baseline=1)
+        assert decompose_cda(data, settings) == decompose_cda(
+            data, CdaSettings(mc_draws_per_unit=4, seed=2**63)
+        )
 
     def test_baseline_model_error_tagged(self):
         # Constant baseline covariate collides with the intercept in the
@@ -282,48 +294,12 @@ class TestCda:
         with pytest.raises(EstimationError, match="group 1 outcome model:"):
             decompose_cda(data)
 
-    def test_interactions_flag_changes_model(self):
-        rng = np.random.default_rng(6)
-        n = 80
-        r = np.repeat([0.0, 1.0], n // 2)
-        c = rng.normal(size=n)
-        m = rng.normal(1.0 - 0.5 * r + 0.3 * c, 1.0)
-        y = rng.normal(0.5 * r + c + m + 0.8 * m * c, 0.5)
-        data = build_dataset({"R": r, "C": c, "M": m, "Y": y}, baseline=("C",))
-        plain = decompose_cda(data, CdaSettings(seed=1))
-        inter = decompose_cda(data, CdaSettings(seed=1, interactions=True))
-        assert plain.explained != inter.explained
-        npt.assert_allclose(inter.initial, inter.explained + inter.unexplained, atol=1e-12)
-
-    def test_interactions_flag_harmless_on_exactly_linear_data(self):
-        # Y = 1 + 2C + M exactly, so the interaction coefficient is zero and
-        # both model variants produce the same decomposition.
-        c0 = [0.0, 1.0, 2.0, 4.0]
-        m0 = [1.0, 0.0, 2.0, 1.0]
-        c1 = [0.0, 1.0, 3.0, 4.0]
-        m1 = [2.0, 1.0, 3.0, 2.0]
-        data = build_dataset(
-            {
-                "R": [0] * 4 + [1] * 4,
-                "C": c0 + c1,
-                "M": m0 + m1,
-                "Y": [1 + 2 * c + m for c, m in zip(c0 + c1, m0 + m1)],
-            },
-            baseline=("C",),
-        )
-        plain = decompose_cda(data, CdaSettings(seed=7))
-        inter = decompose_cda(data, CdaSettings(seed=7, interactions=True))
-        npt.assert_allclose(inter.initial, plain.initial, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(inter.explained, plain.explained, rtol=1e-12, atol=1e-12)
-        npt.assert_allclose(inter.unexplained, plain.unexplained, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
     @pytest.mark.parametrize("draws", [1, 3, 11])
-    def test_draw_block_size_changes_nothing(self, monkeypatch, mode, draws):
+    def test_draw_block_size_changes_nothing(self, monkeypatch, draws):
         # n1 = 13 is no multiple of the rows per block for blocks of 7
         # draws; 11 draws exceed such a block; 10**9 draws all at once.
         data = random_dataset(5, n=25, n_baseline=1, n_intermediate=1)
-        settings = CdaSettings(mc_draws_per_unit=draws, residual_mode=mode, seed=3)
+        settings = CdaSettings(mc_draws_per_unit=draws, seed=3)
         results = []
         for block in (10**9, 1, 7):
             monkeypatch.setattr(decompose_module, "_DRAW_BLOCK", block)
@@ -589,6 +565,19 @@ class TestOneRegressorOrder:
         decompose_kob(data)
         assert (after_cda, len(calls) - after_cda) == (3, 1)
 
+    def test_every_fit_adds_one_memo_key(self, monkeypatch):
+        # No estimator fits outside the memo: each fit_ols call is a new key.
+        calls = self.counted(monkeypatch)
+        data = generate(ScenarioConfig("both", n=300, reps=1, seed=5), 0)
+        decompose_dic(data)
+        assert len(calls) == len(data._fits) == 2
+        decompose_kob(data)
+        assert len(calls) == len(data._fits) == 4
+        cda = decompose_cda(data, CdaSettings(seed=1))
+        assert len(calls) == len(data._fits) == 6
+        adjust(cda, data, SensitivityParams(r2_yu=0.1, r2_mu=0.1))
+        assert len(calls) == len(data._fits) == 8
+
     def test_every_memo_key_follows_the_role_order(self):
         data = self.data()
         roles = data.roles
@@ -612,12 +601,7 @@ ESTIMATES = {
     "DIC": lambda data: decompose_dic(data),
     "KOB": lambda data: decompose_kob(data),
     "CDA": lambda data: decompose_cda(data, CdaSettings(mc_draws_per_unit=30, seed=8)),
-    "CDA-normal": lambda data: decompose_cda(
-        data, CdaSettings(mc_draws_per_unit=30, seed=8, residual_mode="parametric-normal")
-    ),
-    "CDA-interactions": lambda data: decompose_cda(
-        data, CdaSettings(mc_draws_per_unit=30, seed=8, interactions=True)
-    ),
+    "CDA-limit": lambda data: decompose_module._cda_draw_limit(data),
 }
 
 
@@ -642,14 +626,7 @@ class TestAffineEquivariance:
     def test_mediator(self, method, shift, scale):
         data = random_dataset(41, n=60, n_baseline=1, n_intermediate=2)
         moved_data = _with_columns(data, M=shift + scale * data.column("M"))
-        estimate = ESTIMATES[method]
-        if method == "CDA-normal" and scale < 0:
-            # Normal draws are residual_sd * z, so they keep their sign when
-            # M flips its own: the same distribution on another path. The
-            # draw limit has no path.
-            settings = CdaSettings(residual_mode="parametric-normal")
-            estimate = lambda d: decompose_module._cda_draw_limit(d, settings)  # noqa: E731
-        base, moved = estimate(data), estimate(moved_data)
+        base, moved = ESTIMATES[method](data), ESTIMATES[method](moved_data)
         for name in DecompositionResult.QUANTITIES:
             npt.assert_allclose(moved.quantity(name), base.quantity(name), rtol=1e-9, atol=1e-11)
         if method == "DIC":
@@ -692,15 +669,14 @@ class TestGroupOneAsSmallAsItsOutcomeModel:
         npt.assert_allclose(res.explained, 0.5 * gap, rtol=1e-12)
         npt.assert_allclose(res.detail.total(), res.initial, rtol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["empirical-resample", "parametric-normal"])
-    def test_cda_explained_uses_the_exact_group_1_slope(self, mode):
+    def test_cda_explained_uses_the_exact_group_1_slope(self):
         data = self.data()
         c, m = data.column("C"), data.column("M")
         g0, g1 = data.group_mask(0), data.group_mask(1)
         a, b = np.polynomial.polynomial.polyfit(c[g0], m[g0], 1)
-        limit = decompose_module._cda_draw_limit(data, CdaSettings(residual_mode=mode))
+        limit = decompose_module._cda_draw_limit(data)
         npt.assert_allclose(limit.explained, 0.5 * (m[g1] - (a + b * c[g1])).mean(), rtol=1e-10)
-        res = decompose_cda(data, CdaSettings(residual_mode=mode, mc_draws_per_unit=50, seed=2))
+        res = decompose_cda(data, CdaSettings(mc_draws_per_unit=50, seed=2))
         assert np.isfinite([res.initial, res.explained, res.unexplained]).all()
         npt.assert_allclose(res.initial, res.explained + res.unexplained, atol=1e-12)
 

@@ -732,6 +732,16 @@ class TestRunHarness:
         assert a == b
         assert a == c
 
+    def test_cda_seed_comes_from_the_config(self):
+        # Replication rep draws from stream_seed(config.seed, rep, 1); only
+        # the draw count of cda_settings is used.
+        config = ScenarioConfig("cx", n=80, reps=3, seed=2)
+        a = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=10, seed=5))
+        b = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=10))
+        c = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=11))
+        assert a == b
+        assert a.cell("CDA", "explained").estimates != c.cell("CDA", "explained").estimates
+
     def test_cell_layout_and_accessors(self):
         config = ScenarioConfig("c-only", n=60, reps=4, seed=1)
         report = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=5))
