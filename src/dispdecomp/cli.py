@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data or estimation error. Tables
 go to standard output (markdown by default, CSV with --format csv); all
 diagnostics go to standard error. Output is deterministic given flags and
-seeds; randomness is opt-in via ``--seed random``.
+seeds; randomness is opt-in via ``--seed random``. Every command runs with
+the OpenBLAS builds that numpy and scipy bundle held to one thread, so a
+result does not depend on the machine's core count.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .decompose import (
     bootstrap,
     decompose_cda,
 )
-from .regress import EstimationError
+from .regress import EstimationError, _one_blas_thread
 from .sensitivity import (
     AdjustedResult,
     CovariateBenchmark,
@@ -264,8 +266,9 @@ def _add_cda_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mc-draws",
         type=int,
-        default=100,
-        help="Monte-Carlo draws per unit for the causal method (default: 100)",
+        default=None,
+        help="Monte-Carlo draws per unit for the causal method "
+        "(default: none, the exact expectation)",
     )
     sub.add_argument("--seed", default="0", help="integer seed or 'random' (default: 0)")
 
@@ -344,12 +347,21 @@ def _methods_for(flag: str) -> list[str]:
     return list(METHODS) if flag == "all" else [flag.upper()]
 
 
+def _cda_settings(args: argparse.Namespace, seed: int) -> CdaSettings:
+    if args.mc_draws is None:
+        return CdaSettings(seed=seed)
+    return CdaSettings(mc_draws_per_unit=args.mc_draws, seed=seed)
+
+
 def _run_decompose(args: argparse.Namespace) -> str:
+    methods = _methods_for(args.method)
+    if args.mc_draws is not None and "CDA" not in methods:
+        raise UsageError(f"--mc-draws applies to the causal method only, not --method {args.method}")
     data = _load_data(args)
     seed = _parse_seed(args.seed)
-    settings = CdaSettings(mc_draws_per_unit=args.mc_draws, seed=seed)
+    settings = _cda_settings(args, seed)
     results = []
-    for method in _methods_for(args.method):
+    for method in methods:
         if args.bootstrap:
             res = bootstrap(data, method, settings=settings, B=args.bootstrap, seed=seed)
         else:
@@ -367,8 +379,7 @@ def _run_sensitivity(args: argparse.Namespace) -> str:
         raise UsageError("sensitivity requires --r2-yu and --r2-mu together, or --grid")
     data = _load_data(args)
     seed = _parse_seed(args.seed)
-    settings = CdaSettings(mc_draws_per_unit=args.mc_draws, seed=seed)
-    cda = decompose_cda(data, settings)
+    cda = decompose_cda(data, _cda_settings(args, seed))
     sign = +1 if args.sign == "+" else -1
     if args.grid is not None:
         yu, mu = _parse_grid_axes(args.grid)
@@ -434,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        body = _RUNNERS[args.command](args)
+        with _one_blas_thread():
+            body = _RUNNERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,10 @@ group 0 to a mediator, but they answer different questions:
   group-1 slopes) and an unexplained remainder (intercept and slope gaps).
 * causal decomposition (CDA): contrast group-1 outcomes against a
   counterfactual in which each group-1 unit's mediator is drawn from the
-  group-0 mediator distribution at the same baseline-covariate values,
-  estimated by Monte-Carlo imputation. The initial disparity here is
+  group-0 mediator distribution at the same baseline-covariate values.
+  Both models are linear in the mediator, so the counterfactual mean is
+  computed exactly by default; Monte-Carlo imputation is kept as an
+  explicit option. The initial disparity here is
   standardized to the group-1 baseline-covariate distribution, so baseline
   pathways are excluded from it by design.
 
@@ -89,9 +91,14 @@ class KobDetail:
 
 @dataclass(frozen=True)
 class CdaSettings:
-    """CDA's Monte-Carlo knobs: residual draws per group-1 unit, and their seed."""
+    """CDA's Monte-Carlo knobs: residual draws per group-1 unit, and their seed.
 
-    mc_draws_per_unit: int = 100
+    The default of 0 draws computes the counterfactual mean exactly, as the
+    limit of infinitely many draws, and never reads the seed. A positive
+    count runs the Monte-Carlo imputation with that many draws per unit.
+    """
+
+    mc_draws_per_unit: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -99,8 +106,8 @@ class CdaSettings:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.mc_draws_per_unit < 1:
-            raise ValueError(f"mc_draws_per_unit must be >= 1, got {self.mc_draws_per_unit}")
+        if self.mc_draws_per_unit < 0:
+            raise ValueError(f"mc_draws_per_unit must be >= 0, got {self.mc_draws_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +318,7 @@ def _cda_models(data: Dataset) -> _CdaModels:
 
 
 def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
-    """Causal decomposition by Monte-Carlo mediator imputation.
+    """Causal decomposition by mediator imputation.
 
     Over the group-1 units (the standardization population):
 
@@ -325,12 +332,23 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     * explained = mean observed outcome - counterfactual mean;
       unexplained = counterfactual mean - standardized group-0 mean.
 
-    Deterministic given (data, settings.seed); explained + unexplained
-    equals the initial disparity by construction.
+    The group-1 outcome model is linear in the mediator, so only each
+    unit's mean counterfactual mediator matters. With the default
+    settings.mc_draws_per_unit of 0 that mean is exact: mu0 + s, mu0 being
+    the unit's group-0 prediction and s the mean of the residuals, which
+    is what the draws converge to. A positive draw count estimates it by
+    Monte-Carlo instead, adding zero-mean noise with sd about
+    |mean unit_slope| * residual_sd / sqrt(n1 * draws) to the
+    counterfactual mean. Deterministic given data (and settings.seed when
+    drawing); explained + unexplained equals the initial disparity by
+    construction.
     """
     settings = settings or CdaSettings()
     models = _cda_models(data)
     residuals = models.mediator_model.residuals
+    draws = settings.mc_draws_per_unit
+    if draws == 0:
+        return models.result(models.mu0 + float(residuals.sum() / residuals.size))
 
     # Each unit's counterfactual mediator draws are reduced to their mean
     # one block of whole units at a time, so memory stays O(n1) whatever
@@ -340,7 +358,6 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     mu0 = models.mu0
     n1 = mu0.size
     rng = substream(settings.seed)
-    draws = settings.mc_draws_per_unit
     rows = max(1, _DRAW_BLOCK // draws)
     mean_m_star = np.empty(n1)
     for start in range(0, n1, rows):
@@ -349,19 +366,6 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
         eps += block[:, None]
         mean_m_star[start:start + rows] = eps.sum(axis=1) / draws
     return models.result(mean_m_star)
-
-
-def _cda_draw_limit(data: Dataset) -> DecompositionResult:
-    """decompose_cda in the limit of infinitely many draws per unit.
-
-    A unit's mean counterfactual mediator tends to mu0 + s, s being the
-    mean of the group-0 mediator residuals; the draws add only zero-mean
-    noise, with sd about |mean unit_slope| * residual_sd / sqrt(n1 * draws)
-    on the counterfactual mean.
-    """
-    models = _cda_models(data)
-    residuals = models.mediator_model.residuals
-    return models.result(models.mu0 + float(residuals.sum() / residuals.size))
 
 
 _ESTIMATORS = {
@@ -403,14 +407,16 @@ def bootstrap(
     2.5/97.5 percentile intervals for initial/explained/unexplained to the
     point estimate on the original data. Replicate b draws from a stream
     keyed by (seed, b), so results do not depend on evaluation order. For
-    CDA the point estimate uses settings as given, but each replicate keeps
-    only its draw count and takes the seed stream_seed(seed, b, attempt, 1).
+    CDA the point estimate uses settings as given. With the default exact
+    expectation the replicates make no draw and derive no seed; with a
+    positive draw count each replicate keeps only that count and takes the
+    seed stream_seed(seed, b, attempt, 1).
     Resamples that break an estimator precondition (e.g. a degenerate
     design) are retried with fresh draws, up to 10*B failures in total.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one
     thread, since a second one only spins on these small fits, and
     restores its thread count afterwards; the point estimate keeps the
-    default threading.
+    caller's threading (one thread under the CLI).
     """
     if method not in _ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
@@ -418,6 +424,7 @@ def bootstrap(
         raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
     estimator = _ESTIMATORS[method]
     point = estimator(data, settings)
+    derive_seeds = method == "CDA" and (settings or CdaSettings()).mc_draws_per_unit > 0
 
     idx0, idx1 = data._rows
     failures = 0
@@ -435,10 +442,8 @@ def bootstrap(
                     ]
                 )
                 replicate_settings = settings
-                if method == "CDA":
-                    replicate_settings = replace(
-                        settings or CdaSettings(), seed=stream_seed(seed, b, attempt, 1)
-                    )
+                if derive_seeds:
+                    replicate_settings = replace(settings, seed=stream_seed(seed, b, attempt, 1))
                 try:
                     result = estimator(data.take(resample), replicate_settings)
                 except EstimationError:

@@ -158,7 +158,10 @@ def _one_blas_thread() -> Iterator[None]:
     For loops over many small fits (n in the low thousands, a handful of
     columns), where a second BLAS thread only spins: it doubles CPU time
     and does not lower wall time. Results are bit-identical on those
-    designs. Does nothing when no bundled OpenBLAS is found.
+    designs. The CLI runs every command inside it too: the last bits of
+    tall designs with many columns depend on the thread count, and one
+    thread keeps them from depending on the machine. Does nothing when no
+    bundled OpenBLAS is found.
     """
     controls = _openblas_controls()
     saved = [get() for get, _ in controls]

@@ -745,8 +745,8 @@ def _one_replication(
     params: SensitivityParams | None,
 ) -> dict[str, tuple[float, float, float]]:
     out: dict[str, tuple[float, float, float]] = {}
-    settings = None
-    if "CDA" in methods:
+    settings = cda_settings
+    if "CDA" in methods and cda_settings.mc_draws_per_unit > 0:
         settings = replace(cda_settings, seed=stream_seed(config.seed, rep, 1))
     try:
         data = generate(config, rep)
@@ -773,15 +773,17 @@ def run_harness(
 
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Only the draw count of cda_settings is
-    used: replication rep runs CDA with seed stream_seed(config.seed, rep, 1),
-    so every draw stream follows from config.seed. Replications run one after another in
+    configuration's coefficients. CDA computes its counterfactual mean
+    exactly by default and then derives no seed. Given a positive draw
+    count in cda_settings, only that count is used: replication rep runs
+    CDA with seed stream_seed(config.seed, rep, 1), so every draw stream
+    follows from config.seed. Replications run one after another in
     this thread; workers (>= 1) is kept for compatibility and changes
     nothing, and per-index substreams make the report byte-identical for
     any value of it. The replications hold the OpenBLAS that numpy and
     scipy bundle to one thread, since a second one only spins on these
-    small fits, and restore its thread count afterwards; other callers of
-    the estimators keep the default threading.
+    small fits, and restore its thread count afterwards; library callers
+    of the estimators outside this loop keep their own threading.
     """
     methods = tuple(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in HARNESS_METHODS]

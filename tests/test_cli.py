@@ -3,13 +3,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dispdecomp.cli
 import dispdecomp.decompose
-from dispdecomp import DecompositionResult, RenderedReport, decompose_dic, main, render
+from dispdecomp import (
+    CdaSettings, DecompositionResult, RenderedReport, decompose_cda, decompose_dic, main, render,
+)
 
-from conftest import build_dataset, src_env
+from conftest import build_dataset, random_dataset, src_env
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,8 +159,40 @@ class TestDecomposeCommand:
         assert main(["decompose", *base_flags(str(tmp_path / "nope.csv"))]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_default_cda_is_the_exact_expectation_whatever_the_seed(self, tmp_path, capsys):
+        path = tmp_path / "cda.csv"
+        data = random_dataset(8, n=40, n_baseline=1, n_intermediate=0)
+        np.savetxt(path, np.column_stack(list(data.columns.values())), fmt="%.17g",
+                   delimiter=",", header=",".join(data.columns), comments="")
+        flags = ["--data", str(path), "--group", "R", "--outcome", "Y", "--mediator", "M",
+                 "--baseline", "C1", "--method", "cda", "--format", "csv"]
+        outputs = []
+        for extra in ([], ["--seed", "5"], ["--mc-draws", "0"]):
+            assert main(["decompose", *flags, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == [render(decompose_cda(data), "csv").body] * 3
+        assert main(["decompose", *flags, "--mc-draws", "100", "--seed", "5"]) == 0
+        drawn = capsys.readouterr().out
+        assert drawn == render(decompose_cda(data, CdaSettings(100, 5)), "csv").body
+        assert drawn != outputs[0]
+
+    @pytest.mark.parametrize("method", ["dic", "kob"])
+    @pytest.mark.parametrize("draws", ["0", "7"])
+    def test_mc_draws_without_the_causal_method_is_a_usage_error(self, worked_csv, capsys, method, draws):
+        argv = ["decompose", *base_flags(worked_csv), "--method", method, "--mc-draws", draws]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: --mc-draws applies to the causal method only, not --method {method}\n"
+        assert captured.out == ""
+
+    def test_help_says_the_default_is_exact(self, capsys):
+        for command in ("decompose", "sensitivity"):
+            assert main([command, "--help"]) == 0
+            assert "(default: none, the exact expectation)" in " ".join(capsys.readouterr().out.split())
+
     def test_usage_errors(self, worked_csv, capsys):
         assert main(["decompose", *base_flags(worked_csv), "--bogus"]) == 1
+        assert main(["decompose", *base_flags(worked_csv), "--mc-draws", "-1"]) == 1
         assert main(["decompose", *base_flags(worked_csv), "--seed", "abc"]) == 1
         assert main(["decompose", "--data", worked_csv, "--group", "r", "--outcome", "y"]) == 1
         assert main(["nosuchcommand"]) == 1

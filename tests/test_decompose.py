@@ -27,6 +27,7 @@ from dispdecomp import DecompositionResult, ScenarioConfig, generate
 from dispdecomp._streams import stream_seed, substream
 from dispdecomp.regress import RANK_TOL
 from dispdecomp.simulate import SCENARIOS
+import dispdecomp._streams as streams_module
 import dispdecomp.decompose as decompose_module
 
 from conftest import build_dataset, random_dataset
@@ -163,9 +164,9 @@ class TestCda:
 
     def test_deterministic_given_seed(self):
         data = random_dataset(8, n_baseline=1)
-        a = decompose_cda(data, CdaSettings(seed=123))
-        b = decompose_cda(data, CdaSettings(seed=123))
-        c = decompose_cda(data, CdaSettings(seed=124))
+        a = decompose_cda(data, CdaSettings(mc_draws_per_unit=100, seed=123))
+        b = decompose_cda(data, CdaSettings(mc_draws_per_unit=100, seed=123))
+        c = decompose_cda(data, CdaSettings(mc_draws_per_unit=100, seed=124))
         assert (a.initial, a.explained, a.unexplained) == (b.initial, b.explained, b.unexplained)
         assert a.explained != c.explained  # different stream, different draws
 
@@ -201,11 +202,11 @@ class TestCda:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("draws", [1, 7, 30, 100])
     def test_monte_carlo_estimate_within_four_sd_of_the_draw_limit(self, scenario, draws):
-        # The sd shrinks with the draw count; 100 is the default.
+        # The sd shrinks with the draw count; the default computes the limit.
         data = generate(ScenarioConfig(scenario, seed=11), 0)
         settings = CdaSettings(mc_draws_per_unit=draws, seed=6)
         mc = decompose_cda(data, settings)
-        limit = decompose_module._cda_draw_limit(data)
+        limit = decompose_cda(data)
         models = decompose_module._cda_models(data)
         n1 = models.mu0.size
         sd = (
@@ -219,13 +220,30 @@ class TestCda:
         assert abs(mc.unexplained - limit.unexplained) <= 4 * sd
 
     def test_draw_limit_equals_the_draws_when_residuals_are_zero(self, worked_cda_dataset):
-        assert decompose_module._cda_draw_limit(worked_cda_dataset) == decompose_cda(
-            worked_cda_dataset, CdaSettings(seed=9)
+        assert decompose_cda(worked_cda_dataset) == decompose_cda(
+            worked_cda_dataset, CdaSettings(mc_draws_per_unit=100, seed=9)
         )
 
+    def test_default_is_the_draw_limit_bit_for_bit_with_no_draw(self, monkeypatch):
+        # Each unit's mean counterfactual mediator is its group-0 prediction
+        # plus the mean group-0 mediator residual, whatever the seed.
+        data = generate(ScenarioConfig("both", n=400, seed=2), 0)
+        models = decompose_module._cda_models(data)
+        residuals = models.mediator_model.residuals
+        limit = models.result(models.mu0 + float(residuals.sum() / residuals.size))
+
+        def no_stream(*args):
+            raise AssertionError("substream called without draws")
+
+        monkeypatch.setattr(decompose_module, "substream", no_stream)
+        assert decompose_cda(data) == limit
+        assert decompose_cda(data, CdaSettings(seed=5)) == limit
+        assert decompose_cda(data, CdaSettings(mc_draws_per_unit=0, seed=2**63)) == limit
+
     def test_settings_validation(self):
-        with pytest.raises(ValueError, match="mc_draws_per_unit"):
-            CdaSettings(mc_draws_per_unit=0)
+        with pytest.raises(ValueError, match="mc_draws_per_unit must be >= 0, got -1"):
+            CdaSettings(mc_draws_per_unit=-1)
+        assert CdaSettings(mc_draws_per_unit=0) == CdaSettings()
 
     def test_settings_are_the_draw_count_and_the_seed(self):
         fields = [f.name for f in dataclasses.fields(CdaSettings)]
@@ -403,6 +421,21 @@ class TestBootstrap:
         a = bootstrap(data, "CDA", settings=settings, B=7, seed=4)
         b = bootstrap(data, "CDA", settings=settings, B=7, seed=4)
         assert a.intervals == b.intervals
+
+    @pytest.mark.parametrize("settings, calls", [(None, 5), (CdaSettings(mc_draws_per_unit=100, seed=2), 16)])
+    def test_cda_substream_calls(self, monkeypatch, settings, calls):
+        # One resample per replicate; with draws, also the point estimate's
+        # draw, and a stream_seed and a draw per replicate.
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(decompose_module, "substream", counting)
+        monkeypatch.setattr(streams_module, "substream", counting)
+        bootstrap(random_dataset(34, n=24, n_baseline=1), "CDA", settings=settings, B=5, seed=4)
+        assert len(made) == calls
 
     def test_unknown_method_and_tiny_b_rejected(self):
         data = random_dataset(35, n=20)
@@ -601,7 +634,7 @@ ESTIMATES = {
     "DIC": lambda data: decompose_dic(data),
     "KOB": lambda data: decompose_kob(data),
     "CDA": lambda data: decompose_cda(data, CdaSettings(mc_draws_per_unit=30, seed=8)),
-    "CDA-limit": lambda data: decompose_module._cda_draw_limit(data),
+    "CDA-limit": lambda data: decompose_cda(data),
 }
 
 
@@ -674,7 +707,7 @@ class TestGroupOneAsSmallAsItsOutcomeModel:
         c, m = data.column("C"), data.column("M")
         g0, g1 = data.group_mask(0), data.group_mask(1)
         a, b = np.polynomial.polynomial.polyfit(c[g0], m[g0], 1)
-        limit = decompose_module._cda_draw_limit(data)
+        limit = decompose_cda(data)
         npt.assert_allclose(limit.explained, 0.5 * (m[g1] - (a + b * c[g1])).mean(), rtol=1e-10)
         res = decompose_cda(data, CdaSettings(mc_draws_per_unit=50, seed=2))
         assert np.isfinite([res.initial, res.explained, res.unexplained]).all()

@@ -865,6 +865,16 @@ class TestHarnessDispatch:
         report = run_harness(ScenarioConfig("cx", n=60, reps=2), methods=("DIC", "KOB"))
         assert report.methods == ("DIC", "KOB")
 
+    def test_default_cda_derives_no_seed(self, monkeypatch):
+        # The exact expectation makes no draw, so it needs no stream.
+        def no_stream(*args):
+            raise AssertionError("stream derived for a CDA without draws")
+
+        monkeypatch.setattr(simulate_module, "stream_seed", no_stream)
+        monkeypatch.setattr(decompose_module, "substream", no_stream)
+        report = run_harness(ScenarioConfig("both", n=60, reps=2), sensitivity=True)
+        assert report.methods == HARNESS_METHODS + (ADJUSTED_METHOD,)
+
 
 class TestSharedFits:
     @pytest.mark.parametrize(
