@@ -357,9 +357,9 @@ def _run_decompose(args: argparse.Namespace) -> str:
     methods = _methods_for(args.method)
     if args.mc_draws is not None and "CDA" not in methods:
         raise UsageError(f"--mc-draws applies to the causal method only, not --method {args.method}")
-    data = _load_data(args)
     seed = _parse_seed(args.seed)
     settings = _cda_settings(args, seed)
+    data = _load_data(args)
     results = []
     for method in methods:
         if args.bootstrap:
@@ -377,17 +377,19 @@ def _run_sensitivity(args: argparse.Namespace) -> str:
         raise UsageError(f"--grid conflicts with point parameter {offender}")
     if args.grid is None and (args.r2_yu is None or args.r2_mu is None):
         raise UsageError("sensitivity requires --r2-yu and --r2-mu together, or --grid")
-    data = _load_data(args)
-    seed = _parse_seed(args.seed)
-    cda = decompose_cda(data, _cda_settings(args, seed))
+    settings = _cda_settings(args, _parse_seed(args.seed))
     sign = +1 if args.sign == "+" else -1
     if args.grid is not None:
         yu, mu = _parse_grid_axes(args.grid)
+    else:
+        try:
+            params = SensitivityParams(r2_yu=args.r2_yu, r2_mu=args.r2_mu, sign=sign)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    data = _load_data(args)
+    cda = decompose_cda(data, settings)
+    if args.grid is not None:
         return render(grid(cda, data, yu, mu, sign), args.format).body
-    try:
-        params = SensitivityParams(r2_yu=args.r2_yu, r2_mu=args.r2_mu, sign=sign)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return render(adjust(cda, data, params), args.format).body
 
 

@@ -9,13 +9,14 @@ group 0 to a mediator, but they answer different questions:
   explained by group differences in covariate/mediator levels (weighted by
   group-1 slopes) and an unexplained remainder (intercept and slope gaps).
 * causal decomposition (CDA): contrast group-1 outcomes against a
-  counterfactual in which each group-1 unit's mediator is drawn from the
-  group-0 mediator distribution at the same baseline-covariate values.
-  Both models are linear in the mediator, so the counterfactual mean is
-  computed exactly by default; Monte-Carlo imputation is kept as an
-  explicit option. The initial disparity here is
-  standardized to the group-1 baseline-covariate distribution, so baseline
-  pathways are excluded from it by design.
+  counterfactual in which each group-1 unit's mediator follows the
+  group-0 mediator model at the same baseline-covariate values. Every
+  model is linear with an intercept, so the counterfactual mean is the
+  group-0 fits read at the group-1 baseline means, computed exactly by
+  default; Monte-Carlo imputation is kept as an explicit option. The
+  initial disparity here is standardized to the group-1
+  baseline-covariate distribution, so baseline pathways are excluded from
+  it by design.
 
 A within-group resampling bootstrap provides percentile intervals for any
 of the three on a single dataset.
@@ -142,10 +143,8 @@ def _proportion(initial: float, explained: float, outcome: np.ndarray) -> float 
     return 100.0 * explained / initial
 
 
-def _columns(data: Dataset, names: tuple[str, ...], rows: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    if rows is None:
-        return {name: data.column(name) for name in names}
-    return {name: data.column(name)[rows] for name in names}
+def _columns(data: Dataset, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    return {name: data.column(name) for name in names}
 
 
 def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
@@ -159,9 +158,8 @@ def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str
     key = (group, names, response)
     fit = data._fits.get(key)
     if fit is None:
-        rows = None if group is None else data._rows[group]
-        y = data.column(response)
-        fit = fit_ols(_columns(data, names, rows), y if rows is None else y[rows])
+        rows = slice(None) if group is None else data._rows[group]
+        fit = fit_ols({name: data.column(name)[rows] for name in names}, data.column(response)[rows])
         data._fits[key] = fit
     return fit
 
@@ -240,54 +238,53 @@ def decompose_kob(data: Dataset) -> DecompositionResult:
     )
 
 
-@dataclass(frozen=True)
-class _CdaModels:
-    """The fitted parts of a CDA on the group-1 units, before any draw.
+def _standardized_gap(data: Dataset, response: str) -> float:
+    """Group-1 mean of response minus its group-0 regression standardization.
 
-    mu0 is each unit's predicted mediator under the group-0 model; the
-    outcome model is collapsed to unit_base + unit_slope * m per unit.
+    The group-0 fit of response on the baseline covariates is linear with
+    an intercept, so averaging it over the group-1 baseline values is
+    evaluating it at their means.
     """
-
-    mediator_model: OlsFit
-    mu0: np.ndarray
-    unit_base: np.ndarray
-    unit_slope: np.ndarray
-    observed_mean: float
-    standardized_ref: float
-    outcome: np.ndarray
-
-    def result(self, mean_m_star: np.ndarray) -> DecompositionResult:
-        """The decomposition, given each unit's mean counterfactual mediator."""
-        n1 = self.mu0.size
-        counterfactual = float((self.unit_base + self.unit_slope * mean_m_star).sum() / n1)
-        initial = self.observed_mean - self.standardized_ref
-        explained = self.observed_mean - counterfactual
-        unexplained = counterfactual - self.standardized_ref
-        return DecompositionResult(
-            method="CDA",
-            initial=initial,
-            explained=explained,
-            unexplained=unexplained,
-            proportion_explained_pct=_proportion(initial, explained, self.outcome),
-        )
-
-
-def _cda_models(data: Dataset) -> _CdaModels:
-    """Fit the models of decompose_cda; the errors name the failing one."""
-    roles = data.roles
+    baseline = data.roles.baseline
     rows1 = data._rows[1]
-    y = data.column(roles.outcome)
-    y1 = y[rows1]
-    n1 = rows1.size
+    means1 = {name: data.column(name)[rows1].sum() / rows1.size for name in baseline + (response,)}
+    at_means = {name: np.array([means1[name]]) for name in baseline}
+    reference = _fit(data, 0, baseline, response).predict(at_means, n=1)[0]
+    return float(means1[response] - reference)
 
+
+def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
+    """Causal decomposition by mediator imputation.
+
+    Over the group-1 units (the standardization population):
+
+    * initial = mean observed outcome minus the group-0 outcome-on-baseline
+      regression evaluated at group-1 baseline values (regression
+      standardization);
+    * the counterfactual gives each unit a mediator from the group-0
+      mediator-on-baseline model (its prediction plus a residual of that
+      model) and pushes it through the group-1 outcome model;
+    * explained = mean observed outcome - counterfactual mean;
+      unexplained = initial - explained.
+
+    Both models are linear, so explained is the group-1 outcome model's
+    mediator slope times the standardized mediator gap: the group-1 mean
+    mediator minus the group-0 mediator model at the group-1 baseline
+    means. KOB's explained is the same slope times the raw mediator gap.
+    With the default settings.mc_draws_per_unit of 0 the residual adds its
+    mean, 0. A positive draw count instead resamples that many residuals
+    per unit with replacement and subtracts the mean of the draws from the
+    gap, adding zero-mean noise with sd about
+    |slope| * residual_sd / sqrt(n1 * draws) to explained. Deterministic
+    given data (and settings.seed when drawing).
+    """
+    settings = settings or CdaSettings()
+    roles = data.roles
     try:
-        mediator_model = _fit(data, 0, roles.baseline, roles.mediator)
-        outcome_on_c0 = _fit(data, 0, roles.baseline, roles.outcome)
+        mediator_gap = _standardized_gap(data, roles.mediator)
+        initial = _standardized_gap(data, roles.outcome)
     except EstimationError as exc:
         raise EstimationError(f"baseline models: {exc}") from exc
-
-    c1 = _columns(data, roles.baseline, rows1)
-    covariates1 = _columns(data, roles.covariates, rows1)
     try:
         outcome_model = _fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
     except EstimationError as exc:
@@ -301,71 +298,30 @@ def _cda_models(data: Dataset) -> _CdaModels:
             raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
-    # The outcome model is linear in the mediator given the unit's own
-    # covariates, so collapse it to per-unit intercept + slope before
-    # averaging over draws.
-    unit_base = outcome_model.predict({**covariates1, roles.mediator: np.zeros(n1)}, n=n1)
-    unit_slope = outcome_model.predict({**covariates1, roles.mediator: np.ones(n1)}, n=n1) - unit_base
-    return _CdaModels(
-        mediator_model=mediator_model,
-        mu0=mediator_model.predict(c1, n=n1),
-        unit_base=unit_base,
-        unit_slope=unit_slope,
-        observed_mean=float(y1.sum() / n1),
-        standardized_ref=float(outcome_on_c0.predict(c1, n=n1).sum() / n1),
-        outcome=y,
-    )
-
-
-def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
-    """Causal decomposition by mediator imputation.
-
-    Over the group-1 units (the standardization population):
-
-    * initial = mean observed outcome minus the group-0 outcome-on-baseline
-      regression evaluated at group-1 baseline values (regression
-      standardization);
-    * the counterfactual mean redraws each unit's mediator from the group-0
-      mediator-on-baseline model (its prediction plus a residual resampled
-      with replacement from that model's residuals) and
-      pushes the draws through the group-1 outcome model;
-    * explained = mean observed outcome - counterfactual mean;
-      unexplained = counterfactual mean - standardized group-0 mean.
-
-    The group-1 outcome model is linear in the mediator, so only each
-    unit's mean counterfactual mediator matters. With the default
-    settings.mc_draws_per_unit of 0 that mean is exact: mu0 + s, mu0 being
-    the unit's group-0 prediction and s the mean of the residuals, which
-    is what the draws converge to. A positive draw count estimates it by
-    Monte-Carlo instead, adding zero-mean noise with sd about
-    |mean unit_slope| * residual_sd / sqrt(n1 * draws) to the
-    counterfactual mean. Deterministic given data (and settings.seed when
-    drawing); explained + unexplained equals the initial disparity by
-    construction.
-    """
-    settings = settings or CdaSettings()
-    models = _cda_models(data)
-    residuals = models.mediator_model.residuals
     draws = settings.mc_draws_per_unit
-    if draws == 0:
-        return models.result(models.mu0 + float(residuals.sum() / residuals.size))
-
-    # Each unit's counterfactual mediator draws are reduced to their mean
-    # one block of whole units at a time, so memory stays O(n1) whatever
-    # the draw count. The generator carries its stream across calls and
-    # each row mean is reduced alone, so the result equals one (n1, draws)
-    # draw bit for bit.
-    mu0 = models.mu0
-    n1 = mu0.size
-    rng = substream(settings.seed)
-    rows = max(1, _DRAW_BLOCK // draws)
-    mean_m_star = np.empty(n1)
-    for start in range(0, n1, rows):
-        block = mu0[start:start + rows]
-        eps = rng.choice(residuals, size=(block.size, draws), replace=True)
-        eps += block[:, None]
-        mean_m_star[start:start + rows] = eps.sum(axis=1) / draws
-    return models.result(mean_m_star)
+    if draws:
+        # Each unit's residual draws are reduced to their mean one block of
+        # whole units at a time, so memory stays O(n1) whatever the draw
+        # count. The generator carries its stream across calls and each
+        # row mean is reduced alone, so the result equals one (n1, draws)
+        # draw bit for bit.
+        residuals = _fit(data, 0, roles.baseline, roles.mediator).residuals
+        n1 = data._rows[1].size
+        rng = substream(settings.seed)
+        rows = max(1, _DRAW_BLOCK // draws)
+        unit_means = np.empty(n1)
+        for start in range(0, n1, rows):
+            eps = rng.choice(residuals, size=(min(rows, n1 - start), draws), replace=True)
+            unit_means[start:start + rows] = eps.sum(axis=1) / draws
+        mediator_gap -= float(unit_means.sum() / n1)
+    explained = outcome_model.coef(roles.mediator) * mediator_gap
+    return DecompositionResult(
+        method="CDA",
+        initial=initial,
+        explained=explained,
+        unexplained=initial - explained,
+        proportion_explained_pct=_proportion(initial, explained, data.column(roles.outcome)),
+    )
 
 
 _ESTIMATORS = {

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult, _columns, _fit
+from .decompose import DecompositionResult, _columns, _fit, _standardized_gap
 from .regress import EstimationError, OlsFit, partial_r2
 from .tabular import Dataset
 
@@ -95,28 +95,6 @@ class SensitivityGrid:
         return self.cells[i * len(self.r2_mu_values) + j]
 
 
-def _standardized_mediator_gap(data: Dataset) -> float:
-    """Mean over group-1 units of the group-specific mediator-model gap.
-
-    Both models regress the mediator on the baseline covariates only (plus
-    an intercept) within one group; the gap is averaged over the group-1
-    baseline distribution. With no baseline covariates this is the raw
-    group difference in mediator means.
-    """
-    roles = data.roles
-    fits = {}
-    for g in (0, 1):
-        try:
-            fits[g] = _fit(data, g, roles.baseline, roles.mediator)
-        except EstimationError as exc:
-            raise EstimationError(f"group {g} mediator model: {exc}") from exc
-    rows1 = data._rows[1]
-    at_group1 = _columns(data, roles.baseline, rows1)
-    n1 = rows1.size
-    diff = fits[1].predict(at_group1, n=n1) - fits[0].predict(at_group1, n=n1)
-    return float(diff.sum() / n1)
-
-
 def _pooled_models(data: Dataset) -> tuple[tuple[tuple[str, ...], str], ...]:
     """(regressors, response) of the pooled outcome model (on group,
     covariates, and mediator) and of the pooled mediator model (on group
@@ -132,7 +110,10 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     sd_y_perp is the residual sd of the pooled outcome regression (outcome
     on group, covariates, and mediator); sd_m_perp the residual sd of the
     pooled mediator regression (mediator on group and covariates); the gap
-    is the baseline-standardized mediator gap.
+    is the baseline-standardized mediator gap: the group-1 mean mediator
+    minus the group-0 mediator-on-baseline model at the group-1 baseline
+    means, with no group-1 mediator model. CDA's explained is the group-1
+    mediator slope times this same gap.
     """
     outcome_fit, mediator_fit = (_fit(data, None, *model) for model in _pooled_models(data))
     m = data.column(data.roles.mediator)
@@ -140,7 +121,11 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     scale = float(np.max(np.abs(m))) or 1.0
     if sd_m_perp <= 1e-12 * scale:
         raise EstimationError("mediator fully explained by observed covariates")
-    return outcome_fit.residual_sd, sd_m_perp, _standardized_mediator_gap(data)
+    try:
+        gap_m = _standardized_gap(data, data.roles.mediator)
+    except EstimationError as exc:
+        raise EstimationError(f"group 0 mediator model: {exc}") from exc
+    return outcome_fit.residual_sd, sd_m_perp, gap_m
 
 
 def _adjust_from_inputs(

@@ -539,7 +539,9 @@ def _cda_truth(config: ScenarioConfig) -> MethodTruth:
     All conditional expectations are linear in the baseline value, so
     averaging over the group-1 baseline distribution is evaluation at its
     mean. The counterfactual walks Y with every other group-1 mean pinned
-    and M at its group-0 mean.
+    and M at its group-0 mean. decompose_cda takes the same shortcut: it
+    reads its group-0 fits at the group-1 baseline means. A product term
+    such as M x C would break both.
     """
     treated, control = _standardized_means(config)
     pinned = {name: v for name, v in treated.items() if name != "Y"}

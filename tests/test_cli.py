@@ -199,6 +199,28 @@ class TestDecomposeCommand:
         assert main([]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("sensitivity", ["--grid", "a;b"],
+             "--grid has a non-numeric value: could not convert string to float: 'a'"),
+            ("sensitivity", ["--r2-yu", "1.5", "--r2-mu", "0.1"], "r2_yu must be in [0, 1), got 1.5"),
+            ("decompose", ["--seed", "abc"], "--seed expects an integer or 'random', got 'abc'"),
+            ("decompose", ["--mc-draws", "-1"], "mc_draws_per_unit must be >= 0, got -1"),
+        ],
+        ids=["grid", "r2-yu", "seed", "mc-draws"],
+    )
+    def test_flag_errors_come_before_reading_the_data(self, tmp_path, monkeypatch, capsys, command, flags, message):
+        argv = [command, *base_flags(str(tmp_path / "missing.csv")), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("load_csv called before every flag was checked")
+
+        monkeypatch.setattr(dispdecomp.cli, "load_csv", no_read)
+        assert main(argv) == 1
+
 
 class TestSensitivityCommand:
     def test_point_adjustment(self, worked_csv, capsys):

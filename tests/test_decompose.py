@@ -199,6 +199,30 @@ class TestCda:
         ref = (coef[0] + coef[1] * c[mask1]).mean()
         npt.assert_allclose(res.initial, y[mask1].mean() - ref, rtol=1e-10)
 
+    @pytest.mark.parametrize("seed, n_baseline, n_intermediate", [(3, 1, 1), (4, 2, 1), (5, 3, 2), (6, 2, 0)])
+    def test_explained_matches_a_least_squares_reference(self, seed, n_baseline, n_intermediate):
+        # Slope of M in the group-1 outcome model times the mean gap between
+        # group 1's mediator and its group-0 prediction.
+        data = random_dataset(seed, n=60, n_baseline=n_baseline, n_intermediate=n_intermediate)
+        res = decompose_cda(data)
+        mask0, mask1 = data.group_mask(0), data.group_mask(1)
+        roles = data.roles
+        c = np.column_stack([data.column(name) for name in roles.baseline])
+        x = np.column_stack([data.column(name) for name in roles.intermediate] + [c])
+        m, y = data.column("M"), data.column("Y")
+        design1 = np.column_stack([np.ones(mask1.sum()), x[mask1], m[mask1]])
+        slope = np.linalg.lstsq(design1, y[mask1], rcond=None)[0][-1]
+        design0 = np.column_stack([np.ones(mask0.sum()), c[mask0]])
+        coef = np.linalg.lstsq(design0, m[mask0], rcond=None)[0]
+        mu0 = np.column_stack([np.ones(mask1.sum()), c[mask1]]) @ coef
+        npt.assert_allclose(res.explained, slope * (m[mask1].mean() - mu0.mean()), rtol=1e-10)
+
+    @pytest.mark.parametrize("seed, n_intermediate", [(7, 0), (8, 1), (9, 3)])
+    def test_explained_is_kob_without_baseline_covariates(self, seed, n_intermediate):
+        # With nothing to standardize on, the mediator gap is the raw one.
+        data = random_dataset(seed, n=40, n_baseline=0, n_intermediate=n_intermediate)
+        npt.assert_allclose(decompose_cda(data).explained, decompose_kob(data).explained, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("draws", [1, 7, 30, 100])
     def test_monte_carlo_estimate_within_four_sd_of_the_draw_limit(self, scenario, draws):
@@ -207,13 +231,12 @@ class TestCda:
         settings = CdaSettings(mc_draws_per_unit=draws, seed=6)
         mc = decompose_cda(data, settings)
         limit = decompose_cda(data)
-        models = decompose_module._cda_models(data)
-        n1 = models.mu0.size
-        sd = (
-            abs(models.unit_slope.sum() / n1)
-            * models.mediator_model.residual_sd
-            / np.sqrt(n1 * settings.mc_draws_per_unit)
-        )
+        roles = data.roles
+        fit = decompose_module._fit
+        slope = fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome).coef(roles.mediator)
+        residual_sd = fit(data, 0, roles.baseline, roles.mediator).residual_sd
+        n1 = data._rows[1].size
+        sd = abs(slope) * residual_sd / np.sqrt(n1 * settings.mc_draws_per_unit)
         assert sd > 0
         assert mc.initial == limit.initial
         assert abs(mc.explained - limit.explained) <= 4 * sd
@@ -225,12 +248,23 @@ class TestCda:
         )
 
     def test_default_is_the_draw_limit_bit_for_bit_with_no_draw(self, monkeypatch):
-        # Each unit's mean counterfactual mediator is its group-0 prediction
-        # plus the mean group-0 mediator residual, whatever the seed.
+        # Explained is the group-1 mediator slope times the standardized
+        # mediator gap, whatever the seed.
         data = generate(ScenarioConfig("both", n=400, seed=2), 0)
-        models = decompose_module._cda_models(data)
-        residuals = models.mediator_model.residuals
-        limit = models.result(models.mu0 + float(residuals.sum() / residuals.size))
+        roles = data.roles
+        gap = decompose_module._standardized_gap
+        initial = gap(data, roles.outcome)
+        slope = decompose_module._fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome).coef(
+            roles.mediator
+        )
+        explained = slope * gap(data, roles.mediator)
+        limit = DecompositionResult(
+            method="CDA",
+            initial=initial,
+            explained=explained,
+            unexplained=initial - explained,
+            proportion_explained_pct=100.0 * explained / initial,
+        )
 
         def no_stream(*args):
             raise AssertionError("substream called without draws")
@@ -609,7 +643,7 @@ class TestOneRegressorOrder:
         cda = decompose_cda(data, CdaSettings(seed=1))
         assert len(calls) == len(data._fits) == 6
         adjust(cda, data, SensitivityParams(r2_yu=0.1, r2_mu=0.1))
-        assert len(calls) == len(data._fits) == 8
+        assert len(calls) == len(data._fits) == 7
 
     def test_every_memo_key_follows_the_role_order(self):
         data = self.data()
@@ -620,7 +654,7 @@ class TestOneRegressorOrder:
         adjust(cda, data, SensitivityParams(r2_yu=0.1, r2_mu=0.1))
         benchmark(data)
         order = (roles.group,) + roles.covariates + (roles.mediator,)
-        assert len(data._fits) == 8
+        assert len(data._fits) == 7
         for _, names, _ in data._fits:
             assert names == tuple(name for name in order if name in names)
 

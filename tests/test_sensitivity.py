@@ -215,6 +215,15 @@ class TestAdjust:
         expected = math.sqrt(0.25 / 0.5) * (sd_y_perp / sd_m_perp) * gap
         npt.assert_allclose(adjusted.bias, expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("scenario", ["none", "cx", "both"])
+    def test_cda_explained_is_the_group_1_slope_times_this_gap(self, scenario):
+        data = generate(ScenarioConfig(scenario, n=300, seed=9), 0)
+        cda = decompose_cda(data)
+        roles = data.roles
+        outcome_model = decompose_module._fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
+        gap = sensitivity._bias_inputs(data)[2]
+        assert cda.explained == outcome_model.coef(roles.mediator) * gap
+
     def test_rejects_non_cda_result(self):
         data = random_dataset(44, n=20)
         dic = decompose_dic(data)
@@ -403,7 +412,7 @@ class TestSharedPooledFits:
         swept = grid(cda, data, *self.GRID)
         after_grid = len(calls)
         strengths = benchmark(data)
-        assert (after_cda, after_grid, len(calls)) == (3, 6, 6)
+        assert (after_cda, after_grid, len(calls)) == (3, 5, 5)
 
         monkeypatch.undo()
         assert grid(cda, self.data(), *self.GRID) == swept
@@ -422,15 +431,14 @@ class TestSharedPooledFits:
         strengths = benchmark(data)
         cda = decompose_cda(data, CdaSettings(seed=3))
         swept = grid(cda, data, *self.GRID)
-        # The pooled outcome and mediator fits once each, then CDA's three
-        # and the group-1 mediator model of the standardized gap.
+        # The pooled outcome and mediator fits once each, then CDA's three;
+        # the standardized gap reuses CDA's group-0 mediator model.
         assert calls == [
             ("R", "X1", "X2", "X3", "C", "M"),
             ("R", "X1", "X2", "X3", "C"),
             ("C",),
             ("C",),
             ("X1", "X2", "X3", "C", "M"),
-            ("C",),
         ]
         monkeypatch.undo()
         assert grid(cda, self.data(), *self.GRID) == swept

@@ -879,7 +879,7 @@ class TestHarnessDispatch:
 class TestSharedFits:
     @pytest.mark.parametrize(
         "scenario, sensitivity, per_replication",
-        [("both", True, 8), ("none", False, 6), ("cx", False, 6)],
+        [("both", True, 7), ("none", False, 6), ("cx", False, 6)],
     )
     def test_fits_per_replication(self, monkeypatch, scenario, sensitivity, per_replication):
         calls = []
