@@ -357,6 +357,8 @@ def _run_decompose(args: argparse.Namespace) -> str:
     methods = _methods_for(args.method)
     if args.mc_draws is not None and "CDA" not in methods:
         raise UsageError(f"--mc-draws applies to the causal method only, not --method {args.method}")
+    if args.bootstrap and args.bootstrap < 2:
+        raise UsageError(f"bootstrap needs B >= 2 replicates, got {args.bootstrap}")
     seed = _parse_seed(args.seed)
     settings = _cda_settings(args, seed)
     data = _load_data(args)
@@ -381,16 +383,18 @@ def _run_sensitivity(args: argparse.Namespace) -> str:
     sign = +1 if args.sign == "+" else -1
     if args.grid is not None:
         yu, mu = _parse_grid_axes(args.grid)
+        pairs = [(a, b) for a in yu for b in mu]
     else:
-        try:
-            params = SensitivityParams(r2_yu=args.r2_yu, r2_mu=args.r2_mu, sign=sign)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        pairs = [(args.r2_yu, args.r2_mu)]
+    try:
+        params = [SensitivityParams(r2_yu=a, r2_mu=b, sign=sign) for a, b in pairs]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     data = _load_data(args)
     cda = decompose_cda(data, settings)
     if args.grid is not None:
         return render(grid(cda, data, yu, mu, sign), args.format).body
-    return render(adjust(cda, data, params), args.format).body
+    return render(adjust(cda, data, params[0]), args.format).body
 
 
 def _run_benchmark(args: argparse.Namespace) -> str:

@@ -49,9 +49,6 @@ METHODS = ("DIC", "KOB", "CDA")
 # meaningless; it is reported as an explicit undefined marker instead.
 PROPORTION_EPS = 1e-9
 
-# Residual draws made per block in decompose_cda (at least one unit's worth).
-_DRAW_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class DicDetail:
@@ -96,7 +93,8 @@ class CdaSettings:
 
     The default of 0 draws computes the counterfactual mean exactly, as the
     limit of infinitely many draws, and never reads the seed. A positive
-    count runs the Monte-Carlo imputation with that many draws per unit.
+    count runs the Monte-Carlo imputation with that many draws per unit,
+    made as one multinomial count draw from substream(seed).
     """
 
     mc_draws_per_unit: int = 0
@@ -272,11 +270,12 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     mediator minus the group-0 mediator model at the group-1 baseline
     means. KOB's explained is the same slope times the raw mediator gap.
     With the default settings.mc_draws_per_unit of 0 the residual adds its
-    mean, 0. A positive draw count instead resamples that many residuals
-    per unit with replacement and subtracts the mean of the draws from the
-    gap, adding zero-mean noise with sd about
-    |slope| * residual_sd / sqrt(n1 * draws) to explained. Deterministic
-    given data (and settings.seed when drawing).
+    mean, 0. A positive draw count instead draws n1 * draws residuals with
+    replacement, as multinomial counts over the n0 group-0 mediator
+    residuals, and subtracts their mean from the gap. This adds zero-mean
+    noise with sd |slope| * sd0 / sqrt(n1 * draws) to explained, sd0 being
+    the sd of those residuals. Deterministic given data (and settings.seed
+    when drawing).
     """
     settings = settings or CdaSettings()
     roles = data.roles
@@ -298,22 +297,16 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
             raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
-    draws = settings.mc_draws_per_unit
-    if draws:
-        # Each unit's residual draws are reduced to their mean one block of
-        # whole units at a time, so memory stays O(n1) whatever the draw
-        # count. The generator carries its stream across calls and each
-        # row mean is reduced alone, so the result equals one (n1, draws)
-        # draw bit for bit.
+    if settings.mc_draws_per_unit:
+        # Only the grand mean of the n1 * draws residual draws enters
+        # explained. Drawing with replacement from n0 residuals, it is
+        # counts @ residuals / total with multinomial counts, in O(n0)
+        # memory whatever the draw count.
         residuals = _fit(data, 0, roles.baseline, roles.mediator).residuals
-        n1 = data._rows[1].size
-        rng = substream(settings.seed)
-        rows = max(1, _DRAW_BLOCK // draws)
-        unit_means = np.empty(n1)
-        for start in range(0, n1, rows):
-            eps = rng.choice(residuals, size=(min(rows, n1 - start), draws), replace=True)
-            unit_means[start:start + rows] = eps.sum(axis=1) / draws
-        mediator_gap -= float(unit_means.sum() / n1)
+        n0 = residuals.size
+        total = data._rows[1].size * settings.mc_draws_per_unit
+        counts = substream(settings.seed).multinomial(total, np.full(n0, 1.0 / n0))
+        mediator_gap -= float(counts @ residuals / total)
     explained = outcome_model.coef(roles.mediator) * mediator_gap
     return DecompositionResult(
         method="CDA",

@@ -37,10 +37,10 @@ class EstimationError(ValueError):
 class OlsFit:
     """Result of a least-squares fit.
 
-    coefficients maps design column names (including "intercept" when one
-    was fitted) to estimates, in design order. residual_sd uses the n - p
-    denominator, p counting the intercept. r_factor and pivots are the
-    column-pivoted QR factorization of the design (design[:, pivots] = Q R).
+    coefficients maps design column names ("intercept" first) to
+    estimates, in design order. residual_sd uses the n - p denominator, p
+    counting the intercept. r_factor and pivots are the column-pivoted QR
+    factorization of the design (design[:, pivots] = Q R).
     """
 
     coefficients: dict[str, float]
@@ -57,7 +57,7 @@ class OlsFit:
 
     @property
     def intercept(self) -> float:
-        return self.coefficients.get(INTERCEPT, 0.0)
+        return self.coefficients[INTERCEPT]
 
     def coef(self, name: str) -> float:
         try:
@@ -218,30 +218,27 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def fit_ols(
-    columns: Mapping[str, np.ndarray],
-    response: np.ndarray,
-    intercept: bool = True,
-) -> OlsFit:
-    """Least squares of response on the named columns (QR, column pivoting).
+def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
+    """Least squares of response on an intercept and the named columns (QR,
+    column pivoting).
 
-    Raises EstimationError when n < p (insufficient observations) or when
-    the design is rank deficient; the rank error names a minimal set of
-    linearly dependent columns so the caller can see what to drop. An
-    n == p full-rank design interpolates (residual_sd 0, zero residuals).
+    Every caller relies on the intercept: CDA's regression standardization,
+    KOB's terms summing to the raw gap, and the centred R-squared of
+    partial_r2. Raises EstimationError when n < p (insufficient
+    observations) or when the design is rank deficient; the rank error
+    names a minimal set of linearly dependent columns so the caller can see
+    what to drop. An n == p full-rank design interpolates (residual_sd 0,
+    zero residuals).
     """
     y = np.asarray(response, dtype=np.float64)
     if y.ndim != 1:
         raise EstimationError("response must be one-dimensional")
     n = y.size
-    names: list[str] = ([INTERCEPT] if intercept else []) + list(columns)
+    names = [INTERCEPT] + list(columns)
     p = len(names)
-    if p == 0:
-        raise EstimationError("empty design: no columns and no intercept")
     design = np.empty((n, p))
-    if intercept:
-        design[:, 0] = 1.0
-    for j, (name, col) in enumerate(columns.items(), start=1 if intercept else 0):
+    design[:, 0] = 1.0
+    for j, (name, col) in enumerate(columns.items(), start=1):
         arr = np.asarray(col, dtype=np.float64)
         if arr.shape != (n,):
             raise EstimationError(
@@ -278,11 +275,8 @@ def fit_ols(
     # n == p is an interpolating fit: residuals are identically zero and
     # there are no degrees of freedom left, so residual_sd is 0 by convention.
     residual_sd = 0.0 if n == p else float(np.sqrt(max(ssr, 0.0) / (n - p)))
-    if intercept:
-        centered = y - y.sum() / n
-        sst = float(centered @ centered)
-    else:
-        sst = float(y @ y)
+    centered = y - y.sum() / n
+    sst = float(centered @ centered)
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r_squared = min(1.0, max(0.0, r_squared))
     coefficients = {name: float(b) for name, b in zip(names, beta)}

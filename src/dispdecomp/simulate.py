@@ -46,8 +46,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._streams import stream_seed, substream
-from .decompose import _ESTIMATORS, METHODS, CdaSettings, _percentile_bounds
+from ._streams import substream
+from .decompose import _ESTIMATORS, METHODS, _percentile_bounds
 from .regress import EstimationError, _one_blas_thread
 from .sensitivity import SensitivityParams, adjust
 from .tabular import DataError, Dataset, RoleSpec
@@ -739,24 +739,15 @@ class SimulationReport:
 
 
 def _one_replication(
-    config: ScenarioConfig,
-    rep: int,
-    methods: tuple[str, ...],
-    adjusted: bool,
-    cda_settings: CdaSettings,
-    params: SensitivityParams | None,
+    config: ScenarioConfig, rep: int, params: SensitivityParams | None
 ) -> dict[str, tuple[float, float, float]]:
     out: dict[str, tuple[float, float, float]] = {}
-    settings = cda_settings
-    if "CDA" in methods and cda_settings.mc_draws_per_unit > 0:
-        settings = replace(cda_settings, seed=stream_seed(config.seed, rep, 1))
     try:
         data = generate(config, rep)
-        results = {method: _ESTIMATORS[method](data, settings) for method in methods}
+        results = {method: _ESTIMATORS[method](data, None) for method in HARNESS_METHODS}
         for method, res in results.items():
             out[method] = (res.initial, res.explained, res.unexplained)
-        if adjusted:
-            assert params is not None
+        if params is not None:
             adj = adjust(results["CDA"], data, params)
             out[ADJUSTED_METHOD] = (adj.tau, adj.delta_adjusted, adj.zeta_adjusted)
     except (DataError, EstimationError) as exc:
@@ -764,22 +755,14 @@ def _one_replication(
     return out
 
 
-def run_harness(
-    config: ScenarioConfig,
-    methods: tuple[str, ...] = HARNESS_METHODS,
-    sensitivity: bool = False,
-    cda_settings: CdaSettings | None = None,
-    workers: int = 1,
-) -> SimulationReport:
+def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int = 1) -> SimulationReport:
     """Replicate generate + estimate, aggregate against the truth oracle.
 
+    Every replication runs DIC, KOB and CDA (HARNESS_METHODS), CDA with its
+    exact counterfactual mean, so no replication makes a Monte-Carlo draw.
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. CDA computes its counterfactual mean
-    exactly by default and then derives no seed. Given a positive draw
-    count in cda_settings, only that count is used: replication rep runs
-    CDA with seed stream_seed(config.seed, rep, 1), so every draw stream
-    follows from config.seed. Replications run one after another in
+    configuration's coefficients. Replications run one after another in
     this thread; workers (>= 1) is kept for compatibility and changes
     nothing, and per-index substreams make the report byte-identical for
     any value of it. The replications hold the OpenBLAS that numpy and
@@ -787,29 +770,16 @@ def run_harness(
     small fits, and restore its thread count afterwards; library callers
     of the estimators outside this loop keep their own threading.
     """
-    methods = tuple(dict.fromkeys(methods))
-    unknown = [m for m in methods if m not in HARNESS_METHODS]
-    if unknown:
-        raise ValueError(f"unknown method {unknown[0]!r}")
-    methods = tuple(m for m in HARNESS_METHODS if m in methods)
-    if not methods:
-        raise ValueError("no methods requested")
-    if sensitivity and "CDA" not in methods:
-        raise ValueError("sensitivity adjustment needs the CDA method")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    settings = cda_settings or CdaSettings()
     params = oracle_sensitivity_params(config) if sensitivity else None
     truths = compute_truths(config)
 
     reps = config.reps
     with _one_blas_thread():
-        results = [
-            _one_replication(config, rep, methods, sensitivity, settings, params)
-            for rep in range(reps)
-        ]
+        results = [_one_replication(config, rep, params) for rep in range(reps)]
 
-    report_methods = methods + ((ADJUSTED_METHOD,) if sensitivity else ())
+    report_methods = HARNESS_METHODS + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []
     for method in report_methods:
         truth = truths.for_method(method)

@@ -207,8 +207,11 @@ class TestDecomposeCommand:
             ("sensitivity", ["--r2-yu", "1.5", "--r2-mu", "0.1"], "r2_yu must be in [0, 1), got 1.5"),
             ("decompose", ["--seed", "abc"], "--seed expects an integer or 'random', got 'abc'"),
             ("decompose", ["--mc-draws", "-1"], "mc_draws_per_unit must be >= 0, got -1"),
+            ("sensitivity", ["--grid", "1.5;0.1"], "r2_yu must be in [0, 1), got 1.5"),
+            ("decompose", ["--bootstrap", "1"], "bootstrap needs B >= 2 replicates, got 1"),
+            ("decompose", ["--bootstrap", "-3"], "bootstrap needs B >= 2 replicates, got -3"),
         ],
-        ids=["grid", "r2-yu", "seed", "mc-draws"],
+        ids=["grid", "r2-yu", "seed", "mc-draws", "grid-range", "bootstrap-1", "bootstrap-negative"],
     )
     def test_flag_errors_come_before_reading_the_data(self, tmp_path, monkeypatch, capsys, command, flags, message):
         argv = [command, *base_flags(str(tmp_path / "missing.csv")), *flags]

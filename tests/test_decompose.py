@@ -242,6 +242,25 @@ class TestCda:
         assert abs(mc.explained - limit.explained) <= 4 * sd
         assert abs(mc.unexplained - limit.unexplained) <= 4 * sd
 
+    def test_explicit_draw_has_the_law_of_the_residual_mean(self):
+        # explained - exact is -slope times the mean of n1 * draws residuals
+        # drawn with replacement from group 0's: mean 0 and sd
+        # |slope| * sd0 / sqrt(n1 * draws), sd0 the sd of those residuals.
+        data = generate(ScenarioConfig("cx", n=400, seed=12), 0)
+        draws = 20
+        exact = decompose_cda(data).explained
+        errors = np.array(
+            [decompose_cda(data, CdaSettings(mc_draws_per_unit=draws, seed=s)).explained - exact for s in range(200)]
+        )
+        roles = data.roles
+        fit = decompose_module._fit
+        slope = fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome).coef(roles.mediator)
+        sd0 = fit(data, 0, roles.baseline, roles.mediator).residuals.std()
+        predicted = abs(slope) * sd0 / np.sqrt(data._rows[1].size * draws)
+        sd = errors.std(ddof=1)
+        assert abs(errors.mean()) <= 4 * sd / np.sqrt(errors.size)
+        assert abs(sd / predicted - 1.0) <= 0.2
+
     def test_draw_limit_equals_the_draws_when_residuals_are_zero(self, worked_cda_dataset):
         assert decompose_cda(worked_cda_dataset) == decompose_cda(
             worked_cda_dataset, CdaSettings(mc_draws_per_unit=100, seed=9)
@@ -347,22 +366,40 @@ class TestCda:
             decompose_cda(data)
 
     @pytest.mark.parametrize("draws", [1, 3, 11])
-    def test_draw_block_size_changes_nothing(self, monkeypatch, draws):
-        # n1 = 13 is no multiple of the rows per block for blocks of 7
-        # draws; 11 draws exceed such a block; 10**9 draws all at once.
+    def test_draw_counts_weigh_the_group_zero_residuals(self, monkeypatch, draws):
+        # All n1 * draws draws land on one residual, so the mean residual is
+        # that residual and explained moves by -slope times it.
         data = random_dataset(5, n=25, n_baseline=1, n_intermediate=1)
-        settings = CdaSettings(mc_draws_per_unit=draws, seed=3)
-        results = []
-        for block in (10**9, 1, 7):
-            monkeypatch.setattr(decompose_module, "_DRAW_BLOCK", block)
-            res = decompose_cda(data, settings)
-            results.append((res.initial, res.explained, res.unexplained))
-        assert results[1] == results[0]
-        assert results[2] == results[0]
+        roles = data.roles
+        fit = decompose_module._fit
+        slope = fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome).coef(roles.mediator)
+        residuals = fit(data, 0, roles.baseline, roles.mediator).residuals
+        calls = []
+
+        class OneResidual:
+            def multinomial(self, total, pvals):
+                calls.append((total, np.asarray(pvals)))
+                counts = np.zeros(len(pvals), dtype=np.int64)
+                counts[2] = total
+                return counts
+
+        def stream(seed):
+            calls.append(seed)
+            return OneResidual()
+
+        monkeypatch.setattr(decompose_module, "substream", stream)
+        exact = decompose_cda(data)
+        drawn = decompose_cda(data, CdaSettings(mc_draws_per_unit=draws, seed=3))
+        assert calls[0] == 3
+        total, pvals = calls[1]
+        assert total == data._rows[1].size * draws
+        assert pvals.shape == (residuals.size,) and np.all(pvals == 1.0 / residuals.size)
+        assert drawn.initial == exact.initial
+        npt.assert_allclose(drawn.explained, exact.explained - slope * residuals[2], rtol=1e-12)
 
     def test_memory_does_not_grow_with_draw_count(self):
-        # Two million draws held at once take 32 MB; blocks of units keep
-        # the peak near the O(n1) working arrays.
+        # Two million draws held at once take 32 MB; one count per group-0
+        # residual keeps the peak near the O(n0) working arrays.
         data = random_dataset(3, n=2000)
         tracemalloc.start()
         try:
@@ -579,7 +616,7 @@ class TestGroupSplit:
         benchmark(data)
         for method in ("DIC", "KOB", "CDA"):
             bootstrap(data, method, settings=settings, B=3, seed=2)
-        report = run_harness(config, sensitivity=True, cda_settings=settings)
+        report = run_harness(config, sensitivity=True)
         assert report.reps == 3
 
 

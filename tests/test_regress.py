@@ -89,17 +89,18 @@ class TestFitOls:
         npt.assert_allclose(fit.coef("x"), 0.0, atol=1e-12)
         assert fit.r_squared == 1.0  # zero total variation convention
 
-    def test_no_intercept_uncentered_r2(self):
+    def test_line_through_the_origin_still_gets_an_intercept(self):
         y = np.array([1.0, 2.0, 3.0])
-        fit = fit_ols({"x": np.array([1.0, 2.0, 3.0])}, y, intercept=False)
-        assert list(fit.coefficients) == ["x"]
+        fit = fit_ols({"x": np.array([1.0, 2.0, 3.0])}, y)
+        assert list(fit.coefficients) == [INTERCEPT, "x"]
+        npt.assert_allclose(fit.intercept, 0.0, atol=1e-12)
         npt.assert_allclose(fit.coef("x"), 1.0, rtol=1e-12)
-        assert fit.r_squared == 1.0
+        npt.assert_allclose(fit.r_squared, 1.0, rtol=1e-12)
 
     def test_r_squared_clamped_to_unit_interval(self):
         rng = np.random.default_rng(7)
         y = rng.normal(size=12)
-        fit = fit_ols({"x": rng.normal(size=12)}, y, intercept=False)
+        fit = fit_ols({"x": rng.normal(size=12)}, y)
         assert 0.0 <= fit.r_squared <= 1.0
 
     def test_non_finite_inputs_rejected(self):
@@ -127,12 +128,12 @@ class TestFitOls:
         assert list(variances) == [INTERCEPT, "x"]
         npt.assert_allclose([variances[INTERCEPT], variances["x"]], [5 / 6, 1 / 2], rtol=1e-12)
 
-    @given(seed=st.integers(0, 2**32 - 1), intercept=st.booleans())
-    def test_unscaled_variances_match_inverse_gram_diagonal(self, seed, intercept):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unscaled_variances_match_inverse_gram_diagonal(self, seed):
         rng = np.random.default_rng(seed)
         cols = {"a": rng.normal(size=20) * 1e3, "b": rng.normal(size=20), "c": rng.normal(size=20)}
-        fit = fit_ols(cols, rng.normal(size=20), intercept=intercept)
-        design = np.column_stack(([np.ones(20)] if intercept else []) + list(cols.values()))
+        fit = fit_ols(cols, rng.normal(size=20))
+        design = np.column_stack([np.ones(20)] + list(cols.values()))
         expected = np.diag(np.linalg.inv(design.T @ design))
         npt.assert_allclose(list(fit.unscaled_variances().values()), expected, rtol=1e-9)
 
@@ -202,7 +203,7 @@ class TestPartialR2:
         npt.assert_allclose(recoded, base, rtol=1e-8, atol=1e-12)
 
 
-def reference_fit_ols(columns, response, intercept=True):
+def reference_fit_ols(columns, response):
     """fit_ols as written on scipy.linalg.qr and solve_triangular.
 
     Returns (coefficients, residuals, residual_sd, r_squared, r_factor,
@@ -213,14 +214,11 @@ def reference_fit_ols(columns, response, intercept=True):
     if y.ndim != 1:
         raise EstimationError("response must be one-dimensional")
     n = y.size
-    names = ([INTERCEPT] if intercept else []) + list(columns)
+    names = [INTERCEPT] + list(columns)
     p = len(names)
-    if p == 0:
-        raise EstimationError("empty design: no columns and no intercept")
     design = np.empty((n, p))
-    if intercept:
-        design[:, 0] = 1.0
-    for j, (name, col) in enumerate(columns.items(), start=1 if intercept else 0):
+    design[:, 0] = 1.0
+    for j, (name, col) in enumerate(columns.items(), start=1):
         arr = np.asarray(col, dtype=np.float64)
         if arr.shape != (n,):
             raise EstimationError(f"column {name!r} has shape {arr.shape}, expected ({n},)")
@@ -246,11 +244,8 @@ def reference_fit_ols(columns, response, intercept=True):
     residuals = y - design @ beta
     ssr = float(residuals @ residuals)
     residual_sd = 0.0 if n == p else float(np.sqrt(max(ssr, 0.0) / (n - p)))
-    if intercept:
-        centered = y - y.mean()
-        sst = float(centered @ centered)
-    else:
-        sst = float(y @ y)
+    centered = y - y.mean()
+    sst = float(centered @ centered)
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r_squared = min(1.0, max(0.0, r_squared))
     coefficients = {name: float(b) for name, b in zip(names, beta)}
@@ -264,11 +259,9 @@ def random_columns(rng, n, k, scales=(1.0,)):
 class TestFitOlsMatchesScipyReference:
     """fit_ols equals the scipy.linalg formulation bit for bit (== throughout)."""
 
-    def assert_same(self, columns, response, intercept=True):
-        coefficients, residuals, residual_sd, r_squared, r, piv = reference_fit_ols(
-            columns, response, intercept
-        )
-        fit = fit_ols(columns, response, intercept)
+    def assert_same(self, columns, response):
+        coefficients, residuals, residual_sd, r_squared, r, piv = reference_fit_ols(columns, response)
+        fit = fit_ols(columns, response)
         assert fit.coefficients == coefficients
         assert np.array_equal(fit.residuals, residuals)
         assert fit.residual_sd == residual_sd
@@ -286,9 +279,25 @@ class TestFitOlsMatchesScipyReference:
         self.assert_same(random_columns(rng, n, k), rng.normal(size=n) + 3.0)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_without_intercept(self, seed):
+    def test_intercept_fit_passes_through_the_means(self, seed):
+        # Residuals average to zero and the fit at the column means is the
+        # response mean: what regression standardization and KOB's
+        # additivity rely on.
         rng = np.random.default_rng(100 + seed)
-        self.assert_same(random_columns(rng, 50, 1 + seed % 4), rng.normal(size=50), intercept=False)
+        columns, response = random_columns(rng, 50, 1 + seed % 4), rng.normal(size=50)
+        fit = self.assert_same(columns, response)
+        assert next(iter(fit.coefficients)) == INTERCEPT
+        npt.assert_allclose(fit.residuals.mean(), 0.0, atol=1e-14)
+        at_means = fit.predict({name: np.array([col.mean()]) for name, col in columns.items()})
+        npt.assert_allclose(at_means, [response.mean()], rtol=0, atol=1e-14)
+
+    def test_intercept_only_design(self):
+        response = np.array([1.0, 4.0, 2.0, 7.0])
+        fit = self.assert_same({}, response)
+        assert list(fit.coefficients) == [INTERCEPT]
+        npt.assert_allclose(fit.intercept, 3.5, rtol=1e-15)
+        npt.assert_allclose(fit.r_squared, 0.0, atol=1e-15)
+        npt.assert_allclose(fit.predict({}, n=2), [3.5, 3.5], rtol=1e-15)
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_n_equals_p(self, p):
@@ -335,11 +344,4 @@ class TestFitOlsMatchesScipyReference:
             reference_fit_ols(columns, response)
         with pytest.raises(EstimationError) as got:
             fit_ols(columns, response)
-        assert str(got.value) == str(expected.value)
-
-    def test_empty_design_without_intercept(self):
-        with pytest.raises(EstimationError) as expected:
-            reference_fit_ols({}, np.ones(3), intercept=False)
-        with pytest.raises(EstimationError) as got:
-            fit_ols({}, np.ones(3), intercept=False)
         assert str(got.value) == str(expected.value)

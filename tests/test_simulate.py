@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 import dispdecomp.decompose as decompose_module
-import dispdecomp.simulate as simulate_module
 from dispdecomp import (
     ADJUSTED_METHOD,
     HARNESS_METHODS,
@@ -39,7 +38,7 @@ from dispdecomp import (
     scenario_has_confounder,
     scenario_has_intermediate,
 )
-from dispdecomp._streams import stream_seed, substream
+from dispdecomp._streams import substream
 
 # Population values of the three estimands under the default coefficients,
 # derived by hand from the structural equations (path algebra over the
@@ -725,26 +724,19 @@ class TestGenerate:
 class TestRunHarness:
     def test_deterministic_and_worker_invariant(self):
         config = ScenarioConfig("cx", n=80, reps=8, seed=2)
-        settings = CdaSettings(mc_draws_per_unit=10)
-        a = run_harness(config, cda_settings=settings)
-        b = run_harness(config, cda_settings=settings)
-        c = run_harness(config, cda_settings=settings, workers=4)
+        a = run_harness(config)
+        b = run_harness(config)
+        c = run_harness(config, workers=4)
         assert a == b
         assert a == c
 
-    def test_cda_seed_comes_from_the_config(self):
-        # Replication rep draws from stream_seed(config.seed, rep, 1); only
-        # the draw count of cda_settings is used.
-        config = ScenarioConfig("cx", n=80, reps=3, seed=2)
-        a = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=10, seed=5))
-        b = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=10))
-        c = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=11))
-        assert a == b
-        assert a.cell("CDA", "explained").estimates != c.cell("CDA", "explained").estimates
+    def test_sensitivity_report_is_worker_invariant(self):
+        config = ScenarioConfig("my-conf", n=80, reps=6, seed=3)
+        assert run_harness(config, sensitivity=True) == run_harness(config, sensitivity=True, workers=3)
 
     def test_cell_layout_and_accessors(self):
         config = ScenarioConfig("c-only", n=60, reps=4, seed=1)
-        report = run_harness(config, cda_settings=CdaSettings(mc_draws_per_unit=5))
+        report = run_harness(config)
         assert report.methods == HARNESS_METHODS
         assert len(report.cells) == 9
         cell = report.cell("KOB", "explained")
@@ -756,17 +748,9 @@ class TestRunHarness:
         with pytest.raises(KeyError):
             report.cell("KOB", "total")
 
-    def test_method_subset_dedup_and_order(self):
-        config = ScenarioConfig("none", n=60, reps=3, seed=4)
-        report = run_harness(config, methods=("KOB", "DIC", "KOB"))
-        assert report.methods == ("DIC", "KOB")
-        assert len(report.cells) == 6
-
     def test_adjusted_cells_share_cda_truth(self):
         config = ScenarioConfig("my-conf", n=80, reps=4, seed=6)
-        report = run_harness(
-            config, sensitivity=True, cda_settings=CdaSettings(mc_draws_per_unit=5)
-        )
+        report = run_harness(config, sensitivity=True)
         assert report.methods == HARNESS_METHODS + (ADJUSTED_METHOD,)
         truths = compute_truths(config)
         for quantity in ("initial", "explained", "unexplained"):
@@ -781,7 +765,7 @@ class TestRunHarness:
 
     def test_single_replication_degenerates(self):
         config = ScenarioConfig("none", n=60, reps=1, seed=8)
-        report = run_harness(config, methods=("DIC",))
+        report = run_harness(config)
         assert report.warnings == ("interval unreliable: fewer than 20 replications",)
         cell = report.cell("DIC", "initial")
         assert cell.lower == cell.upper == cell.mean == cell.estimates[0]
@@ -789,18 +773,12 @@ class TestRunHarness:
 
     def test_warning_threshold(self):
         config = ScenarioConfig("none", n=60, reps=19, seed=8)
-        assert run_harness(config, methods=("DIC",)).warnings != ()
+        assert run_harness(config).warnings != ()
         config20 = dataclasses.replace(config, reps=20)
-        assert run_harness(config20, methods=("DIC",)).warnings == ()
+        assert run_harness(config20).warnings == ()
 
     def test_validation(self):
         config = ScenarioConfig("none", n=60, reps=2)
-        with pytest.raises(ValueError, match="unknown method"):
-            run_harness(config, methods=("DIC", "OLS"))
-        with pytest.raises(ValueError, match="no methods"):
-            run_harness(config, methods=())
-        with pytest.raises(ValueError, match="needs the CDA method"):
-            run_harness(config, methods=("DIC", "KOB"), sensitivity=True)
         with pytest.raises(ValueError, match="workers"):
             run_harness(config, workers=0)
 
@@ -811,7 +789,7 @@ class TestRunHarness:
         monkeypatch.setitem(decompose_module._ESTIMATORS, "KOB", boom)
         config = ScenarioConfig("none", n=60, reps=2, seed=1)
         with pytest.raises(EstimationError, match="replication 0: synthetic failure"):
-            run_harness(config, methods=("KOB",))
+            run_harness(config)
 
     def test_empty_group_one_names_the_replication(self):
         coefs = dataclasses.replace(default_coefficients("cx"), p_r=1e-6)
@@ -837,7 +815,7 @@ class TestRunHarness:
 
     def test_percentile_rule_matches_order_statistics(self):
         config = ScenarioConfig("none", n=60, reps=40, seed=9)
-        report = run_harness(config, methods=("DIC",))
+        report = run_harness(config)
         cell = report.cell("DIC", "initial")
         ordered = np.sort(cell.estimates)
         assert cell.lower == ordered[0]  # ceil(0.025 * 40) = 1
@@ -854,23 +832,14 @@ class TestHarnessDispatch:
             return dic(data, settings)
 
         monkeypatch.setitem(decompose_module._ESTIMATORS, "DIC", record)
-        run_harness(ScenarioConfig("none", n=60, reps=8), methods=("DIC",), workers=4)
+        run_harness(ScenarioConfig("none", n=60, reps=8), workers=4)
         assert threads == {threading.get_ident()}
-
-    def test_cda_seed_is_derived_only_for_cda(self, monkeypatch):
-        def no_seed(*args):
-            raise AssertionError("stream_seed called without CDA")
-
-        monkeypatch.setattr(simulate_module, "stream_seed", no_seed)
-        report = run_harness(ScenarioConfig("cx", n=60, reps=2), methods=("DIC", "KOB"))
-        assert report.methods == ("DIC", "KOB")
 
     def test_default_cda_derives_no_seed(self, monkeypatch):
         # The exact expectation makes no draw, so it needs no stream.
         def no_stream(*args):
             raise AssertionError("stream derived for a CDA without draws")
 
-        monkeypatch.setattr(simulate_module, "stream_seed", no_stream)
         monkeypatch.setattr(decompose_module, "substream", no_stream)
         report = run_harness(ScenarioConfig("both", n=60, reps=2), sensitivity=True)
         assert report.methods == HARNESS_METHODS + (ADJUSTED_METHOD,)
@@ -902,8 +871,7 @@ class TestSharedFits:
         report = run_harness(config, sensitivity=True)
         params = oracle_sensitivity_params(config)
         for rep in range(config.reps):
-            settings = CdaSettings(seed=stream_seed(config.seed, rep, 1))
-            cda = decompose_cda(generate(config, rep), settings)
+            cda = decompose_cda(generate(config, rep))
             adjusted = adjust(cda, generate(config, rep), params)
             expected = {
                 "DIC": decompose_dic(generate(config, rep)),
