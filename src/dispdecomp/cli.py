@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 
 from .decompose import (
     _ESTIMATORS,
+    _bootstrap,
     METHODS,
     CdaSettings,
     DecompositionResult,
-    bootstrap,
     decompose_cda,
 )
 from .regress import EstimationError, _one_blas_thread
@@ -362,13 +362,10 @@ def _run_decompose(args: argparse.Namespace) -> str:
     seed = _parse_seed(args.seed)
     settings = _cda_settings(args, seed)
     data = _load_data(args)
-    results = []
-    for method in methods:
-        if args.bootstrap:
-            res = bootstrap(data, method, settings=settings, B=args.bootstrap, seed=seed)
-        else:
-            res = _ESTIMATORS[method](data, settings)
-        results.append(res)
+    if args.bootstrap:
+        results = _bootstrap(data, methods, settings, B=args.bootstrap, seed=seed)
+    else:
+        results = [_ESTIMATORS[method](data, settings) for method in methods]
     return render(results, args.format).body
 
 

@@ -24,11 +24,12 @@ of the three on a single dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from ._streams import stream_seed, substream
-from .regress import EstimationError, OlsFit, _one_blas_thread, fit_ols
+from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, fit_ols
 from .tabular import Dataset, group_means
 
 __all__ = [
@@ -342,6 +343,123 @@ def _percentile_bounds(values: np.ndarray) -> tuple[float, float]:
     return at(25, 1000), at(975, 1000)
 
 
+# Resamples whose fits are solved together. Their Gram matrices and
+# solutions take O(block * q^2) memory; a resample's rows, O(n * q), are
+# gathered one at a time.
+_GRAM_BLOCK = 32
+
+
+class _GramReplicates:
+    """The models in data._fits, fitted on blocks of resamples of data from Gram matrices.
+
+    Every role column is shifted by its full-sample mean, except the group
+    column; the two groups' Gram matrices add up to the pooled one.
+    """
+
+    def __init__(self, data: Dataset) -> None:
+        roles = data.roles.all_roles()
+        index = {name: j for j, name in enumerate(roles, start=1)}
+        self.shift = np.zeros(len(roles) + 1)
+        self.rows = np.empty((data.n, len(roles) + 1))
+        self.rows[:, 0] = 1.0
+        for name, j in index.items():
+            column = data.column(name)
+            if name != data.roles.group:
+                self.shift[j] = column.sum() / data.n
+            self.rows[:, j] = column - self.shift[j]
+        self.models = []
+        for key in data._fits:
+            _, names, response = key
+            columns = np.array([0] + [index[name] for name in names] + [index[response]])
+            self.models.append((key, columns, [INTERCEPT, *names]))
+        self.n0 = data._rows[0].size
+
+    def memos(self, resamples: list[np.ndarray]) -> Iterator[dict]:
+        """For each resample (indices into data) in turn, a fit memo of its accepted fits."""
+        q = self.rows.shape[1]
+        grams = np.empty((2, len(resamples), q, q))
+        for k, resample in enumerate(resamples):
+            rows = self.rows[resample]
+            for g, part in enumerate((rows[: self.n0], rows[self.n0 :])):
+                grams[g, k] = part.T @ part
+        by_group = {0: grams[0], 1: grams[1], None: grams[0] + grams[1]}
+        solved = [
+            (key, _GramFits(by_group[key[0]], self.shift, columns, names)) for key, columns, names in self.models
+        ]
+        for k, resample in enumerate(resamples):
+            rows = self.rows[resample]
+            parts = {0: rows[: self.n0], 1: rows[self.n0 :], None: rows}
+            yield {key: fits.fit(k, parts[key[0]]) for key, fits in solved if fits.accepted[k]}
+
+
+def _bootstrap(
+    data: Dataset,
+    methods: list[str],
+    settings: CdaSettings | None = None,
+    B: int = 1000,
+    seed: int = 0,
+) -> list[DecompositionResult]:
+    """[bootstrap(data, method, settings, B, seed) for method in methods], from one resample loop."""
+    for method in methods:
+        if method not in _ESTIMATORS:
+            raise ValueError(f"unknown method {method!r}")
+    if B < 2:
+        raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
+    points = [_ESTIMATORS[method](data, settings) for method in methods]
+    derive_seeds = (settings or CdaSettings()).mc_draws_per_unit > 0
+    gram = _GramReplicates(data)
+
+    idx0, idx1 = data._rows
+
+    def resample(b: int, attempt: int) -> np.ndarray:
+        rng = substream(seed, b, attempt)
+        return np.concatenate(
+            [idx0[rng.integers(0, idx0.size, idx0.size)], idx1[rng.integers(0, idx1.size, idx1.size)]]
+        )
+
+    failures = [0] * len(methods)
+    max_failures = 10 * B
+    samples = np.empty((len(methods), B, 3))
+    with _one_blas_thread():
+        for start in range(0, B, _GRAM_BLOCK):
+            first = [resample(b, 0) for b in range(start, min(start + _GRAM_BLOCK, B))]
+            for b, (rows, fits) in enumerate(zip(first, gram.memos(first)), start):
+                pending = range(len(methods))
+                attempt = 0
+                while pending:
+                    if attempt:
+                        rows, fits = resample(b, attempt), {}
+                    replicate = data.take(rows)
+                    replicate._fits.update(fits)
+                    failed = []
+                    for i in pending:
+                        replicate_settings = settings
+                        if derive_seeds and methods[i] == "CDA":
+                            replicate_settings = replace(settings, seed=stream_seed(seed, b, attempt, 1))
+                        try:
+                            result = _ESTIMATORS[methods[i]](replicate, replicate_settings)
+                        except EstimationError:
+                            failures[i] += 1
+                            if failures[i] > max_failures:
+                                raise EstimationError(
+                                    f"bootstrap abandoned: {failures[i]} failed resamples "
+                                    f"(limit {max_failures}) for method {methods[i]}"
+                                ) from None
+                            failed.append(i)
+                            continue
+                        samples[i, b] = (result.initial, result.explained, result.unexplained)
+                    pending = failed
+                    attempt += 1
+
+    return [
+        replace(point, intervals={
+            name: _percentile_bounds(samples[i, :, j])
+            for j, name in enumerate(DecompositionResult.QUANTITIES)
+        })
+        for i, point in enumerate(points)
+    ]
+
+
 def bootstrap(
     data: Dataset,
     method: str,
@@ -362,53 +480,22 @@ def bootstrap(
     seed stream_seed(seed, b, attempt, 1).
     Resamples that break an estimator precondition (e.g. a degenerate
     design) are retried with fresh draws, up to 10*B failures in total.
+
+    Several methods share one loop (the CLI's --method all): each resample
+    is drawn and copied once (Dataset.take) for every method that needs it,
+    and each method keeps its own attempt count and failure budget, so it
+    sees the resamples it would see alone and gets the same results.
+    The point estimates are pivoted-QR fits (fit_ols); the fits they made
+    name the models that every replicate needs. A first attempt gets those
+    models in its fit memo before the estimators run, solved from the
+    resample's per-group cross-product (Gram) matrices in blocks of
+    resamples; they agree with fit_ols on the same rows to GRAM_TOL
+    relative. A model whose Gram matrix is too ill-conditioned to promise
+    that, and every model of a retried resample, is fitted by fit_ols as
+    before, so resamples are retried exactly when fit_ols rejects them.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one
-    thread, since a second one only spins on these small fits, and
-    restores its thread count afterwards; the point estimate keeps the
+    thread, since a second one only spins on these small fits and solves,
+    and restores its thread count afterwards; the point estimate keeps the
     caller's threading (one thread under the CLI).
     """
-    if method not in _ESTIMATORS:
-        raise ValueError(f"unknown method {method!r}")
-    if B < 2:
-        raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
-    estimator = _ESTIMATORS[method]
-    point = estimator(data, settings)
-    derive_seeds = method == "CDA" and (settings or CdaSettings()).mc_draws_per_unit > 0
-
-    idx0, idx1 = data._rows
-    failures = 0
-    max_failures = 10 * B
-    samples = np.empty((B, 3))
-    with _one_blas_thread():
-        for b in range(B):
-            attempt = 0
-            while True:
-                rng = substream(seed, b, attempt)
-                resample = np.concatenate(
-                    [
-                        idx0[rng.integers(0, idx0.size, idx0.size)],
-                        idx1[rng.integers(0, idx1.size, idx1.size)],
-                    ]
-                )
-                replicate_settings = settings
-                if derive_seeds:
-                    replicate_settings = replace(settings, seed=stream_seed(seed, b, attempt, 1))
-                try:
-                    result = estimator(data.take(resample), replicate_settings)
-                except EstimationError:
-                    failures += 1
-                    attempt += 1
-                    if failures > max_failures:
-                        raise EstimationError(
-                            f"bootstrap abandoned: {failures} failed resamples "
-                            f"(limit {max_failures}) for method {method}"
-                        ) from None
-                    continue
-                samples[b] = (result.initial, result.explained, result.unexplained)
-                break
-
-    intervals = {
-        name: _percentile_bounds(samples[:, i])
-        for i, name in enumerate(DecompositionResult.QUANTITIES)
-    }
-    return replace(point, intervals=intervals)
+    return _bootstrap(data, [method], settings, B, seed)[0]

@@ -5,6 +5,9 @@ column-pivoted Householder QR factorization (never the normal equations),
 with rank deficiency reported as a hard error that names a minimal set of
 linearly dependent columns. Everything downstream (decompositions,
 sensitivity analysis, benchmarking) is built on these two entry points.
+The one exception is the bootstrap's replicate fits (_GramFits): they solve
+the normal equations, but only where the conditioning guarantees agreement
+with fit_ols to GRAM_TOL.
 """
 from __future__ import annotations
 
@@ -25,6 +28,10 @@ __all__ = ["EstimationError", "OlsFit", "fit_ols", "partial_r2"]
 # Relative pivot threshold below which a diagonal entry of R marks the
 # corresponding column as linearly dependent on the better-pivoted ones.
 RANK_TOL = 1e-10
+
+# Relative agreement with fit_ols that _GramFits guarantees for every fit
+# it accepts; designs it cannot guarantee it for are left to fit_ols.
+GRAM_TOL = 1e-10
 
 INTERCEPT = "intercept"
 
@@ -290,6 +297,99 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
         r_factor=r,
         pivots=piv,
     )
+
+
+def _scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each Gram matrix with unit diagonal, and the column norms it was scaled by.
+
+    A zero column keeps a zero diagonal, so it reads as singular.
+    """
+    norms = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    return gram / scale[..., :, None] / scale[..., None, :], norms
+
+
+class _GramFits:
+    """fit_ols of one model on each of K replicates, from cross-product matrices.
+
+    The replicates' rows are z = [1, v_1 - shift_1, ...]: an intercept,
+    then data columns each shifted by a constant (shift[0] is 0). gram[k]
+    is z'z over replicate k's rows. columns indexes z: the design
+    (intercept first, named by names), then the response. The solves are
+    made for all K at once; fit(k, rows) then builds replicate k's OlsFit.
+
+    The normal equations square the condition number, so replicate k is
+    accepted only when both hold, for the column-scaled Gram matrix of
+    design and response together:
+    * 2 * (p + 1) * eps times its condition number is at most GRAM_TOL,
+      both shifted, as solved here, and unshifted, as fit_ols factors it.
+      Both solutions then agree with the exact one to about GRAM_TOL:
+      coefficients times their column norms relative to that vector's
+      norm, and residuals relative to theirs;
+    * sqrt(lambda_min) * min_j |x_j| / max_j |x_j| > 2 * RANK_TOL, with
+      the unshifted lambda_min (at most the design's own) and the design
+      columns' norms. That bounds sigma_min(X) / max_j |x_j|, and so
+      fit_ols's pivot ratio |r_pp / r_11|, from below: fit_ols would
+      accept the design too.
+    """
+
+    def __init__(self, gram: np.ndarray, shift: np.ndarray, columns: np.ndarray, names: list[str]) -> None:
+        design, response = columns[:-1], columns[-1]
+        k, p = gram.shape[0], design.size
+        model = gram[:, columns[:, None], columns]
+        # The unshifted columns are the shifted ones times unshift.
+        unshift = np.eye(p + 1)
+        unshift[0, 1:] = shift[columns[1:]]
+        scaled, norms = _scaled(model)
+        unshifted, unshifted_norms = _scaled(unshift.T @ model @ unshift)
+        eig = np.linalg.eigvalsh(np.concatenate([scaled, unshifted]))
+        limit = 2 * (p + 1) * np.finfo(np.float64).eps / GRAM_TOL
+        conditioned = (eig[:, 0] > limit * eig[:, -1]).reshape(2, k).all(axis=0)
+        low = np.sqrt(np.maximum(eig[k:, 0], 0.0))
+        design_norms = unshifted_norms[:, :p]
+        separated = low * design_norms.min(axis=1) > 2 * RANK_TOL * design_norms.max(axis=1)
+        self.accepted = conditioned & separated
+
+        ok = np.flatnonzero(self.accepted)
+        system = scaled[ok]
+        solved = np.zeros((k, p))
+        scaled_solution = np.linalg.solve(system[:, :p, :p], system[:, :p, p:])[..., 0]
+        solved[ok] = scaled_solution * norms[ok, p:] / norms[ok, :p]
+        self._weights = np.zeros((k, gram.shape[1]))
+        self._weights[:, design] = -solved
+        self._weights[:, response] = 1.0
+        self._coefficients = solved
+        self._coefficients[:, 0] += shift[response] - solved @ shift[design]
+        # Centred sum of squares of the response; acceptance keeps it well
+        # away from 0, the response being far from the intercept's span.
+        self._sst = model[:, p, p] - model[:, 0, p] ** 2 / model[:, 0, 0]
+        self._r_factors = np.zeros((k, p, p))
+        self._r_factors[ok] = np.linalg.cholesky(model[ok, :p, :p]).transpose(0, 2, 1) @ unshift[:p, :p]
+        self._pivots = np.arange(p)
+        self._pivots.setflags(write=False)
+        self._names = names
+
+    def fit(self, k: int, rows: np.ndarray) -> OlsFit:
+        """Replicate k's fit, rows being its rows of z; k must be accepted.
+
+        The coefficients and residuals are those of the unshifted design;
+        r_factor is the Cholesky factor of that design's Gram matrix, with
+        identity pivots.
+        """
+        residuals = rows @ self._weights[k]
+        ssr = float(residuals @ residuals)
+        # n > p: the accepted Gram matrix of design and response is nonsingular.
+        n, p = rows.shape[0], self._pivots.size
+        return OlsFit(
+            coefficients=dict(zip(self._names, self._coefficients[k].tolist())),
+            residuals=residuals,
+            residual_sd=float(np.sqrt(ssr / (n - p))),
+            r_squared=min(1.0, max(0.0, 1.0 - ssr / float(self._sst[k]))),
+            n=n,
+            p=p,
+            r_factor=self._r_factors[k],
+            pivots=self._pivots,
+        )
 
 
 def partial_r2(

@@ -23,14 +23,29 @@ from dispdecomp import (
     grid,
     run_harness,
 )
-from dispdecomp import DecompositionResult, ScenarioConfig, generate
+from dispdecomp import METHODS, DecompositionResult, ScenarioConfig, generate
 from dispdecomp._streams import stream_seed, substream
-from dispdecomp.regress import RANK_TOL
+from dispdecomp.regress import GRAM_TOL, RANK_TOL
 from dispdecomp.simulate import SCENARIOS
 import dispdecomp._streams as streams_module
 import dispdecomp.decompose as decompose_module
 
 from conftest import build_dataset, random_dataset
+
+
+def assert_within_gram_tol(actual, expected):
+    """Equal to GRAM_TOL, relative to the largest magnitude compared."""
+    expected = np.asarray(expected, dtype=np.float64)
+    npt.assert_allclose(actual, expected, rtol=0, atol=GRAM_TOL * np.max(np.abs(expected)))
+
+
+def resample_rows(data, seed, b, attempt=0):
+    """The bootstrap's within-group resample (b, attempt) of data, as row indices."""
+    idx0, idx1 = data._rows
+    rng = substream(seed, b, attempt)
+    return np.concatenate(
+        [idx0[rng.integers(0, idx0.size, idx0.size)], idx1[rng.integers(0, idx1.size, idx1.size)]]
+    )
 
 
 class TestDic:
@@ -444,12 +459,13 @@ class TestBootstrap:
             )
             replicates.append(decompose_dic(data.take(resample)))
         values = [r.explained for r in replicates]
-        assert booted.intervals["explained"] == (min(values), max(values))
+        # Replicate fits come from Gram solves, within GRAM_TOL of fit_ols.
+        assert_within_gram_tol(booted.intervals["explained"], (min(values), max(values)))
 
     @pytest.mark.parametrize("method", ["DIC", "KOB", "CDA"])
     def test_equals_a_loop_over_validated_takes(self, method):
-        # The same replicates through take() and the default BLAS threading:
-        # the one-thread resample loop changes no bit.
+        # The same replicates through take(), fit_ols and the default BLAS
+        # threading: the loop's Gram-filled fits agree to GRAM_TOL.
         data = generate(ScenarioConfig("both", n=500, seed=3), 0)
         settings = CdaSettings(mc_draws_per_unit=20, seed=4)
         booted = bootstrap(data, method, settings=settings, B=40, seed=6)
@@ -468,10 +484,8 @@ class TestBootstrap:
             res = decompose_module._ESTIMATORS[method](data.take(resample), replicate_settings)
             samples.append((res.initial, res.explained, res.unexplained))
         samples = np.array(samples)
-        assert booted.intervals == {
-            name: decompose_module._percentile_bounds(samples[:, i])
-            for i, name in enumerate(DecompositionResult.QUANTITIES)
-        }
+        for i, name in enumerate(DecompositionResult.QUANTITIES):
+            assert_within_gram_tol(booted.intervals[name], decompose_module._percentile_bounds(samples[:, i]))
 
     def test_noise_free_outcome_gives_zero_width_intervals(self):
         # Y equals R exactly, so every resample recovers the same
@@ -549,6 +563,230 @@ class TestBootstrap:
             EstimationError, match=r"bootstrap abandoned: 21 failed resamples \(limit 20\)"
         ):
             bootstrap(data, "DIC", B=2, seed=0)
+
+
+def assert_fit_agrees(gram, qr, replicate, key):
+    """A Gram-filled fit against fit_ols on the same rows, field by field, to GRAM_TOL."""
+    group, names, _ = key
+    rows = slice(None) if group is None else replicate._rows[group]
+    design = np.column_stack([np.ones(qr.n)] + [replicate.column(name)[rows] for name in names])
+    norms = np.linalg.norm(design, axis=0)
+    assert list(gram.coefficients) == list(qr.coefficients)
+    assert (gram.n, gram.p) == (qr.n, qr.p)
+    # Coefficients times their column norms, relative to that vector's norm.
+    scaled = np.array(list(gram.coefficients.values())) * norms
+    expected = np.array(list(qr.coefficients.values())) * norms
+    assert np.max(np.abs(scaled - expected)) <= GRAM_TOL * np.linalg.norm(expected)
+    assert np.max(np.abs(gram.residuals - qr.residuals)) <= GRAM_TOL * np.max(np.abs(qr.residuals))
+    npt.assert_allclose(gram.residual_sd, qr.residual_sd, rtol=GRAM_TOL)
+    assert abs(gram.r_squared - qr.r_squared) <= GRAM_TOL
+    npt.assert_allclose(
+        list(gram.unscaled_variances().values()), list(qr.unscaled_variances().values()), rtol=GRAM_TOL
+    )
+    # r_factor and pivots describe the unshifted design: design[:, pivots] = Q R.
+    r, permuted = gram.r_factor, design[:, gram.pivots]
+    assert np.all(np.tril(r, -1) == 0.0)
+    gap = np.abs(r.T @ r - permuted.T @ permuted)
+    assert np.all(gap <= GRAM_TOL * np.outer(norms[gram.pivots], norms[gram.pivots]))
+
+
+class TestGramReplicateFits:
+    """The fits the bootstrap fills into a first resample's memo, against fit_ols."""
+
+    @staticmethod
+    def accepted(data, count=20, seed=1):
+        """Compare every Gram fit on count resamples; how many each memo key got."""
+        for method in METHODS:
+            decompose_module._ESTIMATORS[method](data, None)
+        resamples = [resample_rows(data, seed, b) for b in range(count)]
+        accepted = dict.fromkeys(data._fits, 0)
+        for resample, memo in zip(resamples, decompose_module._GramReplicates(data).memos(resamples)):
+            replicate = data.take(resample)
+            for key, fit in memo.items():
+                accepted[key] += 1
+                assert_fit_agrees(fit, decompose_module._fit(replicate, *key), replicate, key)
+        return accepted
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_datasets_take_the_gram_path_and_agree(self, seed):
+        data = random_dataset(seed, n=60, n_baseline=2, n_intermediate=2)
+        accepted = self.accepted(data)
+        assert len(accepted) == 6
+        assert set(accepted.values()) == {20}
+
+    @pytest.mark.parametrize("role", ["intermediate", "baseline"])
+    def test_at_the_rank_tolerance_only_models_without_the_pair_are_solved(self, role):
+        data = TestCovariateAtTheRankTolerance.data(5e-10, role)
+        accepted = self.accepted(data)
+        pair = {key: count for key, count in accepted.items() if {"C", "Z"} <= set(key[1])}
+        assert pair and set(pair.values()) == {0}
+        assert all(count == 20 for key, count in accepted.items() if key not in pair)
+
+    @pytest.mark.parametrize("column, sd, solved", [("C1", 1e7, 6), ("M", 1e7, 6), ("Y", 1.0, 1)])
+    def test_columns_offset_by_1e8_take_or_match_the_qr_path(self, column, sd, solved):
+        # Y = 1e8 + N(0, 1) is stored to 1.5e-8, so fit_ols's Y models carry
+        # errors far above GRAM_TOL relative to their residuals: those go to
+        # fit_ols. The group-0 M-on-baseline model never reads Y.
+        data = random_dataset(5, n=200, n_baseline=2, n_intermediate=1)
+        columns = dict(data.columns)
+        columns[column] = 1e8 + sd * columns[column]
+        data = build_dataset(columns, baseline=("C1", "C2"), intermediate=("X1",))
+        accepted = self.accepted(data)
+        assert sum(count == 20 for count in accepted.values()) == solved
+        assert sum(count == 0 for count in accepted.values()) == 6 - solved
+
+    def test_cda_with_explicit_draws_agrees_through_the_gram_residuals(self):
+        data = generate(ScenarioConfig("both", n=400, seed=2), 0)
+        settings = CdaSettings(mc_draws_per_unit=50, seed=3)
+        decompose_cda(data, settings)
+        resamples = [resample_rows(data, 4, b) for b in range(10)]
+        for resample, memo in zip(resamples, decompose_module._GramReplicates(data).memos(resamples)):
+            assert (0, data.roles.baseline, "M") in memo
+            filled = data.take(resample)
+            filled._fits.update(memo)
+            drawn = decompose_cda(filled, settings)
+            assert all(filled._fits[key] is fit for key, fit in memo.items())
+            qr = decompose_cda(data.take(resample), settings)
+            assert_within_gram_tol(
+                [drawn.initial, drawn.explained, drawn.unexplained], [qr.initial, qr.explained, qr.unexplained]
+            )
+
+
+# The 10-row CSV of the CLI's bootstrap test: five rows per group, so a
+# group resample now and then repeats one mediator value and is retried (at
+# seed 3 and B = 300, once for KOB and once for CDA). At eps = 1.2e-10 the
+# pair C, Z of the rank-tolerance design has a pivot ratio just above
+# RANK_TOL, so each method retries many resamples, each a different number.
+# A baseline column of scale 2e-10 is well conditioned once scaled, but its
+# pivot ratio in fit_ols sits near RANK_TOL, so KOB and CDA retry resamples
+# that a Gram solve alone would accept.
+RETRY_ROWS = {
+    "R": [0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+    "M": [1.0, 2.0, 3.0, 1.5, 2.5, 2.0, 3.0, 4.0, 2.5, 3.5],
+    "Y": [2.1, 2.9, 4.2, 2.4, 3.6, 4.9, 6.1, 7.2, 5.4, 6.6],
+}
+
+
+def _tiny_baseline(data):
+    return _with_columns(data, C1=2e-10 * (data.column("C1") - 1.0))
+
+
+LOOP_CASES = {
+    "retry-csv": (lambda: build_dataset(RETRY_ROWS), None, 300),
+    "rank-tol": (lambda: TestCovariateAtTheRankTolerance.data(1.2e-10, "baseline"), None, 20),
+    "tiny-column": (lambda: _tiny_baseline(random_dataset(4, n=60)), None, 20),
+    "draws": (
+        lambda: generate(ScenarioConfig("both", n=300, seed=3), 0),
+        CdaSettings(mc_draws_per_unit=20, seed=4),
+        20,
+    ),
+}
+
+
+class TestOneResampleLoop:
+    @staticmethod
+    def qr_loop_resamples(data, method, settings, B, seed):
+        """The resamples one method's loop tried, in order, with its estimates or None
+        where it failed; every fit by fit_ols."""
+        used = []
+        for b in range(B):
+            attempt = 0
+            while True:
+                resample = resample_rows(data, seed, b, attempt)
+                replicate_settings = settings
+                if settings is not None:
+                    replicate_settings = dataclasses.replace(settings, seed=stream_seed(seed, b, attempt, 1))
+                try:
+                    result = decompose_module._ESTIMATORS[method](data.take(resample), replicate_settings)
+                except EstimationError:
+                    used.append((tuple(resample), None))
+                    attempt += 1
+                    continue
+                used.append((tuple(resample), (result.initial, result.explained, result.unexplained)))
+                break
+        return used
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_each_method_tries_the_resamples_of_its_own_qr_loop(self, case, monkeypatch):
+        make, settings, B = LOOP_CASES[case]
+        expected = {method: self.qr_loop_resamples(make(), method, settings, B, 3) for method in METHODS}
+        if case != "draws":
+            assert any(estimates is None for used in expected.values() for _, estimates in used)
+        taken, used = {}, {method: [] for method in METHODS}
+        take = Dataset.take
+
+        def recording_take(self, indices):
+            replicate = take(self, indices)
+            taken[id(replicate)] = tuple(indices)
+            return replicate
+
+        def recording(method, estimator):
+            def run(data, settings):
+                try:
+                    result = estimator(data, settings)
+                except EstimationError:
+                    used[method].append((taken[id(data)], None))
+                    raise
+                if id(data) in taken:
+                    estimates = (result.initial, result.explained, result.unexplained)
+                    used[method].append((taken[id(data)], estimates))
+                return result
+            return run
+
+        monkeypatch.setattr(Dataset, "take", recording_take)
+        for method in METHODS:
+            monkeypatch.setitem(
+                decompose_module._ESTIMATORS, method, recording(method, decompose_module._ESTIMATORS[method])
+            )
+        decompose_module._bootstrap(make(), list(METHODS), settings, B, 3)
+        for method in METHODS:
+            assert [rows for rows, _ in used[method]] == [rows for rows, _ in expected[method]]
+            for (_, estimates), (_, reference) in zip(used[method], expected[method]):
+                if reference is None:
+                    assert estimates is None
+                else:
+                    assert_within_gram_tol(estimates, reference)
+
+    @pytest.mark.parametrize("case", LOOP_CASES)
+    def test_one_loop_equals_one_bootstrap_per_method(self, case):
+        make, settings, B = LOOP_CASES[case]
+        together = decompose_module._bootstrap(make(), list(METHODS), settings, B, 3)
+        assert together == [bootstrap(make(), method, settings, B, 3) for method in METHODS]
+
+    def test_every_method_gets_the_same_intervals_alone_or_together(self):
+        # X1 is nearly constant in group 0, so KOB's group-0 model is too
+        # ill-conditioned for a Gram solve while every model of DIC and CDA
+        # takes one: a fallback that KOB causes must not reach them.
+        def make():
+            data = random_dataset(8, n=80, n_baseline=1, n_intermediate=1)
+            rows0 = data._rows[0]
+            x1 = data.column("X1").copy()
+            x1[rows0] = 1.0 + 1e-7 * x1[rows0]
+            return _with_columns(data, X1=x1)
+
+        data = make()
+        together = decompose_module._bootstrap(data, list(METHODS), None, 50, 2)
+        memos = decompose_module._GramReplicates(data).memos([resample_rows(data, 2, 0)])
+        assert set(data._fits) - set(next(memos)) == {(0, ("X1", "C1", "M"), "Y")}
+        for methods in (["DIC"], ["KOB"], ["CDA"], ["DIC", "CDA"], ["CDA", "KOB"]):
+            for result in decompose_module._bootstrap(make(), methods, None, 50, 2):
+                assert result == together[METHODS.index(result.method)]
+
+    def test_memory_does_not_grow_with_the_replicate_count(self):
+        # Held at once: one block's Gram matrices and solves, one resample's
+        # rows and copy, and B samples per method; never B resamples.
+        n, q = 2000, 8
+        peaks = []
+        for B in (50, 1000):
+            data = random_dataset(3, n=n, n_baseline=2, n_intermediate=2)
+            tracemalloc.start()
+            try:
+                decompose_module._bootstrap(data, list(METHODS), None, B, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (1000 - 50) * 256
+        assert peaks[1] < decompose_module._GRAM_BLOCK * n * q * 8
 
 
 class TestFitMemo:
