@@ -142,10 +142,6 @@ def _proportion(initial: float, explained: float, outcome: np.ndarray) -> float 
     return 100.0 * explained / initial
 
 
-def _columns(data: Dataset, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    return {name: data.column(name) for name in names}
-
-
 def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
     """fit_ols of response on the named columns, over one group's rows or all (None).
 

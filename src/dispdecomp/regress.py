@@ -4,10 +4,12 @@ The engine is deliberately small: ordinary least squares through a
 column-pivoted Householder QR factorization (never the normal equations),
 with rank deficiency reported as a hard error that names a minimal set of
 linearly dependent columns. Everything downstream (decompositions,
-sensitivity analysis, benchmarking) is built on these two entry points.
-The one exception is the bootstrap's replicate fits (_GramFits): they solve
-the normal equations, but only where the conditioning guarantees agreement
-with fit_ols to GRAM_TOL.
+sensitivity analysis, benchmarking) is built on fit_ols. partial_r2 is
+for callers only: benchmarking reads the same values from the t
+statistics of one fit and does not call it. The one exception is the
+bootstrap's replicate fits (_GramFits): they solve the normal equations,
+but only where the conditioning guarantees agreement with fit_ols to
+GRAM_TOL.
 """
 from __future__ import annotations
 

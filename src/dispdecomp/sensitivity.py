@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult, _columns, _fit, _standardized_gap
-from .regress import EstimationError, OlsFit, partial_r2
+from .decompose import DecompositionResult, _fit, _standardized_gap
+from .regress import EstimationError, OlsFit
 from .tabular import Dataset
 
 __all__ = [
@@ -95,13 +95,23 @@ class SensitivityGrid:
         return self.cells[i * len(self.r2_mu_values) + j]
 
 
-def _pooled_models(data: Dataset) -> tuple[tuple[tuple[str, ...], str], ...]:
-    """(regressors, response) of the pooled outcome model (on group,
-    covariates, and mediator) and of the pooled mediator model (on group
-    and covariates). Their fits are shared through the Dataset."""
+def _pooled_fits(data: Dataset) -> tuple[OlsFit, OlsFit]:
+    """The pooled outcome fit (outcome on group, covariates, and mediator)
+    and the pooled mediator fit (mediator on group and covariates), shared
+    through the Dataset. A fit's own error is tagged with its model."""
     roles = data.roles
     regressors = (roles.group,) + roles.covariates
-    return (regressors + (roles.mediator,), roles.outcome), (regressors, roles.mediator)
+    models = (
+        ("outcome", regressors + (roles.mediator,), roles.outcome),
+        ("mediator", regressors, roles.mediator),
+    )
+    fits = []
+    for label, names, response in models:
+        try:
+            fits.append(_fit(data, None, names, response))
+        except EstimationError as exc:
+            raise EstimationError(f"pooled {label} model: {exc}") from exc
+    return fits[0], fits[1]
 
 
 def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
@@ -115,7 +125,7 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     means, with no group-1 mediator model. CDA's explained is the group-1
     mediator slope times this same gap.
     """
-    outcome_fit, mediator_fit = (_fit(data, None, *model) for model in _pooled_models(data))
+    outcome_fit, mediator_fit = _pooled_fits(data)
     m = data.column(data.roles.mediator)
     sd_m_perp = mediator_fit.residual_sd
     scale = float(np.max(np.abs(m))) or 1.0
@@ -182,20 +192,6 @@ def _partial_r2_from_t(fit: OlsFit, names: list[str]) -> dict[str, float]:
     return out
 
 
-def _partial_r2_by_refits(data: Dataset, names: list[str]) -> tuple[dict[str, float], dict[str, float]]:
-    """partial_r2 for each covariate on each pooled design: two fits per value."""
-    models = [(_columns(data, regressors), data.column(y)) for regressors, y in _pooled_models(data)]
-    out: tuple[dict[str, float], dict[str, float]] = ({}, {})
-    for name in names:
-        try:
-            for (design, response), values in zip(models, out):
-                controls = [c for c in design if c != name]
-                values[name] = partial_r2(design, response, name, controls)
-        except EstimationError as exc:
-            raise EstimationError(f"covariate {name}: {exc}") from exc
-    return out
-
-
 def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     """Observed covariate strengths on the two partial R-squared axes.
 
@@ -208,23 +204,21 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
 
     All values come from the t-statistics of two fits: the outcome on
     every column and the mediator on every column. These are the pooled
-    fits of adjust and grid, so a Dataset shares them. When either fit
-    fails or is perfect, each value is computed from its own pair of fits
-    instead, and the error names the covariate whose partial R-squared is
-    undefined.
+    fits of adjust and grid, so a Dataset shares them, and benchmark makes
+    no other fit. A pooled fit that fails raises its own error, tagged
+    with its model. A perfect fit (R-squared within 1e-12 of 1) leaves the
+    partial R-squared values undefined and raises EstimationError: first
+    for the outcome, then for the mediator.
     """
-    roles = data.roles
-    names = list(roles.covariates)
+    names = list(data.roles.covariates)
     if not names:
         return ()
-    try:
-        fits = [_fit(data, None, *model) for model in _pooled_models(data)]
-    except EstimationError:
-        fits = []
-    if fits and all(fit.r_squared < 1.0 - 1e-12 for fit in fits):
-        with_y, with_m = (_partial_r2_from_t(fit, names) for fit in fits)
-    else:
-        with_y, with_m = _partial_r2_by_refits(data, names)
+    outcome_fit, mediator_fit = _pooled_fits(data)
+    if outcome_fit.r_squared >= 1.0 - 1e-12:
+        raise EstimationError("outcome fully explained by group, covariates and mediator")
+    if mediator_fit.r_squared >= 1.0 - 1e-12:
+        raise EstimationError("mediator fully explained by group and covariates")
+    with_y, with_m = _partial_r2_from_t(outcome_fit, names), _partial_r2_from_t(mediator_fit, names)
     out = [
         CovariateBenchmark(name=name, r2_with_y=with_y[name], r2_with_m=with_m[name])
         for name in names

@@ -128,9 +128,6 @@ class Dataset:
     def group_mask(self, value: int) -> np.ndarray:
         return self.columns[self.roles.group] == float(value)
 
-    def group_size(self, value: int) -> int:
-        return int(self.group_mask(value).sum())
-
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset/resample by integer indices (validated like any Dataset)."""
         idx = np.asarray(indices, dtype=np.intp)

@@ -132,7 +132,8 @@ class TestCli:
                 return fit_ols(*args, **kwargs)
             return fit
 
-        # decompose._fit makes every estimator fit; partial_r2 makes benchmark's refits.
+        # decompose._fit makes every fit; regress's own binding is watched too,
+        # so a fit made there (by partial_r2) would be checked as well.
         monkeypatch.setattr(decompose_module, "fit_ols", recording(decompose_module.fit_ols))
         monkeypatch.setattr(regress_module, "fit_ols", recording(regress_module.fit_ols))
         data = generate(ScenarioConfig("cx", n=200, seed=1), 0)

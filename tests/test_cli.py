@@ -335,6 +335,17 @@ class TestBenchmarkCommand:
         assert "| name | r2_with_y | r2_with_m |" in out
         assert "| Z | 0.925926 | 0.1 |" in out
 
+    def test_perfect_outcome_fit_is_an_error_with_no_output(self, tmp_path, capsys):
+        path = tmp_path / "perfect.csv"
+        path.write_text("R,Z,M,Y\n0,1,2,0\n0,2,1,0\n0,4,3,0\n1,1,1,1\n1,3,2,1\n1,4,4,1\n")
+        assert main(
+            ["benchmark", "--data", str(path), "--group", "R", "--outcome", "Y", "--mediator", "M",
+             "--baseline", "Z"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: outcome fully explained by group, covariates and mediator\n"
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_markdown_report(self, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dispdecomp.decompose as decompose_module
+import dispdecomp.regress as regress_module
 from dispdecomp import (
     CdaSettings,
     EstimationError,
@@ -68,6 +69,62 @@ def _refit_strengths(data):
             ),
         )
     return out
+
+
+def _outcome_is_group():
+    return build_dataset(
+        {
+            "R": [0, 0, 0, 1, 1, 1],
+            "Z": [1, 2, 4, 1, 3, 4],
+            "M": [2, 1, 3, 1, 2, 4],
+            "Y": [0, 0, 0, 1, 1, 1],
+        },
+        baseline=("Z",),
+    )
+
+
+def _exact_sum_covariate():
+    rng = np.random.default_rng(5)
+    n = 30
+    z1, z2 = rng.normal(size=n), rng.normal(size=n)
+    return build_dataset(
+        {
+            "R": np.repeat([0.0, 1.0], n // 2),
+            "Z1": z1,
+            "Z2": z2,
+            "Z3": z1 + z2,
+            "M": rng.normal(size=n) + 0.5 * z1,
+            "Y": rng.normal(size=n),
+        },
+        baseline=("Z1", "Z2", "Z3"),
+    )
+
+
+def _outcome_exact():
+    """Y an exact linear function of R, C, X and M."""
+    rng = np.random.default_rng(21)
+    n = 60
+    r = np.repeat([0.0, 1.0], n // 2)
+    c, x = rng.normal(size=n), rng.normal(size=n)
+    m = rng.normal(size=n) + 0.5 * c - 0.3 * r
+    y = 1.0 + 0.5 * r + 0.7 * c - 0.4 * x + 0.9 * m
+    return build_dataset(
+        {"R": r, "C": c, "X": x, "M": m, "Y": y}, baseline=("C",), intermediate=("X",)
+    )
+
+
+def _mediator_nearly_exact():
+    """M = 1 + R + C + X up to 1e-7 noise: the mediator fit is perfect to
+    1e-12 in R-squared, while the outcome design stays above RANK_TOL."""
+    rng = np.random.default_rng(22)
+    n = 60
+    r = np.repeat([0.0, 1.0], n // 2)
+    c, x = rng.normal(size=n), rng.normal(size=n)
+    m = 1.0 + r + c + x + 1e-7 * rng.normal(size=n)
+    y = rng.normal(size=n) + 0.4 * m + 0.5 * r
+    return build_dataset(
+        {"R": r, "C": c, "X": x, "M": m, "Y": y}, baseline=("C",), intermediate=("X",)
+    )
 
 
 def _exact_ssr(columns, response):
@@ -246,6 +303,11 @@ class TestAdjust:
         with pytest.raises(EstimationError, match="mediator fully explained"):
             adjust(_fake_cda(), data, SensitivityParams(r2_yu=0.2, r2_mu=0.2))
 
+    def test_failing_pooled_fit_is_tagged_with_its_model(self):
+        with pytest.raises(EstimationError) as info:
+            adjust(_fake_cda(), _exact_sum_covariate(), SensitivityParams(r2_yu=0.1, r2_mu=0.1))
+        assert str(info.value) == "pooled outcome model: design columns are linearly dependent: Z1, Z2, Z3"
+
 
 def _fake_cda():
     from dispdecomp.decompose import DecompositionResult
@@ -281,20 +343,11 @@ class TestBenchmark:
         assert benchmark(data) == ()
 
     def test_failure_names_covariate(self):
-        # The outcome equals the group indicator exactly, so the reduced
-        # outcome model is already perfect and the partial R-squared for Z
-        # is undefined.
-        data = build_dataset(
-            {
-                "R": [0, 0, 0, 1, 1, 1],
-                "Z": [1, 2, 4, 1, 3, 4],
-                "M": [2, 1, 3, 1, 2, 4],
-                "Y": [0, 0, 0, 1, 1, 1],
-            },
-            baseline=("Z",),
-        )
-        with pytest.raises(EstimationError, match="covariate Z:"):
-            benchmark(data)
+        # The outcome equals the group indicator exactly, so the pooled
+        # outcome fit is perfect and the partial R-squared for Z is
+        # undefined.
+        with pytest.raises(EstimationError, match="outcome fully explained by group, covariates and mediator"):
+            benchmark(_outcome_is_group())
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_fits_match_per_covariate_partial_r2(self, seed):
@@ -360,34 +413,48 @@ class TestBenchmark:
             calls.append(1)
             return fit_ols(*args, **kwargs)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("partial_r2 called")
-
         # benchmark fits through decompose._fit, which calls decompose's fit_ols.
         monkeypatch.setattr(decompose_module, "fit_ols", counting_fit)
-        monkeypatch.setattr(sensitivity, "partial_r2", refused)
         data = random_dataset(49, n=40, n_baseline=2, n_intermediate=2)
         assert len(benchmark(data)) == 4
         assert len(calls) == 2
 
     def test_exact_sum_covariate_names_dependent_columns(self):
-        rng = np.random.default_rng(5)
-        n = 30
-        z1, z2 = rng.normal(size=n), rng.normal(size=n)
-        data = build_dataset(
-            {
-                "R": np.repeat([0.0, 1.0], n // 2),
-                "Z1": z1,
-                "Z2": z2,
-                "Z3": z1 + z2,
-                "M": rng.normal(size=n) + 0.5 * z1,
-                "Y": rng.normal(size=n),
-            },
-            baseline=("Z1", "Z2", "Z3"),
-        )
         with pytest.raises(EstimationError) as info:
-            benchmark(data)
-        assert str(info.value) == "covariate Z1: design columns are linearly dependent: Z2, Z3, Z1"
+            benchmark(_exact_sum_covariate())
+        assert str(info.value) == "pooled outcome model: design columns are linearly dependent: Z1, Z2, Z3"
+
+    @pytest.mark.parametrize(
+        "make, message, fits",
+        [
+            (_outcome_exact, "outcome fully explained by group, covariates and mediator", 2),
+            (_mediator_nearly_exact, "mediator fully explained by group and covariates", 2),
+            (_outcome_is_group, "outcome fully explained by group, covariates and mediator", 2),
+            (
+                _exact_sum_covariate,
+                "pooled outcome model: design columns are linearly dependent: Z1, Z2, Z3",
+                1,
+            ),
+        ],
+        ids=["outcome-exact", "mediator-nearly-exact", "outcome-is-group", "exact-sum-covariate"],
+    )
+    def test_degenerate_input_raises_after_the_pooled_fits_alone(self, monkeypatch, make, message, fits):
+        # Both bindings are counted, so a fit made through partial_r2 would
+        # show up too.
+        calls = []
+
+        def counting(fit_ols):
+            def fit(*args, **kwargs):
+                calls.append(1)
+                return fit_ols(*args, **kwargs)
+            return fit
+
+        monkeypatch.setattr(decompose_module, "fit_ols", counting(decompose_module.fit_ols))
+        monkeypatch.setattr(regress_module, "fit_ols", counting(regress_module.fit_ols))
+        with pytest.raises(EstimationError) as info:
+            benchmark(make())
+        assert str(info.value) == message
+        assert len(calls) == fits
 
 
 class TestSharedPooledFits:

@@ -95,8 +95,6 @@ class TestDataset:
     def test_group_masks_and_sizes(self):
         data = build_dataset({"R": [0, 1, 1], "M": [1, 2, 3], "Y": [4, 5, 6]})
         npt.assert_array_equal(data.group_mask(1), [False, True, True])
-        assert data.group_size(0) == 1
-        assert data.group_size(1) == 2
 
     def test_unknown_column_lookup(self):
         data = build_dataset({"R": [0, 1], "M": [1, 2], "Y": [3, 4]})
