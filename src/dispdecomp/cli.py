@@ -37,7 +37,6 @@ from .sensitivity import (
     CovariateBenchmark,
     SensitivityGrid,
     SensitivityParams,
-    adjust,
     benchmark,
     grid,
 )
@@ -47,6 +46,8 @@ from .tabular import DataError, RoleSpec, load_csv
 __all__ = ["RenderedReport", "render", "main"]
 
 FORMATS = ("markdown", "csv")
+QUANTITY_HEADER = ["quantity", "estimate", "2.5%", "97.5%"]
+ADJUSTED_FIELDS = ("bias", "delta_adjusted", "zeta_adjusted", "tau")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class RenderedReport:
     body: str
 
 
-class UsageError(Exception):
-    """Bad flags or flag values; maps to exit code 1."""
+class UsageError(ValueError):
+    """Bad flags or flag values; maps to exit code 1, like any other ValueError."""
 
 
 def _fmt(value: float | None) -> str:
@@ -67,122 +68,19 @@ def _fmt(value: float | None) -> str:
     return "%.6g" % value
 
 
-def _table(header: list[str], rows: list[list[str]], fmt: str) -> list[str]:
+def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
-        return [",".join(header)] + [",".join(row) for row in rows]
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
-    for row in rows:
-        lines.append("| " + " | ".join(cell or "—" for cell in row) + " |")
-    return lines
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    lines = [header, ["---"] * len(header), *([cell or "—" for cell in row] for row in rows)]
+    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
 
 
-def _quantity_rows(
-    results: list[tuple[str, list[tuple[str, str, str, str, str, str]]]],
-    fmt: str,
-    with_truth: bool,
-) -> str:
-    """Shared layout: per-method blocks of (quantity, estimate, interval...)."""
-    header = ["quantity", "estimate", "2.5%", "97.5%"]
-    if with_truth:
-        header += ["truth", "covered"]
-    ncol = len(header)
-    lines: list[str] = []
+def _method_blocks(header: list[str], blocks: list[tuple[str, list[list[str]]]], fmt: str) -> str:
+    """Per-method tables: one markdown section per method, or one CSV with a method column."""
     if fmt == "csv":
-        lines.append(",".join(["method"] + header))
-        for method, rows in results:
-            for row in rows:
-                lines.append(",".join([method] + list(row[:ncol])))
-    else:
-        for method, rows in results:
-            lines.append(f"## {method}")
-            lines.append("")
-            lines.extend(_table(header, [list(row[:ncol]) for row in rows], fmt))
-            lines.append("")
-        if lines:
-            lines.pop()
-    return "\n".join(lines) + "\n"
-
-
-def _render_decompositions(results: list[DecompositionResult], fmt: str) -> str:
-    blocks = []
-    for res in results:
-        intervals = res.intervals or {}
-        rows = []
-        for q in res.QUANTITIES:
-            lo, hi = intervals.get(q, (None, None))
-            rows.append(
-                (
-                    q,
-                    _fmt(res.quantity(q)),
-                    _fmt(lo) if lo is not None else "",
-                    _fmt(hi) if hi is not None else "",
-                    "",
-                    "",
-                )
-            )
-        rows.append(
-            ("proportion_explained_pct", _fmt(res.proportion_explained_pct), "", "", "", "")
-        )
-        blocks.append((res.method, rows))
-    return _quantity_rows(blocks, fmt, with_truth=False)
-
-
-def _render_adjusted(result: AdjustedResult, fmt: str) -> str:
-    rows = [
-        (q, _fmt(getattr(result, q)), "", "", "", "")
-        for q in ("bias", "delta_adjusted", "zeta_adjusted", "tau")
-    ]
-    return _quantity_rows([("CDA_adjusted", rows)], fmt, with_truth=False)
-
-
-def _render_grid(result: SensitivityGrid, fmt: str) -> str:
-    header = ["r2_yu", "r2_mu", "bias", "delta_adjusted", "zeta_adjusted", "tau"]
-    rows = [
-        [
-            _fmt(cell.params.r2_yu),
-            _fmt(cell.params.r2_mu),
-            _fmt(cell.bias),
-            _fmt(cell.delta_adjusted),
-            _fmt(cell.zeta_adjusted),
-            _fmt(cell.tau),
-        ]
-        for cell in result.cells
-    ]
-    return "\n".join(_table(header, rows, fmt)) + "\n"
-
-
-def _render_benchmark(records: tuple[CovariateBenchmark, ...], fmt: str) -> str:
-    header = ["name", "r2_with_y", "r2_with_m"]
-    rows = [[b.name, _fmt(b.r2_with_y), _fmt(b.r2_with_m)] for b in records]
-    return "\n".join(_table(header, rows, fmt)) + "\n"
-
-
-def _render_simulation(report: SimulationReport, fmt: str) -> str:
-    blocks = []
-    for method in report.methods:
-        rows = []
-        for quantity in ("initial", "explained", "unexplained"):
-            cell = report.cell(method, quantity)
-            rows.append(
-                (
-                    quantity,
-                    _fmt(cell.mean),
-                    _fmt(cell.lower),
-                    _fmt(cell.upper),
-                    _fmt(cell.truth),
-                    "true" if cell.covered else "false",
-                )
-            )
-        blocks.append((method, rows))
-    body = _quantity_rows(blocks, fmt, with_truth=True)
-    if fmt == "markdown":
-        head = (
-            f"# simulate: scenario={report.scenario} n={report.n} "
-            f"reps={report.reps} seed={report.seed}\n\n"
-        )
-        return head + body
-    return body
+        return _table(["method", *header], [[method, *row] for method, rows in blocks for row in rows], fmt)
+    sections = [f"## {method}\n\n" + _table(header, rows, fmt) for method, rows in blocks]
+    return "\n".join(sections) or "\n"  # no blocks: one empty line
 
 
 def render(report, fmt: str = "markdown") -> RenderedReport:
@@ -190,17 +88,45 @@ def render(report, fmt: str = "markdown") -> RenderedReport:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if isinstance(report, DecompositionResult):
-        body = _render_decompositions([report], fmt)
-    elif isinstance(report, list) and all(isinstance(r, DecompositionResult) for r in report):
-        body = _render_decompositions(report, fmt)
+        report = [report]
+    if isinstance(report, list) and all(isinstance(r, DecompositionResult) for r in report):
+        blocks = []
+        for res in report:
+            intervals = res.intervals or {}
+            rows = [
+                [q, _fmt(res.quantity(q)), *(map(_fmt, intervals[q]) if q in intervals else ("", ""))]
+                for q in res.QUANTITIES
+            ]
+            rows.append(["proportion_explained_pct", _fmt(res.proportion_explained_pct), "", ""])
+            blocks.append((res.method, rows))
+        body = _method_blocks(QUANTITY_HEADER, blocks, fmt)
     elif isinstance(report, AdjustedResult):
-        body = _render_adjusted(report, fmt)
+        rows = [[q, _fmt(getattr(report, q)), "", ""] for q in ADJUSTED_FIELDS]
+        body = _method_blocks(QUANTITY_HEADER, [("CDA_adjusted", rows)], fmt)
     elif isinstance(report, SensitivityGrid):
-        body = _render_grid(report, fmt)
+        rows = [
+            [_fmt(v) for v in (c.params.r2_yu, c.params.r2_mu, *(getattr(c, q) for q in ADJUSTED_FIELDS))]
+            for c in report.cells
+        ]
+        body = _table(["r2_yu", "r2_mu", *ADJUSTED_FIELDS], rows, fmt)
     elif isinstance(report, tuple) and all(isinstance(r, CovariateBenchmark) for r in report):
-        body = _render_benchmark(report, fmt)
+        rows = [[b.name, _fmt(b.r2_with_y), _fmt(b.r2_with_m)] for b in report]
+        body = _table(["name", "r2_with_y", "r2_with_m"], rows, fmt)
     elif isinstance(report, SimulationReport):
-        body = _render_simulation(report, fmt)
+        blocks = []
+        for method in report.methods:
+            cells = [report.cell(method, q) for q in DecompositionResult.QUANTITIES]
+            rows = [
+                [c.quantity, *map(_fmt, (c.mean, c.lower, c.upper, c.truth)), "true" if c.covered else "false"]
+                for c in cells
+            ]
+            blocks.append((method, rows))
+        body = _method_blocks([*QUANTITY_HEADER, "truth", "covered"], blocks, fmt)
+        if fmt == "markdown":
+            body = (
+                f"# simulate: scenario={report.scenario} n={report.n} "
+                f"reps={report.reps} seed={report.seed}\n\n" + body
+            )
     else:
         raise ValueError(f"cannot render object of type {type(report).__name__}")
     return RenderedReport(format=fmt, body=body)
@@ -281,7 +207,7 @@ def _build_parser() -> _Parser:
     _add_data_flags(p)
     p.add_argument(
         "--method",
-        choices=("dic", "kob", "cda", "all"),
+        choices=(*(m.lower() for m in METHODS), "all"),
         default="all",
         help="decomposition method (default: all)",
     )
@@ -343,24 +269,14 @@ def _load_data(args: argparse.Namespace):
     return load_csv(args.data, roles)
 
 
-def _methods_for(flag: str) -> list[str]:
-    return list(METHODS) if flag == "all" else [flag.upper()]
-
-
-def _cda_settings(args: argparse.Namespace, seed: int) -> CdaSettings:
-    if args.mc_draws is None:
-        return CdaSettings(seed=seed)
-    return CdaSettings(mc_draws_per_unit=args.mc_draws, seed=seed)
-
-
 def _run_decompose(args: argparse.Namespace) -> str:
-    methods = _methods_for(args.method)
+    methods = list(METHODS) if args.method == "all" else [args.method.upper()]
     if args.mc_draws is not None and "CDA" not in methods:
         raise UsageError(f"--mc-draws applies to the causal method only, not --method {args.method}")
     if args.bootstrap and args.bootstrap < 2:
         raise UsageError(f"bootstrap needs B >= 2 replicates, got {args.bootstrap}")
     seed = _parse_seed(args.seed)
-    settings = _cda_settings(args, seed)
+    settings = CdaSettings(args.mc_draws or 0, seed)
     data = _load_data(args)
     if args.bootstrap:
         results = _bootstrap(data, methods, settings, B=args.bootstrap, seed=seed)
@@ -376,22 +292,15 @@ def _run_sensitivity(args: argparse.Namespace) -> str:
         raise UsageError(f"--grid conflicts with point parameter {offender}")
     if args.grid is None and (args.r2_yu is None or args.r2_mu is None):
         raise UsageError("sensitivity requires --r2-yu and --r2-mu together, or --grid")
-    settings = _cda_settings(args, _parse_seed(args.seed))
+    settings = CdaSettings(args.mc_draws or 0, _parse_seed(args.seed))
     sign = +1 if args.sign == "+" else -1
-    if args.grid is not None:
-        yu, mu = _parse_grid_axes(args.grid)
-        pairs = [(a, b) for a in yu for b in mu]
-    else:
-        pairs = [(args.r2_yu, args.r2_mu)]
-    try:
-        params = [SensitivityParams(r2_yu=a, r2_mu=b, sign=sign) for a, b in pairs]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    yu, mu = ((args.r2_yu,), (args.r2_mu,)) if point else _parse_grid_axes(args.grid)
+    for a in yu:
+        for b in mu:
+            SensitivityParams(r2_yu=a, r2_mu=b, sign=sign)  # flag errors come before the read
     data = _load_data(args)
-    cda = decompose_cda(data, settings)
-    if args.grid is not None:
-        return render(grid(cda, data, yu, mu, sign), args.format).body
-    return render(adjust(cda, data, params[0]), args.format).body
+    result = grid(decompose_cda(data, settings), data, yu, mu, sign)
+    return render(result.cells[0] if point else result, args.format).body
 
 
 def _run_benchmark(args: argparse.Namespace) -> str:
@@ -404,26 +313,16 @@ def _run_simulate(args: argparse.Namespace) -> str:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = config_from_json(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read --config file: {exc}") from None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        config = config_from_json(text)
     else:
         config = ScenarioConfig(scenario=args.scenario)
-    overrides = {}
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.n is not None:
-        overrides["n"] = args.n
+    overrides = {k: v for k, v in (("reps", args.reps), ("n", args.n)) if v is not None}
     if args.seed is not None:
         overrides["seed"] = _parse_seed(args.seed)
-    if overrides:
-        try:
-            config = replace(config, **overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    report = run_harness(config, sensitivity=args.sensitivity, workers=args.workers)
+    report = run_harness(replace(config, **overrides), sensitivity=args.sensitivity, workers=args.workers)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return render(report, args.format).body
@@ -439,20 +338,12 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the exit code instead of raising SystemExit."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         with _one_blas_thread():
             body = _RUNNERS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:  # argparse --help
+        return int(exc.code or 0)
     except (DataError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

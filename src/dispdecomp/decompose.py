@@ -50,6 +50,9 @@ METHODS = ("DIC", "KOB", "CDA")
 # meaningless; it is reported as an explicit undefined marker instead.
 PROPORTION_EPS = 1e-9
 
+# The largest draw total Generator.multinomial accepts: a signed 64-bit count.
+_MAX_DRAWS = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class DicDetail:
@@ -272,7 +275,8 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     residuals, and subtracts their mean from the gap. This adds zero-mean
     noise with sd |slope| * sd0 / sqrt(n1 * draws) to explained, sd0 being
     the sd of those residuals. Deterministic given data (and settings.seed
-    when drawing).
+    when drawing). A draw total n1 * draws above 2**63 - 1, more than the
+    count draw can hold, raises ValueError.
     """
     settings = settings or CdaSettings()
     roles = data.roles
@@ -295,13 +299,19 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
     if settings.mc_draws_per_unit:
+        n1 = data._rows[1].size
+        total = n1 * int(settings.mc_draws_per_unit)
+        if total > _MAX_DRAWS:
+            raise ValueError(
+                f"{n1} group-1 units x {settings.mc_draws_per_unit} draws per unit exceeds "
+                f"the limit of {_MAX_DRAWS} draws in total"
+            )
         # Only the grand mean of the n1 * draws residual draws enters
         # explained. Drawing with replacement from n0 residuals, it is
         # counts @ residuals / total with multinomial counts, in O(n0)
         # memory whatever the draw count.
         residuals = _fit(data, 0, roles.baseline, roles.mediator).residuals
         n0 = residuals.size
-        total = data._rows[1].size * settings.mc_draws_per_unit
         counts = substream(settings.seed).multinomial(total, np.full(n0, 1.0 / n0))
         mediator_gap -= float(counts @ residuals / total)
     explained = outcome_model.coef(roles.mediator) * mediator_gap

@@ -136,7 +136,7 @@ class Dataset:
 
 def _open_csv(path: str) -> TextIO:
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
 
@@ -229,21 +229,27 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
     number; empty, non-numeric, and non-finite cells raise DataError with
     the 1-based file row (header is row 1) and the column name.
 
+    The file is read as UTF-8; bytes that do not decode raise DataError.
     Well-formed files are parsed in one vectorized pass; any file that pass
     cannot reproduce exactly is parsed again cell by cell, which also
     produces the error messages.
     """
-    with _open_csv(path) as fh:
-        header = _read_header(csv.reader(fh), path, roles)
-        table = _fast_table(fh, len(header))
-    if table is None:
-        return _load_csv_reference(path, roles)
+    try:
+        with _open_csv(path) as fh:
+            header = _read_header(csv.reader(fh), path, roles)
+            table = _fast_table(fh, len(header))
+        if table is None:
+            return _load_csv_reference(path, roles)
+    except UnicodeDecodeError as exc:
+        # exc.start is an offset into the decoded block, not the file, so it is left out.
+        bad = exc.object[exc.start]
+        raise DataError(f"cannot read {path!r}: not valid UTF-8 (byte 0x{bad:02x}: {exc.reason})") from exc
     return Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
 
 
 def write_csv(data: Dataset, path: str) -> None:
     """Write a Dataset back to CSV; floats use shortest round-trip repr."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         names = list(data.columns)
         writer.writerow(names)

@@ -159,6 +159,30 @@ class TestDecomposeCommand:
         assert main(["decompose", *base_flags(str(tmp_path / "nope.csv"))]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [0, 3], ids=["header", "data-row"])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path, capsys, line):
+        lines = WORKED_CSV.splitlines()
+        lines[line] += "\xe9"  # Latin-1 e-acute
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        assert main(["decompose", *base_flags(str(path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read {str(path)!r}: not valid UTF-8 (byte 0xe9: invalid continuation byte)\n"
+        )
+        assert captured.out == ""
+
+    def test_draw_total_beyond_a_64_bit_count_is_a_usage_error(self, worked_csv, capsys):
+        draws = 2**62  # two group-1 units make 2**63 draws
+        argv = ["decompose", *base_flags(worked_csv), "--method", "cda", "--mc-draws", str(draws)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: 2 group-1 units x {draws} draws per unit exceeds the limit of "
+            f"{2**63 - 1} draws in total\n"
+        )
+        assert captured.out == ""
+
     def test_default_cda_is_the_exact_expectation_whatever_the_seed(self, tmp_path, capsys):
         path = tmp_path / "cda.csv"
         data = random_dataset(8, n=40, n_baseline=1, n_intermediate=0)
@@ -519,3 +543,374 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "decompose" in proc.stdout
         assert "simulate" in proc.stdout
+
+
+# Every report kind in both formats, pinned byte for byte. GOLDEN and FLAT
+# stand for the data flags of the two CSVs below; on FLAT, KOB's initial
+# disparity is exactly 0, so its proportion is undefined.
+GOLDEN_CSV = """\
+R,C,X,M,Y
+0,0.6,0.0,1.2,1.1
+0,-0.1,0.0,0.9,-0.8
+0,1.7,-0.8,2.1,0.6
+0,-0.1,0.1,0.8,-0.8
+0,3.0,0.2,1.2,0.8
+0,1.9,-0.1,2.9,1.7
+0,0.6,0.0,-0.8,-1.4
+0,1.6,0.7,0.2,2.3
+0,2.6,-0.7,1.1,-0.2
+0,3.8,0.7,1.8,1.5
+1,-0.4,0.2,0.2,0.5
+1,1.6,0.5,1.0,2.1
+1,1.0,0.2,1.7,1.7
+1,0.2,1.3,-0.8,0.6
+1,1.6,1.2,4.1,3.4
+1,1.0,0.4,1.4,1.8
+1,1.6,0.0,0.1,0.0
+1,0.0,2.3,0.3,1.8
+1,0.5,0.9,0.2,0.3
+1,0.9,-0.7,-1.7,-1.3
+"""
+
+FLAT_CSV = "r,m,y\n0,0,0\n0,2,2\n1,0,0\n1,2,2\n"
+
+GOLDEN = "<golden data flags>"
+FLAT = "<flat data flags>"
+
+GOLDEN_REPORTS = [
+    (
+        "decompose-markdown",
+        ["decompose", GOLDEN, "--format", "markdown"],
+        """\
+## DIC
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.43215 | — | — |
+| explained | -0.179059 | — | — |
+| unexplained | 0.611209 | — | — |
+| proportion_explained_pct | -41.4345 | — | — |
+
+## KOB
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.61 | — | — |
+| explained | -0.318708 | — | — |
+| unexplained | 0.928708 | — | — |
+| proportion_explained_pct | -52.2472 | — | — |
+
+## CDA
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.998248 | — | — |
+| explained | -0.16136 | — | — |
+| unexplained | 1.15961 | — | — |
+| proportion_explained_pct | -16.1644 | — | — |
+""",
+        "",
+    ),
+    (
+        "decompose-csv",
+        ["decompose", GOLDEN, "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%
+DIC,initial,0.43215,,
+DIC,explained,-0.179059,,
+DIC,unexplained,0.611209,,
+DIC,proportion_explained_pct,-41.4345,,
+KOB,initial,0.61,,
+KOB,explained,-0.318708,,
+KOB,unexplained,0.928708,,
+KOB,proportion_explained_pct,-52.2472,,
+CDA,initial,0.998248,,
+CDA,explained,-0.16136,,
+CDA,unexplained,1.15961,,
+CDA,proportion_explained_pct,-16.1644,,
+""",
+        "",
+    ),
+    (
+        "bootstrap-markdown",
+        ["decompose", GOLDEN, "--bootstrap", "20", "--seed", "3", "--format", "markdown"],
+        """\
+## DIC
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.43215 | -1.01911 | 1.17209 |
+| explained | -0.179059 | -0.867026 | 0.15054 |
+| unexplained | 0.611209 | -0.818685 | 1.44298 |
+| proportion_explained_pct | -41.4345 | — | — |
+
+## KOB
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.61 | -0.03 | 1.41 |
+| explained | -0.318708 | -1.00989 | 0.0734318 |
+| unexplained | 0.928708 | 0.595028 | 1.72148 |
+| proportion_explained_pct | -52.2472 | — | — |
+
+## CDA
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0.998248 | -0.397488 | 1.64517 |
+| explained | -0.16136 | -1.01449 | 0.333457 |
+| unexplained | 1.15961 | 0.590595 | 1.87519 |
+| proportion_explained_pct | -16.1644 | — | — |
+""",
+        "",
+    ),
+    (
+        "bootstrap-csv",
+        ["decompose", GOLDEN, "--bootstrap", "20", "--seed", "3", "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%
+DIC,initial,0.43215,-1.01911,1.17209
+DIC,explained,-0.179059,-0.867026,0.15054
+DIC,unexplained,0.611209,-0.818685,1.44298
+DIC,proportion_explained_pct,-41.4345,,
+KOB,initial,0.61,-0.03,1.41
+KOB,explained,-0.318708,-1.00989,0.0734318
+KOB,unexplained,0.928708,0.595028,1.72148
+KOB,proportion_explained_pct,-52.2472,,
+CDA,initial,0.998248,-0.397488,1.64517
+CDA,explained,-0.16136,-1.01449,0.333457
+CDA,unexplained,1.15961,0.590595,1.87519
+CDA,proportion_explained_pct,-16.1644,,
+""",
+        "",
+    ),
+    (
+        "undefined-markdown",
+        ["decompose", FLAT, "--method", "kob", "--format", "markdown"],
+        """\
+## KOB
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| initial | 0 | — | — |
+| explained | 0 | — | — |
+| unexplained | 0 | — | — |
+| proportion_explained_pct | undefined | — | — |
+""",
+        "",
+    ),
+    (
+        "undefined-csv",
+        ["decompose", FLAT, "--method", "kob", "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%
+KOB,initial,0,,
+KOB,explained,0,,
+KOB,unexplained,0,,
+KOB,proportion_explained_pct,undefined,,
+""",
+        "",
+    ),
+    (
+        "point-markdown",
+        ["sensitivity", GOLDEN, "--r2-yu", "0.1", "--r2-mu", "0.2", "--format", "markdown"],
+        """\
+## CDA_adjusted
+
+| quantity | estimate | 2.5% | 97.5% |
+| --- | --- | --- | --- |
+| bias | -0.0215753 | — | — |
+| delta_adjusted | -0.139785 | — | — |
+| zeta_adjusted | 1.13803 | — | — |
+| tau | 0.998248 | — | — |
+""",
+        "",
+    ),
+    (
+        "point-csv",
+        ["sensitivity", GOLDEN, "--r2-yu", "0.1", "--r2-mu", "0.2", "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%
+CDA_adjusted,bias,-0.0215753,,
+CDA_adjusted,delta_adjusted,-0.139785,,
+CDA_adjusted,zeta_adjusted,1.13803,,
+CDA_adjusted,tau,0.998248,,
+""",
+        "",
+    ),
+    (
+        "grid-markdown",
+        ["sensitivity", GOLDEN, "--grid", "0.05,0.2;0.1,0.3", "--sign", "-", "--format", "markdown"],
+        """\
+| r2_yu | r2_mu | bias | delta_adjusted | zeta_adjusted | tau |
+| --- | --- | --- | --- | --- | --- |
+| 0.05 | 0.1 | 0.0101707 | -0.171531 | 1.16978 | 0.998248 |
+| 0.05 | 0.3 | 0.0199748 | -0.181335 | 1.17958 | 0.998248 |
+| 0.2 | 0.1 | 0.0203414 | -0.181702 | 1.17995 | 0.998248 |
+| 0.2 | 0.3 | 0.0399496 | -0.20131 | 1.19956 | 0.998248 |
+""",
+        "",
+    ),
+    (
+        "grid-csv",
+        ["sensitivity", GOLDEN, "--grid", "0.05,0.2;0.1,0.3", "--sign", "-", "--format", "csv"],
+        """\
+r2_yu,r2_mu,bias,delta_adjusted,zeta_adjusted,tau
+0.05,0.1,0.0101707,-0.171531,1.16978,0.998248
+0.05,0.3,0.0199748,-0.181335,1.17958,0.998248
+0.2,0.1,0.0203414,-0.181702,1.17995,0.998248
+0.2,0.3,0.0399496,-0.20131,1.19956,0.998248
+""",
+        "",
+    ),
+    (
+        "benchmark-markdown",
+        ["benchmark", GOLDEN, "--format", "markdown"],
+        """\
+| name | r2_with_y | r2_with_m |
+| --- | --- | --- |
+| X | 0.41128 | 0.0291713 |
+| C | 0.154213 | 0.153381 |
+""",
+        "",
+    ),
+    (
+        "benchmark-csv",
+        ["benchmark", GOLDEN, "--format", "csv"],
+        """\
+name,r2_with_y,r2_with_m
+X,0.41128,0.0291713
+C,0.154213,0.153381
+""",
+        "",
+    ),
+    (
+        "simulate-markdown",
+        ["simulate", "--scenario", "c-only", "--reps", "3", "--n", "60", "--format", "markdown"],
+        """\
+# simulate: scenario=c-only n=60 reps=3 seed=0
+
+## DIC
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.176424 | -0.0718711 | 0.425463 | 0.26 | true |
+| explained | -0.216555 | -0.349656 | -0.0494223 | -0.24 | true |
+| unexplained | 0.392979 | 0.277784 | 0.474885 | 0.5 | false |
+
+## KOB
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.0674665 | -0.10501 | 0.340264 | 0.09 | true |
+| explained | -0.312528 | -0.440458 | -0.0567259 | -0.26 | true |
+| unexplained | 0.379994 | 0.335448 | 0.407543 | 0.35 | true |
+
+## CDA
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.183924 | -0.0850687 | 0.435382 | 0.26 | true |
+| explained | -0.234139 | -0.46231 | -0.0437398 | -0.24 | true |
+| unexplained | 0.418062 | 0.377241 | 0.479122 | 0.5 | false |
+""",
+        "warning: interval unreliable: fewer than 20 replications\n",
+    ),
+    (
+        "simulate-csv",
+        ["simulate", "--scenario", "c-only", "--reps", "3", "--n", "60", "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%,truth,covered
+DIC,initial,0.176424,-0.0718711,0.425463,0.26,true
+DIC,explained,-0.216555,-0.349656,-0.0494223,-0.24,true
+DIC,unexplained,0.392979,0.277784,0.474885,0.5,false
+KOB,initial,0.0674665,-0.10501,0.340264,0.09,true
+KOB,explained,-0.312528,-0.440458,-0.0567259,-0.26,true
+KOB,unexplained,0.379994,0.335448,0.407543,0.35,true
+CDA,initial,0.183924,-0.0850687,0.435382,0.26,true
+CDA,explained,-0.234139,-0.46231,-0.0437398,-0.24,true
+CDA,unexplained,0.418062,0.377241,0.479122,0.5,false
+""",
+        "warning: interval unreliable: fewer than 20 replications\n",
+    ),
+    (
+        "simulate-sensitivity-markdown",
+        ["simulate", "--scenario", "my-conf", "--reps", "3", "--n", "60", "--sensitivity", "--format", "markdown"],
+        """\
+# simulate: scenario=my-conf n=60 reps=3 seed=0
+
+## DIC
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.395515 | 0.23155 | 0.679466 | 0.26 | true |
+| explained | -0.314483 | -0.3333 | -0.296337 | -0.24 | false |
+| unexplained | 0.709999 | 0.545363 | 1.01277 | 0.5 | false |
+
+## KOB
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.422337 | 0.195226 | 0.555227 | 0.387 | true |
+| explained | -0.258616 | -0.414689 | -0.105199 | -0.188 | true |
+| unexplained | 0.680953 | 0.609914 | 0.811188 | 0.575 | false |
+
+## CDA
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.650811 | 0.445007 | 0.911884 | 0.656 | true |
+| explained | -0.199673 | -0.251235 | -0.117904 | -0.144 | true |
+| unexplained | 0.850484 | 0.562911 | 1.14177 | 0.8 | true |
+
+## CDA_adjusted
+
+| quantity | estimate | 2.5% | 97.5% | truth | covered |
+| --- | --- | --- | --- | --- | --- |
+| initial | 0.650811 | 0.445007 | 0.911884 | 0.656 | true |
+| explained | -0.101583 | -0.166778 | 0.00514889 | -0.144 | true |
+| unexplained | 0.752393 | 0.439858 | 1.055 | 0.8 | true |
+""",
+        "warning: interval unreliable: fewer than 20 replications\n",
+    ),
+    (
+        "simulate-sensitivity-csv",
+        ["simulate", "--scenario", "my-conf", "--reps", "3", "--n", "60", "--sensitivity", "--format", "csv"],
+        """\
+method,quantity,estimate,2.5%,97.5%,truth,covered
+DIC,initial,0.395515,0.23155,0.679466,0.26,true
+DIC,explained,-0.314483,-0.3333,-0.296337,-0.24,false
+DIC,unexplained,0.709999,0.545363,1.01277,0.5,false
+KOB,initial,0.422337,0.195226,0.555227,0.387,true
+KOB,explained,-0.258616,-0.414689,-0.105199,-0.188,true
+KOB,unexplained,0.680953,0.609914,0.811188,0.575,false
+CDA,initial,0.650811,0.445007,0.911884,0.656,true
+CDA,explained,-0.199673,-0.251235,-0.117904,-0.144,true
+CDA,unexplained,0.850484,0.562911,1.14177,0.8,true
+CDA_adjusted,initial,0.650811,0.445007,0.911884,0.656,true
+CDA_adjusted,explained,-0.101583,-0.166778,0.00514889,-0.144,true
+CDA_adjusted,unexplained,0.752393,0.439858,1.055,0.8,true
+""",
+        "warning: interval unreliable: fewer than 20 replications\n",
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "argv, out, err", [pytest.param(*case[1:], id=case[0]) for case in GOLDEN_REPORTS]
+    )
+    def test_report_bytes(self, tmp_path, capsys, argv, out, err):
+        golden = tmp_path / "golden.csv"
+        golden.write_text(GOLDEN_CSV)
+        flat = tmp_path / "flat.csv"
+        flat.write_text(FLAT_CSV)
+        flags = {
+            GOLDEN: ["--data", str(golden), "--group", "R", "--outcome", "Y", "--mediator", "M",
+                     "--baseline", "C", "--intermediate", "X"],
+            FLAT: base_flags(str(flat)),
+        }
+        assert main([part for arg in argv for part in flags.get(arg, [arg])]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == err

@@ -424,6 +424,19 @@ class TestCda:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("int_type", [int, np.int64])
+    def test_draw_total_beyond_a_64_bit_count_is_a_value_error(self, int_type):
+        # numpy's count draw takes totals up to 2**63 - 1; one more per unit
+        # would overflow it.
+        data = random_dataset(3, n=40)
+        limit = 2**63 - 1
+        most = limit // 20  # 20 group-1 units
+        assert np.isfinite(decompose_cda(data, CdaSettings(int_type(most), 1)).explained)
+        message = f"20 group-1 units x {most + 1} draws per unit exceeds the limit of {limit} draws in total"
+        with pytest.raises(ValueError) as info:
+            decompose_cda(data, CdaSettings(int_type(most + 1), 1))
+        assert str(info.value) == message
+
 
 class TestBootstrap:
     def test_intervals_attached_to_point_estimate(self):

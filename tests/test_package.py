@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import dispdecomp
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE_DIR = Path(dispdecomp.__file__).resolve().parent
 
 ONE_FAILING_GIVEN_TEST = """
 from hypothesis import given, strategies as st
@@ -18,6 +20,35 @@ def test_fails(x):
 def test_passes():
     pass
 """
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_the_unused_import_check_sees_plain_aliased_and_exported_names():
+    source = "import os\nimport a.b\nfrom c import d as e, f, g\n__all__ = ['f']\nprint(a, g)\n"
+    assert unused_imports(source) == ["e", "os"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs on the package; this is its unused-import check.
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in PACKAGE_DIR.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_every_public_name_is_unique_and_resolves():

@@ -220,6 +220,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2, column 'Y': non-finite value"):
             load_csv(self.write(tmp_path, "R,M,Y\n0,1,inf\n1,2,3\n"), minimal_roles())
 
+    @pytest.mark.parametrize("bad_line", [0, 1, 2500], ids=["header", "first-row", "late-row"])
+    def test_bytes_that_are_not_utf8_are_a_data_error(self, tmp_path, bad_line):
+        # A Latin-1 e-acute. Line 2500 lies past the first block the reader
+        # decodes, so the one-pass parser meets it first and then the
+        # cell-by-cell parser.
+        lines = ["R,M,Y"] + [f"{i % 2},{i % 7}.5,{i % 5}" for i in range(3000)]
+        lines[bad_line] = lines[bad_line].replace(",", "\xe9,", 1)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        with pytest.raises(DataError) as info:
+            load_csv(str(path), minimal_roles())
+        assert str(info.value) == f"cannot read {str(path)!r}: not valid UTF-8 (byte 0xe9: invalid continuation byte)"
+
     def test_whitespace_tolerated(self, tmp_path):
         path = self.write(tmp_path, " R , M , Y \n 0 , 1 , 2 \n 1 , 3 , 4 \n")
         data = load_csv(path, minimal_roles())
