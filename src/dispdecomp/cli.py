@@ -41,7 +41,7 @@ from .sensitivity import (
     grid,
 )
 from .simulate import SCENARIOS, ScenarioConfig, SimulationReport, config_from_json, run_harness
-from .tabular import DataError, RoleSpec, load_csv
+from .tabular import DataError, RoleSpec, _not_utf8, load_csv
 
 __all__ = ["RenderedReport", "render", "main"]
 
@@ -316,6 +316,8 @@ def _run_simulate(args: argparse.Namespace) -> str:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read --config file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read --config file {args.config!r}: {_not_utf8(exc)}") from None
         config = config_from_json(text)
     else:
         config = ScenarioConfig(scenario=args.scenario)

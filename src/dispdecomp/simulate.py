@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -250,87 +250,63 @@ def _checked(value, kind: str, path: str):
     return value
 
 
-def _merge_equation(cls, defaults, spec: dict, context: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(_checked(spec, "object", context)) - allowed
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    merged = {}
-    for key, value in spec.items():
-        path = f"{context}.{key}"
-        if key != "on_intermediate":
-            merged[key] = _checked(value, "number", path)
-        elif isinstance(value, list):
-            merged[key] = tuple(_checked(v, "number", f"{path}[{i}]") for i, v in enumerate(value))
-        else:
-            raise ValueError(f"{path} must be a JSON array of numbers, got {json.dumps(value)}")
-    return replace(defaults, **merged)
+def _merged(default, value, path: str):
+    """The JSON value merged over default, whose type gives the value's kind.
+
+    A dataclass takes an object, merged field by field in declaration order
+    (the class ScenarioConfig stands for the document, whose scenario names
+    the defaults); a tuple takes an array of its first element's kind,
+    non-empty for equations; an int takes a JSON integer and a float a JSON
+    number; the scenario name passes on for ScenarioConfig to check. A wrong
+    value raises a ValueError naming its key path, in which the keys of the
+    document and of its coefficients stand bare.
+    """
+    if is_dataclass(default):
+        spec = _checked(value, "object", path)
+        unknown = sorted(set(spec) - {f.name for f in fields(default)})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {path}")
+        if default is ScenarioConfig:  # the document: its scenario gives the defaults
+            if "scenario" not in spec:
+                raise ValueError("scenario config must name a scenario")
+            default = ScenarioConfig(spec["scenario"])
+        prefix = "" if path in ("scenario config", "coefficients") else f"{path}."
+        for f in fields(default):
+            if f.name in spec:
+                new = {f.name: _merged(getattr(default, f.name), spec[f.name], prefix + f.name)}
+                if f.name == "intermediate":
+                    # A new list of equations resizes both couplings (broadcasting
+                    # their first entry) in the same replace: the lengths must match.
+                    k = len(new["intermediate"])
+                    for eq in ("mediator", "outcome"):
+                        coupling = getattr(default, eq).on_intermediate[:1] * k
+                        new[eq] = replace(getattr(default, eq), on_intermediate=coupling)
+                default = replace(default, **new)
+        return default
+    if isinstance(default, tuple):
+        equations = is_dataclass(default[0])
+        if not isinstance(value, list) or (equations and not value):
+            items = "non-empty JSON array of equation objects" if equations else "JSON array of numbers"
+            raise ValueError(f"{path} must be a {items}, got {json.dumps(value)}")
+        return tuple(_merged(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(default, (int, float)):
+        return _checked(value, "integer" if isinstance(default, int) else "number", path)
+    return value
 
 
 def config_from_json(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON document.
 
-    The document mirrors the dataclass structure; omitted fields take the
-    documented defaults, including the scenario's active confounder
-    loadings when the whole equation block is omitted.
+    The document's keys are the dataclass fields, merged over the named
+    scenario's defaults (see _merged); omitted fields keep those defaults,
+    including the scenario's active confounder loadings.
     """
     try:
-        doc = json.loads(text)
+        return _merged(ScenarioConfig, json.loads(text), "scenario config")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON scenario config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("scenario config must be a JSON object")
-    unknown = set(doc) - {"scenario", "n", "reps", "seed", "coefficients"}
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in scenario config")
-    if "scenario" not in doc:
-        raise ValueError("scenario config must name a scenario")
-    scenario = doc["scenario"]
-    coefs = default_coefficients(scenario)
-    spec = doc.get("coefficients", {})
-    if not isinstance(spec, dict):
-        raise ValueError("coefficients must be a JSON object")
-    unknown = set(spec) - {"p_r", "baseline", "intermediate", "mediator", "outcome"}
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in coefficients")
-    if "p_r" in spec:
-        coefs = replace(coefs, p_r=_checked(spec["p_r"], "number", "p_r"))
-    if "baseline" in spec:
-        coefs = replace(
-            coefs, baseline=_merge_equation(BaselineEquation, coefs.baseline, spec["baseline"], "baseline")
-        )
-    if "intermediate" in spec:
-        eqs = spec["intermediate"]
-        if not isinstance(eqs, list) or not eqs:
-            raise ValueError("intermediate must be a non-empty JSON array of equation objects")
-        base = coefs.intermediate[0]
-        # Replace the equations and resize the coupling vectors in one step;
-        # partial updates would fail the length cross-validation.
-        k = len(eqs)
-        coefs = replace(
-            coefs,
-            intermediate=tuple(
-                _merge_equation(IntermediateEquation, base, eq, f"intermediate[{i}]")
-                for i, eq in enumerate(eqs)
-            ),
-            mediator=replace(coefs.mediator, on_intermediate=coefs.mediator.on_intermediate[:1] * k),
-            outcome=replace(coefs.outcome, on_intermediate=coefs.outcome.on_intermediate[:1] * k),
-        )
-    if "mediator" in spec:
-        coefs = replace(
-            coefs, mediator=_merge_equation(MediatorEquation, coefs.mediator, spec["mediator"], "mediator")
-        )
-    if "outcome" in spec:
-        coefs = replace(
-            coefs, outcome=_merge_equation(OutcomeEquation, coefs.outcome, spec["outcome"], "outcome")
-        )
-    return ScenarioConfig(
-        scenario=scenario,
-        n=_checked(doc.get("n", 2000), "integer", "n"),
-        reps=_checked(doc.get("reps", 200), "integer", "reps"),
-        seed=_checked(doc.get("seed", 0), "integer", "seed"),
-        coefficients=coefs,
-    )
+    except RecursionError:  # json.loads, or json.dumps quoting a deep value in a message
+        raise ValueError("invalid JSON scenario config: nested too deeply") from None
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,12 @@ def _fast_table(lines: Iterable[str], width: int) -> np.ndarray | None:
     return table
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    """Why a file is not UTF-8: the bad byte and the decoder's reason. The
+    position is left out; for a CSV it is an offset into a decoded block."""
+    return f"not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
 def load_csv(path: str, roles: RoleSpec) -> Dataset:
     """Read a headered CSV into a Dataset.
 
@@ -241,9 +247,7 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
         if table is None:
             return _load_csv_reference(path, roles)
     except UnicodeDecodeError as exc:
-        # exc.start is an offset into the decoded block, not the file, so it is left out.
-        bad = exc.object[exc.start]
-        raise DataError(f"cannot read {path!r}: not valid UTF-8 (byte 0x{bad:02x}: {exc.reason})") from exc
+        raise DataError(f"cannot read {path!r}: {_not_utf8(exc)}") from exc
     return Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
 
 

@@ -471,6 +471,26 @@ class TestSimulateCommand:
         assert captured.err == "usage error: baseline.noise_sd must be a JSON number, got Infinity\n"
         assert captured.out == ""
 
+    def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"scenario": "none\xe9"}'.encode("latin-1"))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: cannot read --config file {str(cfg)!r}: "
+            "not valid UTF-8 (byte 0xe9: invalid continuation byte)\n"
+        )
+        assert captured.out == ""
+
+    def test_config_nested_too_deeply_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: invalid JSON scenario config: nested too deeply\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_seed_random_allowed(self, capsys):
         argv = ["simulate", "--scenario", "none", "--reps", "2", "--n", "60",
                 "--seed", "random"]

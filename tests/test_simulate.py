@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dispdecomp.decompose as decompose_module
 from dispdecomp import (
@@ -251,6 +253,22 @@ def random_configs():
         for _ in range(3)
     ]
 
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(value, path=()):
+    """The path to value and to everything nested in it, as dict keys and list indices."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from key_paths(item, path + (key,))
+
+
 class TestScenarioHelpers:
     def test_flags(self):
         assert [scenario_has_baseline(s) for s in SCENARIOS] == [
@@ -470,12 +488,62 @@ class TestConfigFromJson:
             ),
             ('"coefficients": {"p_r": NaN}', "p_r must be a JSON number, got NaN"),
             ('"coefficients": {"p_r": 1e400}', "p_r must be a JSON number, got Infinity"),
+            ('"coefficients": 5', "coefficients must be a JSON object, got 5"),
+            ('"coefficients": null', "coefficients must be a JSON object, got null"),
+            (
+                '"coefficients": {"intermediate": []}',
+                "intermediate must be a non-empty JSON array of equation objects, got []",
+            ),
+            (
+                '"coefficients": {"intermediate": {"on_group": 0.4}}',
+                'intermediate must be a non-empty JSON array of equation objects, got {"on_group": 0.4}',
+            ),
         ],
     )
     def test_values_of_the_wrong_type_name_their_key_path(self, entry, message):
         with pytest.raises(ValueError) as info:
             config_from_json('{"scenario": "cx", %s}' % entry)
         assert str(info.value) == message
+
+    def test_a_document_that_is_not_an_object_names_its_value(self):
+        with pytest.raises(ValueError) as info:
+            config_from_json("[1, 2]")
+        assert str(info.value) == "scenario config must be a JSON object, got [1, 2]"
+
+    def test_json_nested_too_deeply_is_a_value_error(self):
+        with pytest.raises(ValueError) as info:
+            config_from_json("[" * 100_000)
+        assert str(info.value) == "invalid JSON scenario config: nested too deeply"
+
+    def test_values_nested_near_the_recursion_limit_raise_value_error(self):
+        # Some depths parse but are too deep to quote in the type error;
+        # wherever that band lies on this stack, the range covers it.
+        for depth in range(800, 1000):
+            with pytest.raises(ValueError):
+                config_from_json('{"scenario": "cx", "n": %s}' % ("[" * depth + "]" * depth))
+
+    def test_every_dataclass_field_round_trips(self):
+        configs = [ScenarioConfig(s) for s in SCENARIOS] + random_configs()
+        assert len(configs) == 70
+        for config in configs:
+            assert config_from_json(json.dumps(dataclasses.asdict(config))) == config
+
+    @settings(max_examples=500)
+    @given(scenario=st.sampled_from(SCENARIOS), data=st.data())
+    def test_any_json_value_at_any_key_gives_a_config_or_a_value_error(self, scenario, data):
+        # Floats include NaN and the infinities, which json.dumps writes and json.loads reads.
+        doc = {"config": json.loads(json.dumps(dataclasses.asdict(ScenarioConfig(scenario))))}
+        paths = data.draw(st.lists(st.sampled_from(list(key_paths(doc))[1:]), max_size=3, unique=True))
+        for path in sorted(paths, key=len, reverse=True):  # innermost first: every container still exists
+            container = doc
+            for key in path[:-1]:
+                container = container[key]
+            container[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            config = config_from_json(json.dumps(doc["config"]))
+        except ValueError:
+            return
+        assert isinstance(config, ScenarioConfig)
 
     def test_integer_beyond_the_float_range_is_rejected(self):
         huge = str(10**400)
