@@ -30,7 +30,6 @@ from .sensitivity import (
 )
 from .simulate import (
     ADJUSTED_METHOD,
-    HARNESS_METHODS,
     SCENARIOS,
     BaselineEquation,
     CellSummary,
@@ -52,11 +51,8 @@ from .simulate import (
     oracle_explained_bias,
     oracle_sensitivity_params,
     run_harness,
-    scenario_has_baseline,
-    scenario_has_confounder,
-    scenario_has_intermediate,
 )
-from .tabular import DataError, Dataset, RoleSpec, group_means, load_csv, write_csv
+from .tabular import DataError, Dataset, RoleSpec, load_csv
 
 __version__ = "0.1.0"
 
@@ -65,9 +61,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "RoleSpec",
-    "group_means",
     "load_csv",
-    "write_csv",
     "EstimationError",
     "OlsFit",
     "fit_ols",
@@ -89,7 +83,6 @@ __all__ = [
     "benchmark",
     "grid",
     "SCENARIOS",
-    "HARNESS_METHODS",
     "ADJUSTED_METHOD",
     "BaselineEquation",
     "IntermediateEquation",
@@ -101,9 +94,6 @@ __all__ = [
     "TrueValues",
     "CellSummary",
     "SimulationReport",
-    "scenario_has_baseline",
-    "scenario_has_intermediate",
-    "scenario_has_confounder",
     "default_coefficients",
     "config_from_json",
     "generate",

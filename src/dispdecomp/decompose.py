@@ -30,7 +30,7 @@ import numpy as np
 
 from ._streams import stream_seed, substream
 from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, fit_ols
-from .tabular import Dataset, group_means
+from .tabular import Dataset
 
 __all__ = [
     "DicDetail",
@@ -91,6 +91,14 @@ class KobDetail:
         )
 
 
+def _check_integers(instance, names: tuple[str, ...]) -> None:
+    """Raise ValueError unless each named field is an int or numpy integer, not a bool."""
+    for name in names:
+        value = getattr(instance, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CdaSettings:
     """CDA's Monte-Carlo knobs: residual draws per group-1 unit, and their seed.
@@ -105,10 +113,7 @@ class CdaSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("mc_draws_per_unit", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(self, ("mc_draws_per_unit", "seed"))
         if self.mc_draws_per_unit < 0:
             raise ValueError(f"mc_draws_per_unit must be >= 0, got {self.mc_draws_per_unit}")
 
@@ -191,6 +196,12 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
     )
 
 
+def _group_means(data: Dataset, g: int, names: tuple[str, ...]) -> dict[str, float]:
+    """Mean of each named column over group g's rows."""
+    rows = data._rows[g]
+    return {name: float(data.column(name)[rows].sum() / rows.size) for name in names}
+
+
 def _group_fit(data: Dataset, g: int, names: tuple[str, ...]) -> OlsFit:
     try:
         return _fit(data, g, names, data.roles.outcome)
@@ -211,14 +222,10 @@ def decompose_kob(data: Dataset) -> DecompositionResult:
     variables = roles.covariates + (roles.mediator,)
     fit1 = _group_fit(data, 1, variables)
     fit0 = _group_fit(data, 0, variables)
-    means = group_means(data)
-    initial = means[1][roles.outcome] - means[0][roles.outcome]
-    explained_by = {
-        z: fit1.coef(z) * (means[1][z] - means[0][z]) for z in variables
-    }
-    slope_gaps = {
-        z: (fit1.coef(z) - fit0.coef(z)) * means[0][z] for z in variables
-    }
+    mean1, mean0 = (_group_means(data, g, variables + (roles.outcome,)) for g in (1, 0))
+    initial = mean1[roles.outcome] - mean0[roles.outcome]
+    explained_by = {z: fit1.coef(z) * (mean1[z] - mean0[z]) for z in variables}
+    slope_gaps = {z: (fit1.coef(z) - fit0.coef(z)) * mean0[z] for z in variables}
     explained = explained_by[roles.mediator]
     return DecompositionResult(
         method="KOB",
@@ -244,11 +251,9 @@ def _standardized_gap(data: Dataset, response: str) -> float:
     evaluating it at their means.
     """
     baseline = data.roles.baseline
-    rows1 = data._rows[1]
-    means1 = {name: data.column(name)[rows1].sum() / rows1.size for name in baseline + (response,)}
-    at_means = {name: np.array([means1[name]]) for name in baseline}
-    reference = _fit(data, 0, baseline, response).predict(at_means, n=1)[0]
-    return float(means1[response] - reference)
+    mean1 = _group_means(data, 1, baseline + (response,))
+    fit = _fit(data, 0, baseline, response)
+    return mean1[response] - (fit.intercept + sum(fit.coef(z) * mean1[z] for z in baseline))
 
 
 def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:

@@ -87,28 +87,6 @@ class OlsFit:
         diag[self.pivots] = np.einsum("ij,ij->i", r_inv, r_inv)
         return {name: float(v) for name, v in zip(self.coefficients, diag)}
 
-    def predict(self, columns: Mapping[str, np.ndarray], n: int | None = None) -> np.ndarray:
-        """Evaluate the fitted linear function on new columns.
-
-        n is only needed for intercept-only fits, where no column exists
-        to infer the output length from.
-        """
-        acc: np.ndarray | None = None
-        for name, beta in self.coefficients.items():
-            if name == INTERCEPT:
-                continue
-            try:
-                col = columns[name]
-            except KeyError:
-                raise EstimationError(f"predict: missing column {name!r}") from None
-            term = beta * np.asarray(col, dtype=np.float64)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            if n is None:
-                raise EstimationError("predict: length n required for an intercept-only fit")
-            return np.full(n, self.intercept)
-        return self.intercept + acc
-
 
 def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> list[str]:
     """Minimal set of mutually dependent columns, from the pivoted R factor.
@@ -394,6 +372,7 @@ class _GramFits:
         )
 
 
+# Kept public for perfbench/workloads.py, which traces it by name.
 def partial_r2(
     columns: Mapping[str, np.ndarray],
     response: np.ndarray,

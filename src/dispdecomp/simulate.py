@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._streams import substream
-from .decompose import _ESTIMATORS, METHODS, _percentile_bounds
+from .decompose import _ESTIMATORS, METHODS, _check_integers, _percentile_bounds
 from .regress import EstimationError, _one_blas_thread
 from .sensitivity import SensitivityParams, adjust
 from .tabular import DataError, Dataset, RoleSpec
@@ -95,6 +95,7 @@ SCENARIOS = tuple(_STRUCTURE)
 
 ACTIVE_LOADING = 0.5
 
+# Kept for perfbench/workloads.py, which checks sim-suite reports against it.
 HARNESS_METHODS = METHODS
 ADJUSTED_METHOD = "CDA_adjusted"
 
@@ -104,18 +105,6 @@ def _structure(scenario: str) -> _Structure:
         return _STRUCTURE[scenario]
     except (KeyError, TypeError):
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}") from None
-
-
-def scenario_has_baseline(scenario: str) -> bool:
-    return _structure(scenario).baseline
-
-
-def scenario_has_intermediate(scenario: str) -> bool:
-    return _structure(scenario).intermediate
-
-
-def scenario_has_confounder(scenario: str) -> bool:
-    return bool(_structure(scenario).loads)
 
 
 @dataclass(frozen=True)
@@ -210,8 +199,16 @@ def default_coefficients(scenario: str) -> SemCoefficients:
     )
 
 
+_BOUNDS = {"n": (50, 10**7), "reps": (1, 10**6)}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One simulation. n, reps and seed are integers (not bool), with
+    50 <= n <= 10**7 (a replication holds about ten float64 columns of n rows,
+    0.8 GB at the top) and 1 <= reps <= 10**6; coefficients=None takes the
+    scenario's defaults."""
+
     scenario: str
     n: int = 2000
     reps: int = 200
@@ -220,10 +217,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         loads = _structure(self.scenario).loads
-        if self.n < 50:
-            raise ValueError(f"n must be >= 50, got {self.n}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _check_integers(self, ("n", "reps", "seed"))
+        for name, (low, high) in _BOUNDS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}, got {value}")
         if self.coefficients is None:
             object.__setattr__(self, "coefficients", default_coefficients(self.scenario))
         coefs = self.coefficients
@@ -233,6 +233,23 @@ class ScenarioConfig:
                 raise ValueError(
                     f"scenario {self.scenario!r} forbids a confounder loading on {label}"
                 )
+
+
+class _LongInteger(str):
+    """Stands for a JSON integer with more digits than int() reads; its text
+    is what an error shows. No field takes one."""
+
+
+def _parse_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:  # more than sys.get_int_max_str_digits()
+        return _LongInteger(f"an integer of {len(text.lstrip('-'))} digits, too many to read")
+
+
+def _shown(value) -> str:
+    """value as an error message shows it: its JSON text, or what _LongInteger says."""
+    return value if isinstance(value, _LongInteger) else json.dumps(value)
 
 
 def _checked(value, kind: str, path: str):
@@ -246,7 +263,7 @@ def _checked(value, kind: str, path: str):
         or not isinstance(value, types)
         or (kind == "number" and not abs(value) <= sys.float_info.max)
     ):
-        raise ValueError(f"{path} must be a JSON {kind}, got {json.dumps(value)}")
+        raise ValueError(f"{path} must be a JSON {kind}, got {_shown(value)}")
     return value
 
 
@@ -287,7 +304,7 @@ def _merged(default, value, path: str):
         equations = is_dataclass(default[0])
         if not isinstance(value, list) or (equations and not value):
             items = "non-empty JSON array of equation objects" if equations else "JSON array of numbers"
-            raise ValueError(f"{path} must be a {items}, got {json.dumps(value)}")
+            raise ValueError(f"{path} must be a {items}, got {_shown(value)}")
         return tuple(_merged(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(default, (int, float)):
         return _checked(value, "integer" if isinstance(default, int) else "number", path)
@@ -302,7 +319,7 @@ def config_from_json(text: str) -> ScenarioConfig:
     including the scenario's active confounder loadings.
     """
     try:
-        return _merged(ScenarioConfig, json.loads(text), "scenario config")
+        return _merged(ScenarioConfig, json.loads(text, parse_int=_parse_int), "scenario config")
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON scenario config: {exc}") from exc
     except RecursionError:  # json.loads, or json.dumps quoting a deep value in a message
@@ -391,7 +408,7 @@ _NOISE = (None, 1.0)
 
 
 def _x_names(config: ScenarioConfig) -> list[str]:
-    if not scenario_has_intermediate(config.scenario):
+    if not _structure(config.scenario).intermediate:
         return []
     assert config.coefficients is not None
     return [f"X{i}" for i in range(1, len(config.coefficients.intermediate) + 1)]
@@ -399,7 +416,7 @@ def _x_names(config: ScenarioConfig) -> list[str]:
 
 def _covariates(config: ScenarioConfig) -> list[str]:
     """Intermediate then baseline covariates, as in RoleSpec.covariates."""
-    return _x_names(config) + (["C"] if scenario_has_baseline(config.scenario) else [])
+    return _x_names(config) + (["C"] if _structure(config.scenario).baseline else [])
 
 
 def _equations(config: ScenarioConfig, confounded: bool) -> list[tuple[str, float, list, float]]:
@@ -565,13 +582,13 @@ def baseline_pathway_contribution(config: ScenarioConfig) -> float:
     baseline covariate, which feeds the outcome directly, through the
     mediator, and through any intermediate covariates.
     """
-    if not scenario_has_baseline(config.scenario):
+    if not _structure(config.scenario).baseline:
         return 0.0
     coefs = config.coefficients
     assert coefs is not None
     med, out = coefs.mediator, coefs.outcome
     dy_dc = out.on_baseline + out.on_mediator * med.on_baseline
-    if scenario_has_intermediate(config.scenario):
+    if _structure(config.scenario).intermediate:
         for eq, b_x, a_x in zip(coefs.intermediate, out.on_intermediate, med.on_intermediate):
             dy_dc += eq.on_baseline * (b_x + out.on_mediator * a_x)
     return coefs.baseline.on_group * dy_dc
@@ -585,7 +602,7 @@ def intermediate_pathway_contribution(config: ScenarioConfig) -> float:
     initial disparity (CDA), which keeps intermediate pathways, and the
     fully covariate-adjusted one (DIC), which removes them.
     """
-    if not scenario_has_intermediate(config.scenario):
+    if not _structure(config.scenario).intermediate:
         return 0.0
     coefs = config.coefficients
     assert coefs is not None
@@ -604,7 +621,7 @@ def oracle_sensitivity_params(config: ScenarioConfig) -> SensitivityParams:
     and the sign of the product of its mediator and outcome loadings.
     Scenarios without a confounder get (0, 0, +1).
     """
-    if not scenario_has_confounder(config.scenario):
+    if not _structure(config.scenario).loads:
         return SensitivityParams(r2_yu=0.0, r2_mu=0.0, sign=+1)
     coefs = config.coefficients
     assert coefs is not None
@@ -637,7 +654,7 @@ def oracle_explained_bias(config: ScenarioConfig) -> float:
     assert coefs is not None
     lam_m = coefs.mediator.on_confounder
     lam_y = coefs.outcome.on_confounder
-    if lam_m == 0.0 or lam_y == 0.0 or not scenario_has_confounder(config.scenario):
+    if lam_m == 0.0 or lam_y == 0.0 or not _structure(config.scenario).loads:
         return 0.0
     mom = implied_moments(config, confounded=True)
     _, _, var_m_perp = mom.project("M", ["R"] + _covariates(config))
@@ -720,7 +737,7 @@ def _one_replication(
     out: dict[str, tuple[float, float, float]] = {}
     try:
         data = generate(config, rep)
-        results = {method: _ESTIMATORS[method](data, None) for method in HARNESS_METHODS}
+        results = {method: _ESTIMATORS[method](data, None) for method in METHODS}
         for method, res in results.items():
             out[method] = (res.initial, res.explained, res.unexplained)
         if params is not None:
@@ -734,7 +751,7 @@ def _one_replication(
 def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int = 1) -> SimulationReport:
     """Replicate generate + estimate, aggregate against the truth oracle.
 
-    Every replication runs DIC, KOB and CDA (HARNESS_METHODS), CDA with its
+    Every replication runs DIC, KOB and CDA (METHODS), CDA with its
     exact counterfactual mean, so no replication makes a Monte-Carlo draw.
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
@@ -755,7 +772,7 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     with _one_blas_thread():
         results = [_one_replication(config, rep, params) for rep in range(reps)]
 
-    report_methods = HARNESS_METHODS + ((ADJUSTED_METHOD,) if sensitivity else ())
+    report_methods = METHODS + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []
     for method in report_methods:
         truth = truths.for_method(method)

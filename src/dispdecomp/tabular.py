@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-__all__ = ["DataError", "RoleSpec", "Dataset", "load_csv", "write_csv", "group_means"]
+__all__ = ["DataError", "RoleSpec", "Dataset", "load_csv"]
 
 
 class DataError(ValueError):
@@ -250,22 +250,3 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
         raise DataError(f"cannot read {path!r}: {_not_utf8(exc)}") from exc
     return Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
 
-
-def write_csv(data: Dataset, path: str) -> None:
-    """Write a Dataset back to CSV; floats use shortest round-trip repr."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        names = list(data.columns)
-        writer.writerow(names)
-        cols = [data.columns[n] for n in names]
-        for i in range(data.n):
-            writer.writerow([repr(float(c[i])) for c in cols])
-
-
-def group_means(data: Dataset) -> dict[int, dict[str, float]]:
-    """Per-group mean of every column, keyed by group value then column name."""
-    out: dict[int, dict[str, float]] = {}
-    for g in (0, 1):
-        rows = data._rows[g]
-        out[g] = {name: float(col[rows].sum() / rows.size) for name, col in data.columns.items()}
-    return out

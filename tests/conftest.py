@@ -1,3 +1,4 @@
+import csv
 import os
 from pathlib import Path
 
@@ -39,6 +40,14 @@ def build_dataset(columns, *, group="R", outcome="Y", mediator="M", baseline=(),
         intermediate=tuple(intermediate),
     )
     return Dataset(arrays, roles)
+
+
+def write_dataset_csv(data, path):
+    """data as a CSV file: its column names, then each value as repr(float), which round-trips."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.columns)
+        writer.writerows(zip(*(map(repr, column.tolist()) for column in data.columns.values())))
 
 
 def random_dataset(seed, n=24, n_baseline=1, n_intermediate=1):

@@ -471,6 +471,34 @@ class TestSimulateCommand:
         assert captured.err == "usage error: baseline.noise_sd must be a JSON number, got Infinity\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                '{"scenario": "none", "n": 100000000000000000000, "reps": 1}',
+                "n must be <= 10000000, got 100000000000000000000",
+            ),
+            (
+                '{"scenario": "none", "n": 1' + "0" * 5000 + "}",
+                "n must be a JSON integer, got an integer of 5001 digits, too many to read",
+            ),
+        ],
+        ids=["beyond-the-bound", "too-long-to-read"],
+    )
+    def test_config_integer_too_large_is_a_usage_error_naming_its_key(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(doc)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
+    def test_n_override_beyond_its_bound_is_a_usage_error(self, capsys):
+        assert main(["simulate", "--scenario", "none", "--n", "100000000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: n must be <= 10000000, got 100000000000000000000\n"
+        assert captured.out == ""
+
     def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"
         cfg.write_bytes('{"scenario": "none\xe9"}'.encode("latin-1"))

@@ -171,6 +171,11 @@ class TestCda:
         assert res.explained == 0.0
         assert res.unexplained == 0.0
 
+    def test_without_baseline_covariates_initial_is_the_group_1_mean_less_the_group_0_intercept(self):
+        data = random_dataset(7, n=30, n_baseline=0, n_intermediate=1)
+        mean1 = data.column("Y")[data._rows[1]].mean()
+        assert decompose_cda(data).initial == mean1 - decompose_module._fit(data, 0, (), "Y").intercept
+
     @given(seed=st.integers(0, 2**32 - 1))
     def test_additivity_exact(self, seed):
         data = random_dataset(seed, n=24, n_baseline=1, n_intermediate=1)
@@ -846,6 +851,13 @@ class TestFitMemo:
         assert "_fits" not in before
         memo = {f.name: f for f in dataclasses.fields(Dataset)}["_fits"]
         assert not memo.repr and not memo.compare and not memo.init
+
+
+class TestGroupMeans:
+    def test_each_named_column_by_group(self):
+        data = build_dataset({"R": [0, 0, 1], "M": [1, 3, 5], "Y": [2, 4, 9]})
+        assert decompose_module._group_means(data, 0, ("R", "M", "Y")) == {"R": 0.0, "M": 2.0, "Y": 3.0}
+        assert decompose_module._group_means(data, 1, ("Y", "M")) == {"Y": 9.0, "M": 5.0}
 
 
 class TestGroupSplit:

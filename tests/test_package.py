@@ -1,12 +1,19 @@
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dispdecomp
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE_DIR = Path(dispdecomp.__file__).resolve().parent
+# The package and each of its modules whose name has no leading underscore.
+PUBLIC_MODULES = ["dispdecomp"] + [
+    f"dispdecomp.{path.stem}" for path in sorted(PACKAGE_DIR.glob("*.py")) if not path.stem.startswith("_")
+]
 
 ONE_FAILING_GIVEN_TEST = """
 from hypothesis import given, strategies as st
@@ -51,12 +58,14 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def test_every_public_name_is_unique_and_resolves():
-    # A stale name in __all__ breaks only `from dispdecomp import *`.
-    names = dispdecomp.__all__
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_every_public_name_is_unique_and_resolves(module_name):
+    # A stale name in __all__ breaks only `from <module> import *`.
+    module = importlib.import_module(module_name)
+    names = module.__all__
     assert len(names) == len(set(names))
     for name in names:
-        getattr(dispdecomp, name)
+        getattr(module, name)
 
 
 def test_a_failing_given_test_does_not_abort_the_run(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dispdecomp.decompose as decompose_module
 from dispdecomp import (
     ADJUSTED_METHOD,
-    HARNESS_METHODS,
+    METHODS,
     SCENARIOS,
     CdaSettings,
     EstimationError,
@@ -36,9 +36,6 @@ from dispdecomp import (
     oracle_explained_bias,
     oracle_sensitivity_params,
     run_harness,
-    scenario_has_baseline,
-    scenario_has_confounder,
-    scenario_has_intermediate,
 )
 from dispdecomp._streams import substream
 
@@ -72,6 +69,17 @@ MY_CONF_R2_YU = 1.0 / 6.0
 MY_CONF_R2_MU = 0.2
 MY_CONF_BIAS = -0.072  # 0.5 * (0.5 / 1.25) * (-0.36)
 
+# Each scenario's variables, written out apart from the package's own table:
+# (C exists, X1..Xk exist, the variables among X, M and Y that U loads on).
+STRUCTURE = {
+    "none": (False, False, ""),
+    "c-only": (True, False, ""),
+    "x-only": (False, True, ""),
+    "cx": (True, True, ""),
+    "xm-conf": (True, True, "XM"),
+    "my-conf": (True, True, "MY"),
+    "both": (True, True, "XMY"),
+}
 
 
 def reference_generate(config, rep_index):
@@ -83,8 +91,8 @@ def reference_generate(config, rep_index):
     coefs = config.coefficients
     n = config.n
     rng = substream(config.seed, rep_index, 0)
-    has_c = scenario_has_baseline(config.scenario)
-    has_u = scenario_has_confounder(config.scenario)
+    has_c, has_x, loads = STRUCTURE[config.scenario]
+    has_u = bool(loads)
 
     r = (rng.random(n) < coefs.p_r).astype(np.float64)
     columns = {"R": r}
@@ -94,7 +102,7 @@ def reference_generate(config, rep_index):
         c = b.intercept + b.on_group * r + rng.normal(0.0, b.noise_sd, n)
         columns["C"] = c
     u = rng.normal(0.0, 1.0, n) if has_u else np.zeros(n)
-    k = len(coefs.intermediate) if scenario_has_intermediate(config.scenario) else 0
+    k = len(coefs.intermediate) if has_x else 0
     xs = [f"X{i}" for i in range(1, k + 1)]
     x_cols = []
     for name, eq in zip(xs, coefs.intermediate):
@@ -146,8 +154,8 @@ def reference_implied_moments(config, group=None, confounded=True):
             mediator=dataclasses.replace(coefs.mediator, on_confounder=0.0),
             outcome=dataclasses.replace(coefs.outcome, on_confounder=0.0),
         )
-    has_c = scenario_has_baseline(config.scenario)
-    has_u = scenario_has_confounder(config.scenario) and confounded
+    has_c, has_x, loads = STRUCTURE[config.scenario]
+    has_u = bool(loads) and confounded
     names, mean, cov = [], np.empty(0), np.empty((0, 0))
 
     def add(name, mean_value, cross, var):
@@ -176,7 +184,7 @@ def reference_implied_moments(config, group=None, confounded=True):
         add_linear("C", coefs.baseline.intercept, {"R": coefs.baseline.on_group}, coefs.baseline.noise_sd)
     if has_u:
         add("U", 0.0, np.zeros(len(names)), 1.0)
-    k = len(coefs.intermediate) if scenario_has_intermediate(config.scenario) else 0
+    k = len(coefs.intermediate) if has_x else 0
     xs = [f"X{i}" for i in range(1, k + 1)]
     for name, eq in zip(xs, coefs.intermediate):
         w = {"R": eq.on_group}
@@ -206,9 +214,6 @@ def reference_implied_moments(config, group=None, confounded=True):
     return names, mean, cov
 
 
-LOADED = {"xm-conf": "XM", "my-conf": "MY", "both": "XMY"}
-
-
 def random_config_json(rng, scenario, k):
     """A JSON config with k intermediates, random coefficients and every allowed loading."""
 
@@ -218,7 +223,7 @@ def random_config_json(rng, scenario, k):
     def sd():
         return round(float(rng.uniform(0.5, 2.0)), 3)
 
-    loads = LOADED.get(scenario, "")
+    loads = STRUCTURE[scenario][2]
 
     def loading(variable):
         return {"on_confounder": coef()} if variable in loads else {}
@@ -270,26 +275,11 @@ def key_paths(value, path=()):
 
 
 class TestScenarioHelpers:
-    def test_flags(self):
-        assert [scenario_has_baseline(s) for s in SCENARIOS] == [
-            False, True, False, True, True, True, True,
-        ]
-        assert [scenario_has_intermediate(s) for s in SCENARIOS] == [
-            False, False, True, True, True, True, True,
-        ]
-        assert [scenario_has_confounder(s) for s in SCENARIOS] == [
-            False, False, False, False, True, True, True,
-        ]
-
     @pytest.mark.parametrize("name", ["mystery", "Both"])
-    @pytest.mark.parametrize(
-        "helper",
-        [scenario_has_baseline, scenario_has_intermediate, scenario_has_confounder, default_coefficients],
-    )
-    def test_unknown_scenario_raises(self, helper, name):
+    def test_unknown_scenario_raises(self, name):
         expected = f"unknown scenario {name!r}, expected one of {SCENARIOS}"
         with pytest.raises(ValueError) as info:
-            helper(name)
+            default_coefficients(name)
         assert str(info.value) == expected
 
 
@@ -338,7 +328,7 @@ class TestCoefficients:
             lam_m = coefs.mediator.on_confounder
             lam_y = coefs.outcome.on_confounder
             expect_x = 0.5 if scenario in ("xm-conf", "both") else 0.0
-            expect_m = 0.5 if scenario_has_confounder(scenario) else 0.0
+            expect_m = 0.5 if "M" in STRUCTURE[scenario][2] else 0.0
             expect_y = 0.5 if scenario in ("my-conf", "both") else 0.0
             assert lam_x == {expect_x}, scenario
             assert lam_m == expect_m, scenario
@@ -371,6 +361,37 @@ class TestScenarioConfig:
             ScenarioConfig("none", n=49)
         with pytest.raises(ValueError, match="reps must be >= 1"):
             ScenarioConfig("none", reps=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 100.5), ("n", True), ("n", "100"), ("reps", True), ("reps", 2.0), ("seed", 1.5), ("seed", None)],
+    )
+    def test_n_reps_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig("none", **{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_are_integers(self):
+        config = ScenarioConfig("none", n=np.int64(60), reps=np.int32(2), seed=np.uint64(3))
+        assert (config.n, config.reps, config.seed) == (60, 2, 3)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", 10**7 + 1, "n must be <= 10000000, got 10000001"),
+            ("n", 10**20, "n must be <= 10000000, got 100000000000000000000"),
+            ("reps", 10**6 + 1, "reps must be <= 1000000, got 1000001"),
+        ],
+    )
+    def test_n_and_reps_have_upper_bounds(self, field, value, message):
+        # The config is refused when it is built, before generate allocates.
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig("none", **{field: value})
+        assert str(info.value) == message
+
+    def test_the_bounds_themselves_are_accepted(self):
+        config = ScenarioConfig("none", n=10**7, reps=10**6)
+        assert (config.n, config.reps) == (10**7, 10**6)
 
     def test_defaults_filled(self):
         config = ScenarioConfig("my-conf")
@@ -509,6 +530,34 @@ class TestConfigFromJson:
         with pytest.raises(ValueError) as info:
             config_from_json("[1, 2]")
         assert str(info.value) == "scenario config must be a JSON object, got [1, 2]"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"n": {}', "n must be a JSON integer, got {}"),
+            ('"seed": -{}', "seed must be a JSON integer, got {}"),
+            ('"coefficients": {{"p_r": {}}}', "p_r must be a JSON number, got {}"),
+            ('"coefficients": {{"intermediate": [{{"on_group": {}}}]}}', "intermediate[0].on_group must be a JSON number, got {}"),
+            ('"coefficients": {{"intermediate": {}}}', "intermediate must be a non-empty JSON array of equation objects, got {}"),
+            ('"coefficients": {{"mediator": {{"on_intermediate": [0, {}, 0]}}}}', "mediator.on_intermediate[1] must be a JSON number, got {}"),
+        ],
+    )
+    def test_an_integer_too_long_to_read_names_its_key_path(self, entry, message):
+        # int() reads at most sys.get_int_max_str_digits() (4300) digits.
+        digits = "1" + "0" * 5000
+        with pytest.raises(ValueError) as info:
+            config_from_json('{"scenario": "cx", ' + entry.format(digits) + "}")
+        assert str(info.value) == message.format("an integer of 5001 digits, too many to read")
+
+    def test_a_document_that_is_a_long_integer_names_its_length(self):
+        with pytest.raises(ValueError) as info:
+            config_from_json("9" * 5000)
+        assert str(info.value) == "scenario config must be a JSON object, got an integer of 5000 digits, too many to read"
+
+    def test_n_beyond_its_bound_names_the_key(self):
+        with pytest.raises(ValueError) as info:
+            config_from_json('{"scenario": "none", "n": 100000000000000000000, "reps": 1}')
+        assert str(info.value) == "n must be <= 10000000, got 100000000000000000000"
 
     def test_json_nested_too_deeply_is_a_value_error(self):
         with pytest.raises(ValueError) as info:
@@ -764,8 +813,9 @@ class TestGenerate:
         assert data.roles.group == "R"
         assert data.roles.outcome == "Y"
         assert data.roles.mediator == "M"
-        assert data.roles.baseline == (("C",) if scenario_has_baseline(scenario) else ())
-        expected_x = ("X1", "X2", "X3") if scenario_has_intermediate(scenario) else ()
+        has_c, has_x, _ = STRUCTURE[scenario]
+        assert data.roles.baseline == (("C",) if has_c else ())
+        expected_x = ("X1", "X2", "X3") if has_x else ()
         assert data.roles.intermediate == expected_x
 
     def test_deterministic_per_replication(self):
@@ -805,7 +855,7 @@ class TestRunHarness:
     def test_cell_layout_and_accessors(self):
         config = ScenarioConfig("c-only", n=60, reps=4, seed=1)
         report = run_harness(config)
-        assert report.methods == HARNESS_METHODS
+        assert report.methods == METHODS
         assert len(report.cells) == 9
         cell = report.cell("KOB", "explained")
         assert cell.method == "KOB"
@@ -819,7 +869,7 @@ class TestRunHarness:
     def test_adjusted_cells_share_cda_truth(self):
         config = ScenarioConfig("my-conf", n=80, reps=4, seed=6)
         report = run_harness(config, sensitivity=True)
-        assert report.methods == HARNESS_METHODS + (ADJUSTED_METHOD,)
+        assert report.methods == METHODS + (ADJUSTED_METHOD,)
         truths = compute_truths(config)
         for quantity in ("initial", "explained", "unexplained"):
             adj = report.cell(ADJUSTED_METHOD, quantity)
@@ -910,7 +960,7 @@ class TestHarnessDispatch:
 
         monkeypatch.setattr(decompose_module, "substream", no_stream)
         report = run_harness(ScenarioConfig("both", n=60, reps=2), sensitivity=True)
-        assert report.methods == HARNESS_METHODS + (ADJUSTED_METHOD,)
+        assert report.methods == METHODS + (ADJUSTED_METHOD,)
 
 
 class TestSharedFits:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, group_means, load_csv, write_csv
+from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, load_csv
 from dispdecomp.tabular import _fast_table, _load_csv_reference
 
-from conftest import build_dataset
+from conftest import build_dataset, write_dataset_csv
 
 
 def minimal_roles(**overrides):
@@ -159,12 +159,6 @@ class TestDataset:
     def test_group_rows_are_outside_init_repr_and_eq(self):
         split = {f.name: f for f in dataclasses.fields(Dataset)}["_rows"]
         assert not split.init and not split.repr and not split.compare
-
-    def test_group_means(self):
-        data = build_dataset({"R": [0, 0, 1], "M": [1, 3, 5], "Y": [2, 4, 9]})
-        means = group_means(data)
-        assert means[0] == {"R": 0.0, "M": 2.0, "Y": 3.0}
-        assert means[1] == {"R": 1.0, "M": 5.0, "Y": 9.0}
 
 
 class TestLoadCsv:
@@ -346,7 +340,7 @@ class TestLoadCsvMatchesReference:
         assert _fast_table(iter(lines), 3) is None
 
 
-class TestWriteCsv:
+class TestCsvRoundTrip:
     @given(
         values=st.lists(
             st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -365,7 +359,7 @@ class TestWriteCsv:
         }
         data = build_dataset(columns)
         path = str(tmp / "out.csv")
-        write_csv(data, path)
+        write_dataset_csv(data, path)
         back = load_csv(path, data.roles)
         for name in columns:
             npt.assert_array_equal(
@@ -375,6 +369,6 @@ class TestWriteCsv:
     def test_negative_zero_survives(self, tmp_path):
         data = build_dataset({"R": [0, 1], "M": [-0.0, 1.0], "Y": [1.0, 2.0]})
         path = str(tmp_path / "z.csv")
-        write_csv(data, path)
+        write_dataset_csv(data, path)
         back = load_csv(path, data.roles)
         assert np.signbit(back.column("M")[0])
