@@ -24,13 +24,13 @@ of the three on a single dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from ._streams import stream_seed, substream
 from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, fit_ols
-from .tabular import Dataset
+from .tabular import Dataset, RoleSpec
 
 __all__ = [
     "DicDetail",
@@ -361,46 +361,83 @@ _GRAM_BLOCK = 32
 
 
 class _GramReplicates:
-    """The models in data._fits, fitted on blocks of resamples of data from Gram matrices.
+    """Fit memos for blocks of replicates, solved from per-group Gram matrices.
 
-    Every role column is shifted by its full-sample mean, except the group
-    column; the two groups' Gram matrices add up to the pooled one.
+    keys are fit-memo keys (group, names, response), as _fit makes them:
+    the models every replicate needs. A replicate's rows are
+    z = [1, v - means[v], ...] over the role columns in all_roles() order,
+    the group column unshifted; the two groups' Gram matrices add up to the
+    pooled one. means must not depend on which replicates share a block,
+    so a replicate's fits do not either.
     """
 
-    def __init__(self, data: Dataset) -> None:
-        roles = data.roles.all_roles()
-        index = {name: j for j, name in enumerate(roles, start=1)}
-        self.shift = np.zeros(len(roles) + 1)
-        self.rows = np.empty((data.n, len(roles) + 1))
-        self.rows[:, 0] = 1.0
-        for name, j in index.items():
-            column = data.column(name)
-            if name != data.roles.group:
-                self.shift[j] = column.sum() / data.n
-            self.rows[:, j] = column - self.shift[j]
+    def __init__(self, roles: RoleSpec, keys: Iterable[tuple], means: Mapping[str, float]) -> None:
+        self.index = {name: j for j, name in enumerate(roles.all_roles(), start=1)}
+        self.shift = np.zeros(len(self.index) + 1)
+        for name, j in self.index.items():
+            if name != roles.group:
+                self.shift[j] = means[name]
         self.models = []
-        for key in data._fits:
+        for key in keys:
             _, names, response = key
-            columns = np.array([0] + [index[name] for name in names] + [index[response]])
+            columns = np.array([0] + [self.index[name] for name in names] + [self.index[response]])
             self.models.append((key, columns, [INTERCEPT, *names]))
-        self.n0 = data._rows[0].size
 
-    def memos(self, resamples: list[np.ndarray]) -> Iterator[dict]:
-        """For each resample (indices into data) in turn, a fit memo of its accepted fits."""
-        q = self.rows.shape[1]
-        grams = np.empty((2, len(resamples), q, q))
-        for k, resample in enumerate(resamples):
-            rows = self.rows[resample]
-            for g, part in enumerate((rows[: self.n0], rows[self.n0 :])):
-                grams[g, k] = part.T @ part
-        by_group = {0: grams[0], 1: grams[1], None: grams[0] + grams[1]}
-        solved = [
-            (key, _GramFits(by_group[key[0]], self.shift, columns, names)) for key, columns, names in self.models
-        ]
-        for k, resample in enumerate(resamples):
-            rows = self.rows[resample]
-            parts = {0: rows[: self.n0], 1: rows[self.n0 :], None: rows}
-            yield {key: fits.fit(k, parts[key[0]]) for key, fits in solved if fits.accepted[k]}
+    def rows(self, data: Dataset) -> np.ndarray:
+        """data's rows of z."""
+        rows = np.empty((data.n, self.shift.size))
+        rows[:, 0] = 1.0
+        for name, j in self.index.items():
+            rows[:, j] = data.column(name) - self.shift[j]
+        return rows
+
+    def parts(self, data: Dataset) -> dict:
+        """data's rows of z by fit group (0, 1, or None for all), in the order _fit reads them."""
+        rows = self.rows(data)
+        return {0: rows[data._rows[0]], 1: rows[data._rows[1]], None: rows}
+
+    def memos(self, replicates: list, parts: Callable[[object], dict]) -> Iterator[tuple[object, dict]]:
+        """Each replicate in turn, with a fit memo of its accepted fits.
+
+        parts(replicate) gives its rows of z as the parts method does for a
+        Dataset. It is called twice per replicate: for the block's Gram
+        matrices, then for the replicate's fits as it is yielded. Each slot
+        of replicates is emptied (None) as its replicate is yielded, so the
+        block holds the rows and fits of one replicate at a time.
+        """
+        q = self.shift.size
+        grams = np.empty((2, len(replicates), q, q))
+        # A cross product that overflows is rejected by _GramFits and left
+        # to fit_ols, so its overflow is no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, replicate in enumerate(replicates):
+                rows = parts(replicate)
+                for g in (0, 1):
+                    grams[g, k] = rows[g].T @ rows[g]
+            by_group = {0: grams[0], 1: grams[1], None: grams[0] + grams[1]}
+            solved = [
+                (key, _GramFits(by_group[key[0]], self.shift, columns, names)) for key, columns, names in self.models
+            ]
+        for k in range(len(replicates)):
+            replicate, replicates[k] = replicates[k], None
+            rows = parts(replicate)
+            yield replicate, {key: fits.fit(k, rows[key[0]]) for key, fits in solved if fits.accepted[k]}
+
+
+def _resample_memos(data: Dataset) -> Callable[[list[np.ndarray]], Iterator[tuple[np.ndarray, dict]]]:
+    """memos(resamples) gives each resample of data (indices into it, group
+    0's rows first) with a fit memo of the models in data._fits, from
+    _GramReplicates with data's means as the shift."""
+    roles = data.roles
+    gram = _GramReplicates(roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()})
+    shifted = gram.rows(data)
+    n0 = data._rows[0].size
+
+    def parts(resample: np.ndarray) -> dict:
+        rows = shifted[resample]
+        return {0: rows[:n0], 1: rows[n0:], None: rows}
+
+    return lambda resamples: gram.memos(resamples, parts)
 
 
 def _bootstrap(
@@ -418,7 +455,7 @@ def _bootstrap(
         raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
     points = [_ESTIMATORS[method](data, settings) for method in methods]
     derive_seeds = (settings or CdaSettings()).mc_draws_per_unit > 0
-    gram = _GramReplicates(data)
+    memos = _resample_memos(data)
 
     idx0, idx1 = data._rows
 
@@ -434,7 +471,7 @@ def _bootstrap(
     with _one_blas_thread():
         for start in range(0, B, _GRAM_BLOCK):
             first = [resample(b, 0) for b in range(start, min(start + _GRAM_BLOCK, B))]
-            for b, (rows, fits) in enumerate(zip(first, gram.memos(first)), start):
+            for b, (rows, fits) in enumerate(memos(first), start):
                 pending = range(len(methods))
                 attempt = 0
                 while pending:

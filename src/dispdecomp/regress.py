@@ -6,10 +6,11 @@ with rank deficiency reported as a hard error that names a minimal set of
 linearly dependent columns. Everything downstream (decompositions,
 sensitivity analysis, benchmarking) is built on fit_ols. partial_r2 is
 for callers only: benchmarking reads the same values from the t
-statistics of one fit and does not call it. The one exception is the
-bootstrap's replicate fits (_GramFits): they solve the normal equations,
-but only where the conditioning guarantees agreement with fit_ols to
-GRAM_TOL.
+statistics of one fit and does not call it. The exceptions are the
+replicate fits of the bootstrap and of the simulation harness past its
+replication 0 (_GramFits): they solve the normal equations, but only
+where the conditioning guarantees agreement with fit_ols to GRAM_TOL,
+and leave the rest to fit_ols.
 """
 from __future__ import annotations
 
@@ -322,7 +323,9 @@ class _GramFits:
         unshift[0, 1:] = shift[columns[1:]]
         scaled, norms = _scaled(model)
         unshifted, unshifted_norms = _scaled(unshift.T @ model @ unshift)
-        eig = np.linalg.eigvalsh(np.concatenate([scaled, unshifted]))
+        # A Gram matrix that overflowed reads as all zeros: singular, so rejected.
+        both = np.concatenate([scaled, unshifted])
+        eig = np.linalg.eigvalsh(np.where(np.isfinite(both).all(axis=(1, 2))[:, None, None], both, 0.0))
         limit = 2 * (p + 1) * np.finfo(np.float64).eps / GRAM_TOL
         conditioned = (eig[:, 0] > limit * eig[:, -1]).reshape(2, k).all(axis=0)
         low = np.sqrt(np.maximum(eig[k:, 0], 0.0))

@@ -39,15 +39,17 @@ hand-derived truths, and a 10^6-row brute-force check.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ._streams import substream
-from .decompose import _ESTIMATORS, METHODS, _check_integers, _percentile_bounds
+from .decompose import _ESTIMATORS, METHODS, _check_integers, _GramReplicates, _percentile_bounds
 from .regress import EstimationError, _one_blas_thread
 from .sensitivity import SensitivityParams, adjust
 from .tabular import DataError, Dataset, RoleSpec
@@ -202,6 +204,19 @@ def default_coefficients(scenario: str) -> SemCoefficients:
 _BOUNDS = {"n": (50, 10**7), "reps": (1, 10**6)}
 
 
+def _decimal(value: int) -> str:
+    """value in decimal, or its digit count when str() refuses to write that many."""
+    try:
+        return str(value)
+    except ValueError:  # more than sys.get_int_max_str_digits()
+        size = abs(int(value))
+        digits = int((size.bit_length() - 1) * math.log10(2))  # at most the count
+        while 10**digits <= size:
+            digits += 1
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits, too many to show"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation. n, reps and seed are integers (not bool), with
@@ -221,9 +236,9 @@ class ScenarioConfig:
         for name, (low, high) in _BOUNDS.items():
             value = getattr(self, name)
             if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+                raise ValueError(f"{name} must be >= {low}, got {_decimal(value)}")
             if value > high:
-                raise ValueError(f"{name} must be <= {high}, got {value}")
+                raise ValueError(f"{name} must be <= {high}, got {_decimal(value)}")
         if self.coefficients is None:
             object.__setattr__(self, "coefficients", default_coefficients(self.scenario))
         coefs = self.coefficients
@@ -731,21 +746,70 @@ class SimulationReport:
         return tuple(seen)
 
 
-def _one_replication(
-    config: ScenarioConfig, rep: int, params: SensitivityParams | None
-) -> dict[str, tuple[float, float, float]]:
-    out: dict[str, tuple[float, float, float]] = {}
+# Replications whose fits are solved together: as many as make up this
+# many rows (16 at the default n of 2000), and at least one. A block holds
+# its generated columns and O(block * q^2) Gram matrices; the rows and fits
+# of one replication are built at a time.
+_BLOCK_ROWS = 2**15
+
+
+@contextlib.contextmanager
+def _replication(rep: int) -> Iterator[None]:
+    """Names replication rep in a data or estimation error raised in the body."""
     try:
-        data = generate(config, rep)
-        results = {method: _ESTIMATORS[method](data, None) for method in METHODS}
-        for method, res in results.items():
-            out[method] = (res.initial, res.explained, res.unexplained)
-        if params is not None:
-            adj = adjust(results["CDA"], data, params)
-            out[ADJUSTED_METHOD] = (adj.tau, adj.delta_adjusted, adj.zeta_adjusted)
+        yield
     except (DataError, EstimationError) as exc:
         raise EstimationError(f"replication {rep}: {exc}") from exc
+
+
+def _estimates(data: Dataset, params: SensitivityParams | None) -> dict[str, tuple[float, float, float]]:
+    results = {method: _ESTIMATORS[method](data, None) for method in METHODS}
+    out = {method: (res.initial, res.explained, res.unexplained) for method, res in results.items()}
+    if params is not None:
+        adj = adjust(results["CDA"], data, params)
+        out[ADJUSTED_METHOD] = (adj.tau, adj.delta_adjusted, adj.zeta_adjusted)
     return out
+
+
+def _replications(
+    config: ScenarioConfig, params: SensitivityParams | None
+) -> list[dict[str, tuple[float, float, float]]]:
+    """Every replication's estimates, in index order; the first failure, in
+    index order, raises.
+
+    Replication 0 runs on fit_ols, and the fits it made name the models of
+    every later one. Later replications are generated in blocks, and each
+    model is solved once per block from the per-group Gram matrices
+    (decompose._GramReplicates), with rows shifted by the population means
+    of the configuration. A replication's fit memo then holds the fits that
+    passed the conditioning check, and the estimators fit the rest with
+    fit_ols. A block stops at a replication that generate rejects; the
+    block's earlier replications run before that error is raised.
+    """
+    with _replication(0):
+        data = generate(config, 0)
+        results = [_estimates(data, params)]
+    moments = implied_moments(config)
+    roles = data.roles
+    gram = _GramReplicates(roles, data._fits, {name: moments.mean_of(name) for name in roles.all_roles()})
+    size = max(1, _BLOCK_ROWS // config.n)
+    for start in range(1, config.reps, size):
+        block, failure = [], None
+        for rep in range(start, min(start + size, config.reps)):
+            try:
+                block.append(generate(config, rep))
+            except DataError as exc:
+                failure = rep, exc
+                break
+        for rep, (data, memo) in enumerate(gram.memos(block, gram.parts), start):
+            data._fits.update(memo)
+            with _replication(rep):
+                results.append(_estimates(data, params))
+        if failure is not None:
+            rep, exc = failure
+            with _replication(rep):
+                raise exc
+    return results
 
 
 def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int = 1) -> SimulationReport:
@@ -755,13 +819,21 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     exact counterfactual mean, so no replication makes a Monte-Carlo draw.
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Replications run one after another in
-    this thread; workers (>= 1) is kept for compatibility and changes
-    nothing, and per-index substreams make the report byte-identical for
-    any value of it. The replications hold the OpenBLAS that numpy and
-    scipy bundle to one thread, since a second one only spins on these
-    small fits, and restore its thread count afterwards; library callers
-    of the estimators outside this loop keep their own threading.
+    configuration's coefficients. Replication 0's fits are fit_ols's, so
+    its estimates are those of the public estimators on its data. Later
+    replications run in blocks, each model solved once per block from the
+    replications' Gram matrices; every such fit agrees with fit_ols on the
+    same rows to GRAM_TOL relative, and a model whose conditioning cannot
+    promise that is fitted by fit_ols. The first replication to fail, in
+    index order, raises an EstimationError that names it. A replication's
+    estimates do not depend on reps or on the other replications of its
+    block. Replications run one after another in this thread; workers
+    (>= 1) is kept for compatibility and changes nothing, and per-index
+    substreams make the report byte-identical for any value of it. The
+    replications hold the OpenBLAS that numpy and scipy bundle to one
+    thread, since a second one only spins on these small fits and solves,
+    and restore its thread count afterwards; library callers of the
+    estimators outside this loop keep their own threading.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -770,7 +842,7 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
 
     reps = config.reps
     with _one_blas_thread():
-        results = [_one_replication(config, rep, params) for rep in range(reps)]
+        results = _replications(config, params)
 
     report_methods = METHODS + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []

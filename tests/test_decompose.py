@@ -618,7 +618,7 @@ class TestGramReplicateFits:
             decompose_module._ESTIMATORS[method](data, None)
         resamples = [resample_rows(data, seed, b) for b in range(count)]
         accepted = dict.fromkeys(data._fits, 0)
-        for resample, memo in zip(resamples, decompose_module._GramReplicates(data).memos(resamples)):
+        for resample, memo in decompose_module._resample_memos(data)(resamples):
             replicate = data.take(resample)
             for key, fit in memo.items():
                 accepted[key] += 1
@@ -653,12 +653,22 @@ class TestGramReplicateFits:
         assert sum(count == 20 for count in accepted.values()) == solved
         assert sum(count == 0 for count in accepted.values()) == 6 - solved
 
+    def test_gram_matrices_that_overflow_are_left_to_fit_ols(self):
+        # The sum of squares of Y near 1e154 passes the float range, while
+        # its residuals, near 1e152, stay well inside it for fit_ols.
+        data = random_dataset(6, n=60, n_baseline=2, n_intermediate=2)
+        data = _with_columns(data, Y=1e154 + 1e152 * data.column("Y"))
+        accepted = self.accepted(data)
+        assert accepted == {key: 0 if key[2] == "Y" else 20 for key in accepted}
+        result = decompose_module._bootstrap(data, list(METHODS), None, 20, 1)
+        assert all(r.intervals["initial"][0] <= r.intervals["initial"][1] for r in result)
+
     def test_cda_with_explicit_draws_agrees_through_the_gram_residuals(self):
         data = generate(ScenarioConfig("both", n=400, seed=2), 0)
         settings = CdaSettings(mc_draws_per_unit=50, seed=3)
         decompose_cda(data, settings)
         resamples = [resample_rows(data, 4, b) for b in range(10)]
-        for resample, memo in zip(resamples, decompose_module._GramReplicates(data).memos(resamples)):
+        for resample, memo in decompose_module._resample_memos(data)(resamples):
             assert (0, data.roles.baseline, "M") in memo
             filled = data.take(resample)
             filled._fits.update(memo)
@@ -784,8 +794,8 @@ class TestOneResampleLoop:
 
         data = make()
         together = decompose_module._bootstrap(data, list(METHODS), None, 50, 2)
-        memos = decompose_module._GramReplicates(data).memos([resample_rows(data, 2, 0)])
-        assert set(data._fits) - set(next(memos)) == {(0, ("X1", "C1", "M"), "Y")}
+        _, memo = next(decompose_module._resample_memos(data)([resample_rows(data, 2, 0)]))
+        assert set(data._fits) - set(memo) == {(0, ("X1", "C1", "M"), "Y")}
         for methods in (["DIC"], ["KOB"], ["CDA"], ["DIC", "CDA"], ["CDA", "KOB"]):
             for result in decompose_module._bootstrap(make(), methods, None, 50, 2):
                 assert result == together[METHODS.index(result.method)]

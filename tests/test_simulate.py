@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dispdecomp.decompose as decompose_module
+import dispdecomp.regress as regress_module
+import dispdecomp.simulate as simulate_module
 from dispdecomp import (
     ADJUSTED_METHOD,
     METHODS,
     SCENARIOS,
     CdaSettings,
+    DecompositionResult,
     EstimationError,
     IntermediateEquation,
     MediatorEquation,
@@ -38,6 +41,8 @@ from dispdecomp import (
     run_harness,
 )
 from dispdecomp._streams import substream
+from dispdecomp.regress import GRAM_TOL
+from dispdecomp.tabular import DataError
 
 # Population values of the three estimands under the default coefficients,
 # derived by hand from the structural equations (path algebra over the
@@ -388,6 +393,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError) as info:
             ScenarioConfig("none", **{field: value})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, low, high", [("n", 50, 10**7), ("reps", 1, 10**6)])
+    def test_a_value_too_long_to_write_is_described_by_its_digit_count(self, field, low, high):
+        # 10**5000 has more digits than str() writes (4300 by default).
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig("none", **{field: 10**5000})
+        assert str(info.value) == f"{field} must be <= {high}, got an integer of 5001 digits, too many to show"
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig("none", **{field: -(10**5000)})
+        assert str(info.value) == (
+            f"{field} must be >= {low}, got a negative integer of 5001 digits, too many to show"
+        )
 
     def test_the_bounds_themselves_are_accepted(self):
         config = ScenarioConfig("none", n=10**7, reps=10**6)
@@ -963,42 +980,183 @@ class TestHarnessDispatch:
         assert report.methods == METHODS + (ADJUSTED_METHOD,)
 
 
+def block_size(n):
+    """Replications whose fits run_harness solves together at this n."""
+    return max(1, simulate_module._BLOCK_ROWS // n)
+
+
+def fresh_copy_estimates(config, rep, params):
+    """Every harness estimate of replication rep, each estimator and the
+    adjustment run by its public function on its own copy of the data, so
+    every fit is fit_ols's and none is shared."""
+    cda = decompose_cda(generate(config, rep))
+    results = {
+        "DIC": decompose_dic(generate(config, rep)),
+        "KOB": decompose_kob(generate(config, rep)),
+        "CDA": cda,
+    }
+    out = {(method, q): result.quantity(q) for method, result in results.items() for q in DecompositionResult.QUANTITIES}
+    if params is not None:
+        adjusted = adjust(cda, generate(config, rep), params)
+        values = (adjusted.tau, adjusted.delta_adjusted, adjusted.zeta_adjusted)
+        out.update({(ADJUSTED_METHOD, q): v for q, v in zip(DecompositionResult.QUANTITIES, values)})
+    return out
+
+
+def gram_bound(config, rep):
+    """How far a harness estimate may be from its fresh-copy value.
+
+    An accepted Gram fit and fit_ols are each within GRAM_TOL of the exact
+    solution: coefficients times their column norms, relative to that
+    vector's norm (regress._GramFits). So each coefficient-times-mean term
+    of an estimate is within about 2 * GRAM_TOL * S of its fit_ols value, S
+    the largest |value| in the replication's columns. An estimate has at
+    most ten such terms.
+    """
+    data = generate(config, rep)
+    scale = max(float(np.max(np.abs(column))) for column in data.columns.values())
+    return 10 * 2 * GRAM_TOL * scale
+
+
+def assert_harness_matches_fresh_copies(config, report, params):
+    """Replication 0 runs on fit_ols, so it is equal bit for bit; the later
+    ones, whose fits are Gram solves where the check accepts them, are
+    within gram_bound."""
+    for rep in range(config.reps):
+        bound = gram_bound(config, rep)
+        for (method, q), expected in fresh_copy_estimates(config, rep, params).items():
+            actual = report.cell(method, q).estimates[rep]
+            if rep == 0:
+                assert actual == expected
+            else:
+                assert abs(actual - expected) <= bound, (rep, method, q)
+
+
+def counting_fits(monkeypatch):
+    """Lists that gather each fit_ols call and each fit accepted from a Gram solve."""
+    qr_calls, gram_calls = [], []
+    fit_ols, gram_fit = decompose_module.fit_ols, regress_module._GramFits.fit
+
+    def counting_qr(*args, **kwargs):
+        qr_calls.append(args)
+        return fit_ols(*args, **kwargs)
+
+    def counting_gram(self, *args):
+        gram_calls.append(args)
+        return gram_fit(self, *args)
+
+    # Every fit, the sensitivity adjustment's too, goes through decompose._fit.
+    monkeypatch.setattr(decompose_module, "fit_ols", counting_qr)
+    monkeypatch.setattr(regress_module._GramFits, "fit", counting_gram)
+    return qr_calls, gram_calls
+
+
 class TestSharedFits:
+    # n = 1000 gives blocks of 32 replications: 1..32 fill one block and
+    # 33..35 start the next.
+    N, REPS = 1000, 35
+
+    def test_reps_run_a_full_block(self):
+        assert self.REPS - 1 > block_size(self.N) > 1
+
     @pytest.mark.parametrize(
         "scenario, sensitivity, per_replication",
         [("both", True, 7), ("none", False, 6), ("cx", False, 6)],
     )
     def test_fits_per_replication(self, monkeypatch, scenario, sensitivity, per_replication):
-        calls = []
-        fit_ols = decompose_module.fit_ols
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return fit_ols(*args, **kwargs)
-
-        # Every fit, the sensitivity adjustment's too, goes through decompose._fit.
-        monkeypatch.setattr(decompose_module, "fit_ols", counting)
-        run_harness(ScenarioConfig(scenario, n=200, reps=3), sensitivity=sensitivity)
-        assert len(calls) == 3 * per_replication
+        # Replication 0 runs on fit_ols; the fits it made name the models
+        # that every later replication takes from its block's Gram solves.
+        qr_calls, gram_calls = counting_fits(monkeypatch)
+        run_harness(ScenarioConfig(scenario, n=self.N, reps=self.REPS), sensitivity=sensitivity)
+        assert len(qr_calls) == per_replication
+        assert len(gram_calls) == (self.REPS - 1) * per_replication
 
     @pytest.mark.parametrize("scenario", ["both", "c-only"])
     def test_estimates_equal_those_on_fresh_copies(self, scenario):
-        # Every estimator and the adjustment run on their own copy of the
-        # replication's data, so none of them sees another's fits.
-        config = ScenarioConfig(scenario, n=200, reps=3, seed=4)
+        config = ScenarioConfig(scenario, n=self.N, reps=self.REPS, seed=4)
         report = run_harness(config, sensitivity=True)
-        params = oracle_sensitivity_params(config)
-        for rep in range(config.reps):
-            cda = decompose_cda(generate(config, rep))
-            adjusted = adjust(cda, generate(config, rep), params)
-            expected = {
-                "DIC": decompose_dic(generate(config, rep)),
-                "KOB": decompose_kob(generate(config, rep)),
-                "CDA": cda,
-            }
-            for method, result in expected.items():
-                for q in ("initial", "explained", "unexplained"):
-                    assert report.cell(method, q).estimates[rep] == result.quantity(q)
-            assert report.cell(ADJUSTED_METHOD, "initial").estimates[rep] == adjusted.tau
-            assert report.cell(ADJUSTED_METHOD, "explained").estimates[rep] == adjusted.delta_adjusted
-            assert report.cell(ADJUSTED_METHOD, "unexplained").estimates[rep] == adjusted.zeta_adjusted
+        assert_harness_matches_fresh_copies(config, report, oracle_sensitivity_params(config))
+
+
+def _outcome_intercept(coefs, value):
+    return dataclasses.replace(coefs, outcome=dataclasses.replace(coefs.outcome, intercept=value))
+
+
+def _intermediate_noise(coefs, sd):
+    return dataclasses.replace(
+        coefs, intermediate=tuple(dataclasses.replace(eq, noise_sd=sd) for eq in coefs.intermediate)
+    )
+
+
+class TestBlockFits:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: _outcome_intercept(c, 1e7),
+            lambda c: _intermediate_noise(c, 1e-6),
+            lambda c: _outcome_intercept(c, 1e153),
+        ],
+        ids=["outcome-intercept-1e7", "x-noise-sd-1e-6", "outcome-intercept-1e153"],
+    )
+    def test_fit_ols_takes_the_fits_gram_cannot_promise(self, monkeypatch, edit):
+        # Y near 1e7 is nearly collinear with the intercept, and X1..X3 with
+        # one another: the conditioning check rejects those models, and
+        # fit_ols fits them in every later replication. Y near 1e153 makes
+        # Gram matrices that overflow, which are rejected too (with no
+        # warning: warnings are errors here). The models without them are
+        # still Gram solves.
+        config = ScenarioConfig("cx", n=500, reps=40, coefficients=edit(default_coefficients("cx")))
+        assert block_size(config.n) >= config.reps - 1
+        qr_calls, gram_calls = counting_fits(monkeypatch)
+        report = run_harness(config)
+        later = len(qr_calls) - 6
+        assert later > 0 and gram_calls
+        assert later + len(gram_calls) == (config.reps - 1) * 6
+        monkeypatch.undo()
+        assert_harness_matches_fresh_copies(config, report, None)
+
+    def test_a_replication_does_not_depend_on_its_block(self):
+        # At n = 1000, replications 33..36 make a short last block of the
+        # shorter run and sit in a full block of the longer one.
+        config = ScenarioConfig("both", n=1000, reps=37, seed=6)
+        assert block_size(config.n) == 32
+        short = run_harness(config, sensitivity=True)
+        long = run_harness(dataclasses.replace(config, reps=config.reps + 40), sensitivity=True)
+        for cell in short.cells:
+            assert long.cell(cell.method, cell.quantity).estimates[: config.reps] == cell.estimates
+
+    @pytest.mark.parametrize(
+        "bad_estimate, bad_generate, named",
+        [
+            (9, 20, 9),  # the estimator fails first, in the block that generate stops
+            (None, 20, 20),
+            (25, 20, 20),  # replication 25 is never generated
+            (None, 1, 1),  # the first of a block
+            (32, 33, 32),  # the last of a block, then the first of the next
+            (33, None, 33),
+        ],
+    )
+    def test_the_first_failure_in_index_order_is_named(self, monkeypatch, bad_estimate, bad_generate, named):
+        config = ScenarioConfig("cx", n=1000, reps=40, seed=2)
+        assert block_size(config.n) == 32
+        generate_one = simulate_module.generate
+        replication_of = {}
+
+        def generating(config, rep):
+            if rep == bad_generate:
+                raise DataError("generate failed")
+            data = generate_one(config, rep)
+            replication_of[id(data)] = rep
+            return data
+
+        def kob(data, settings):
+            if replication_of[id(data)] == bad_estimate:
+                raise EstimationError("KOB failed")
+            return decompose_kob(data)
+
+        monkeypatch.setattr(simulate_module, "generate", generating)
+        monkeypatch.setitem(decompose_module._ESTIMATORS, "KOB", kob)
+        with pytest.raises(EstimationError) as info:
+            run_harness(config)
+        failure = "KOB failed" if named == bad_estimate else "generate failed"
+        assert str(info.value) == f"replication {named}: {failure}"
