@@ -24,7 +24,8 @@ of the three on a single dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -143,11 +144,14 @@ class DecompositionResult:
         return float(getattr(self, name))
 
 
-def _proportion(initial: float, explained: float, outcome: np.ndarray) -> float | None:
-    scale = float(np.max(np.abs(outcome)))
-    if abs(initial) <= PROPORTION_EPS * scale:
-        return None
-    return 100.0 * explained / initial
+def _result(
+    method: str, split: tuple[float, float, float], data: Dataset, detail: DicDetail | KobDetail | None = None
+) -> DecompositionResult:
+    """The DecompositionResult of a body's (initial, explained, unexplained) on data."""
+    initial, explained, unexplained = split
+    scale = float(np.max(np.abs(data.column(data.roles.outcome))))
+    proportion = None if abs(initial) <= PROPORTION_EPS * scale else 100.0 * explained / initial
+    return DecompositionResult(method, initial, explained, unexplained, proportion, detail)
 
 
 def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
@@ -167,6 +171,46 @@ def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str
     return fit
 
 
+class _Source(NamedTuple):
+    """What an estimator body reads: the roles, fit(group, names, response)
+    as _fit takes them, and means(group, names) as _group_means takes them.
+
+    For one Dataset (_source) the fits are OlsFits and every value is a
+    float; for a block of replicates the fits' coefficients and the means
+    are length-K arrays. Each estimator's arithmetic is written once, in
+    its body, for both.
+    """
+
+    roles: RoleSpec
+    fit: Callable[[int | None, tuple[str, ...], str], OlsFit | _GramFits]
+    means: Callable[[int, tuple[str, ...]], Mapping[str, float | np.ndarray]]
+
+
+def _source(data: Dataset) -> _Source:
+    return _Source(data.roles, partial(_fit, data), partial(_group_means, data))
+
+
+def _split(initial, explained):
+    """(initial, explained, unexplained): the part not explained is the rest."""
+    return initial, explained, initial - explained
+
+
+def _dic(source: _Source):
+    """DIC's (initial, explained, unexplained) and its DicDetail."""
+    roles = source.roles
+    base = (roles.group,) + roles.covariates
+    without_m = source.fit(None, base, roles.outcome)
+    with_m = source.fit(None, base + (roles.mediator,), roles.outcome)
+    alpha = without_m.coef(roles.group)
+    beta = with_m.coef(roles.group)
+    detail = DicDetail(
+        group_coef_without_mediator=alpha,
+        group_coef_with_mediator=beta,
+        mediator_coef=with_m.coef(roles.mediator),
+    )
+    return (alpha, alpha - beta, beta), detail
+
+
 def decompose_dic(data: Dataset) -> DecompositionResult:
     """Difference-in-coefficients decomposition on pooled regressions.
 
@@ -174,26 +218,8 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
     refits with the mediator added. The drop in the group coefficient is
     the explained disparity; the remaining coefficient is unexplained.
     """
-    roles = data.roles
-    y = data.column(roles.outcome)
-    base = (roles.group,) + roles.covariates
-    without_m = _fit(data, None, base, roles.outcome)
-    with_m = _fit(data, None, base + (roles.mediator,), roles.outcome)
-    alpha = without_m.coef(roles.group)
-    beta = with_m.coef(roles.group)
-    explained = alpha - beta
-    return DecompositionResult(
-        method="DIC",
-        initial=alpha,
-        explained=explained,
-        unexplained=beta,
-        proportion_explained_pct=_proportion(alpha, explained, y),
-        detail=DicDetail(
-            group_coef_without_mediator=alpha,
-            group_coef_with_mediator=beta,
-            mediator_coef=with_m.coef(roles.mediator),
-        ),
-    )
+    split, detail = _dic(_source(data))
+    return _result("DIC", split, data, detail)
 
 
 def _group_means(data: Dataset, g: int, names: tuple[str, ...]) -> dict[str, float]:
@@ -202,11 +228,27 @@ def _group_means(data: Dataset, g: int, names: tuple[str, ...]) -> dict[str, flo
     return {name: float(data.column(name)[rows].sum() / rows.size) for name in names}
 
 
-def _group_fit(data: Dataset, g: int, names: tuple[str, ...]) -> OlsFit:
+def _group_fit(source: _Source, g: int, names: tuple[str, ...]) -> OlsFit:
     try:
-        return _fit(data, g, names, data.roles.outcome)
+        return source.fit(g, names, source.roles.outcome)
     except EstimationError as exc:
         raise EstimationError(f"group {g}: {exc}") from exc
+
+
+def _kob(source: _Source):
+    """KOB's (initial, explained, unexplained) and its KobDetail."""
+    roles = source.roles
+    variables = roles.covariates + (roles.mediator,)
+    fit1 = _group_fit(source, 1, variables)
+    fit0 = _group_fit(source, 0, variables)
+    mean1, mean0 = (source.means(g, variables + (roles.outcome,)) for g in (1, 0))
+    explained_by = {z: fit1.coef(z) * (mean1[z] - mean0[z]) for z in variables}
+    detail = KobDetail(
+        explained_by=explained_by,
+        intercept_gap=fit1.intercept - fit0.intercept,
+        slope_gaps={z: (fit1.coef(z) - fit0.coef(z)) * mean0[z] for z in variables},
+    )
+    return _split(mean1[roles.outcome] - mean0[roles.outcome], explained_by[roles.mediator]), detail
 
 
 def decompose_kob(data: Dataset) -> DecompositionResult:
@@ -218,42 +260,56 @@ def decompose_kob(data: Dataset) -> DecompositionResult:
     including the covariate contributions and the intercept/slope gaps,
     lives in the attached KobDetail.
     """
-    roles = data.roles
-    variables = roles.covariates + (roles.mediator,)
-    fit1 = _group_fit(data, 1, variables)
-    fit0 = _group_fit(data, 0, variables)
-    mean1, mean0 = (_group_means(data, g, variables + (roles.outcome,)) for g in (1, 0))
-    initial = mean1[roles.outcome] - mean0[roles.outcome]
-    explained_by = {z: fit1.coef(z) * (mean1[z] - mean0[z]) for z in variables}
-    slope_gaps = {z: (fit1.coef(z) - fit0.coef(z)) * mean0[z] for z in variables}
-    explained = explained_by[roles.mediator]
-    return DecompositionResult(
-        method="KOB",
-        initial=initial,
-        explained=explained,
-        unexplained=initial - explained,
-        proportion_explained_pct=_proportion(
-            initial, explained, data.column(roles.outcome)
-        ),
-        detail=KobDetail(
-            explained_by=explained_by,
-            intercept_gap=fit1.intercept - fit0.intercept,
-            slope_gaps=slope_gaps,
-        ),
-    )
+    split, detail = _kob(_source(data))
+    return _result("KOB", split, data, detail)
 
 
-def _standardized_gap(data: Dataset, response: str) -> float:
+def _gap(source: _Source, response: str):
     """Group-1 mean of response minus its group-0 regression standardization.
 
     The group-0 fit of response on the baseline covariates is linear with
     an intercept, so averaging it over the group-1 baseline values is
     evaluating it at their means.
     """
-    baseline = data.roles.baseline
-    mean1 = _group_means(data, 1, baseline + (response,))
-    fit = _fit(data, 0, baseline, response)
+    baseline = source.roles.baseline
+    mean1 = source.means(1, baseline + (response,))
+    fit = source.fit(0, baseline, response)
     return mean1[response] - (fit.intercept + sum(fit.coef(z) * mean1[z] for z in baseline))
+
+
+def _standardized_gap(data: Dataset, response: str) -> float:
+    """_gap of one Dataset's response."""
+    return _gap(_source(data), response)
+
+
+def _cda(source: _Source, mean_draw: Callable[[np.ndarray], float] | None = None):
+    """CDA's (initial, explained, unexplained).
+
+    mean_draw(residuals), when given, is the Monte-Carlo mean of residual
+    draws from the group-0 mediator model's residuals; it is subtracted
+    from the mediator gap once every model is fitted.
+    """
+    roles = source.roles
+    try:
+        mediator_gap = _gap(source, roles.mediator)
+        initial = _gap(source, roles.outcome)
+    except EstimationError as exc:
+        raise EstimationError(f"baseline models: {exc}") from exc
+    try:
+        outcome_model = source.fit(1, roles.covariates + (roles.mediator,), roles.outcome)
+    except EstimationError as exc:
+        # Both group-specific outcome-on-baseline models are preconditions
+        # whose failure is reported first. The group-1 one is fitted only
+        # here: its design is a column subset of the outcome model's, so a
+        # rank deficiency in it also sinks the outcome model.
+        try:
+            source.fit(1, roles.baseline, roles.outcome)
+        except EstimationError as base_exc:
+            raise EstimationError(f"baseline models: {base_exc}") from base_exc
+        raise EstimationError(f"group 1 outcome model: {exc}") from exc
+    if mean_draw is not None:
+        mediator_gap -= mean_draw(source.fit(0, roles.baseline, roles.mediator).residuals)
+    return _split(initial, outcome_model.coef(roles.mediator) * mediator_gap)
 
 
 def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> DecompositionResult:
@@ -284,26 +340,8 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     count draw can hold, raises ValueError.
     """
     settings = settings or CdaSettings()
-    roles = data.roles
-    try:
-        mediator_gap = _standardized_gap(data, roles.mediator)
-        initial = _standardized_gap(data, roles.outcome)
-    except EstimationError as exc:
-        raise EstimationError(f"baseline models: {exc}") from exc
-    try:
-        outcome_model = _fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome)
-    except EstimationError as exc:
-        # Both group-specific outcome-on-baseline models are preconditions
-        # whose failure is reported first. The group-1 one is fitted only
-        # here: its design is a column subset of the outcome model's, so a
-        # rank deficiency in it also sinks the outcome model.
-        try:
-            _fit(data, 1, roles.baseline, roles.outcome)
-        except EstimationError as base_exc:
-            raise EstimationError(f"baseline models: {base_exc}") from base_exc
-        raise EstimationError(f"group 1 outcome model: {exc}") from exc
 
-    if settings.mc_draws_per_unit:
+    def mean_draw(residuals: np.ndarray) -> float:
         n1 = data._rows[1].size
         total = n1 * int(settings.mc_draws_per_unit)
         if total > _MAX_DRAWS:
@@ -315,18 +353,11 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
         # explained. Drawing with replacement from n0 residuals, it is
         # counts @ residuals / total with multinomial counts, in O(n0)
         # memory whatever the draw count.
-        residuals = _fit(data, 0, roles.baseline, roles.mediator).residuals
         n0 = residuals.size
         counts = substream(settings.seed).multinomial(total, np.full(n0, 1.0 / n0))
-        mediator_gap -= float(counts @ residuals / total)
-    explained = outcome_model.coef(roles.mediator) * mediator_gap
-    return DecompositionResult(
-        method="CDA",
-        initial=initial,
-        explained=explained,
-        unexplained=initial - explained,
-        proportion_explained_pct=_proportion(initial, explained, data.column(roles.outcome)),
-    )
+        return float(counts @ residuals / total)
+
+    return _result("CDA", _cda(_source(data), mean_draw if settings.mc_draws_per_unit else None), data)
 
 
 _ESTIMATORS = {
@@ -361,7 +392,7 @@ _GRAM_BLOCK = 32
 
 
 class _GramReplicates:
-    """Fit memos for blocks of replicates, solved from per-group Gram matrices.
+    """Per-group Gram matrices of blocks of replicates, and their models' solves.
 
     keys are fit-memo keys (group, names, response), as _fit makes them:
     the models every replicate needs. A replicate's rows are
@@ -383,27 +414,22 @@ class _GramReplicates:
             columns = np.array([0] + [self.index[name] for name in names] + [self.index[response]])
             self.models.append((key, columns, [INTERCEPT, *names]))
 
-    def rows(self, data: Dataset) -> np.ndarray:
-        """data's rows of z."""
-        rows = np.empty((data.n, self.shift.size))
-        rows[:, 0] = 1.0
+    def rows(self, data: Dataset, order: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """data's rows of z, data's rows taken in the given order. The result
+        is the transpose of a (q, n) array, so each column of z is written in
+        one contiguous pass."""
+        z = np.empty((self.shift.size, data.n))
+        z[0] = 1.0
         for name, j in self.index.items():
-            rows[:, j] = data.column(name) - self.shift[j]
-        return rows
+            np.subtract(data.column(name)[order], self.shift[j], out=z[j])
+        return z.T
 
-    def parts(self, data: Dataset) -> dict:
-        """data's rows of z by fit group (0, 1, or None for all), in the order _fit reads them."""
-        rows = self.rows(data)
-        return {0: rows[data._rows[0]], 1: rows[data._rows[1]], None: rows}
+    def solve(self, replicates: list, parts: Callable[[object], Mapping[int, np.ndarray]]) -> tuple[np.ndarray, dict]:
+        """The replicates' Gram matrices, (2, K, q, q) by group, and a
+        _GramFits of each model over them, by its key.
 
-    def memos(self, replicates: list, parts: Callable[[object], dict]) -> Iterator[tuple[object, dict]]:
-        """Each replicate in turn, with a fit memo of its accepted fits.
-
-        parts(replicate) gives its rows of z as the parts method does for a
-        Dataset. It is called twice per replicate: for the block's Gram
-        matrices, then for the replicate's fits as it is yielded. Each slot
-        of replicates is emptied (None) as its replicate is yielded, so the
-        block holds the rows and fits of one replicate at a time.
+        parts(replicate) gives its rows of z by group: parts(replicate)[g]
+        for g = 0 and 1.
         """
         q = self.shift.size
         grams = np.empty((2, len(replicates), q, q))
@@ -415,13 +441,30 @@ class _GramReplicates:
                 for g in (0, 1):
                     grams[g, k] = rows[g].T @ rows[g]
             by_group = {0: grams[0], 1: grams[1], None: grams[0] + grams[1]}
-            solved = [
-                (key, _GramFits(by_group[key[0]], self.shift, columns, names)) for key, columns, names in self.models
-            ]
+            fits = {key: _GramFits(by_group[key[0]], self.shift, columns, names) for key, columns, names in self.models}
+        return grams, fits
+
+    def means(self, grams: np.ndarray, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """Each replicate's mean of each named column over the rows of its
+        Gram matrix in grams (K, q, q), from that matrix's first row."""
+        count = grams[:, 0, 0]
+        return {name: grams[:, 0, self.index[name]] / count + self.shift[self.index[name]] for name in names}
+
+    def memos(self, replicates: list, parts: Callable[[object], dict]) -> Iterator[tuple[object, dict]]:
+        """Each replicate in turn, with a fit memo of its accepted fits.
+
+        parts(replicate) gives its rows of z by fit group (0, 1, or None
+        for all), in the order _fit reads them. It is called twice per
+        replicate: for the block's Gram matrices, then for the replicate's
+        fits as it is yielded. Each slot of replicates is emptied (None) as
+        its replicate is yielded, so the block holds the rows and fits of
+        one replicate at a time.
+        """
+        _, solved = self.solve(replicates, parts)
         for k in range(len(replicates)):
             replicate, replicates[k] = replicates[k], None
             rows = parts(replicate)
-            yield replicate, {key: fits.fit(k, rows[key[0]]) for key, fits in solved if fits.accepted[k]}
+            yield replicate, {key: fits.fit(k, rows[key[0]]) for key, fits in solved.items() if fits.accepted[k]}
 
 
 def _resample_memos(data: Dataset) -> Callable[[list[np.ndarray]], Iterator[tuple[np.ndarray, dict]]]:

@@ -259,12 +259,23 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     resid0 = y - design @ beta
     beta[piv] += _solve_upper(r, q.T @ resid0)
     residuals = y - design @ beta
-    ssr = float(residuals @ residuals)
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ssr = float(residuals @ residuals)
+        centered = y - y.sum() / n
+        sst = float(centered @ centered)
+    if not (np.isfinite(ssr) and np.isfinite(sst)):
+        # Finite data whose sums of squares overflow: both are taken in units
+        # of max |y|, where neither exceeds n (|residuals| <= |y|), and the
+        # units cancel in r_squared.
+        scale = float(np.max(np.abs(y)))
+        residuals_s, y_s = residuals / scale, y / scale
+        ssr = float(residuals_s @ residuals_s)
+        centered = y_s - y_s.sum() / n
+        sst = float(centered @ centered)
     # n == p is an interpolating fit: residuals are identically zero and
     # there are no degrees of freedom left, so residual_sd is 0 by convention.
-    residual_sd = 0.0 if n == p else float(np.sqrt(max(ssr, 0.0) / (n - p)))
-    centered = y - y.sum() / n
-    sst = float(centered @ centered)
+    residual_sd = 0.0 if n == p else scale * float(np.sqrt(max(ssr, 0.0) / (n - p)))
     r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r_squared = min(1.0, max(0.0, r_squared))
     coefficients = {name: float(b) for name, b in zip(names, beta)}
@@ -290,6 +301,19 @@ def _scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram / scale[..., :, None] / scale[..., None, :], norms
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j], added in order of j.
+
+    A matmul or a numpy sum picks its order of addition by the shape of its
+    operands, so the last bits of one replicate's value could depend on
+    how many replicates share its block; here they do not.
+    """
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
+
+
 class _GramFits:
     """fit_ols of one model on each of K replicates, from cross-product matrices.
 
@@ -297,7 +321,9 @@ class _GramFits:
     then data columns each shifted by a constant (shift[0] is 0). gram[k]
     is z'z over replicate k's rows. columns indexes z: the design
     (intercept first, named by names), then the response. The solves are
-    made for all K at once; fit(k, rows) then builds replicate k's OlsFit.
+    made for all K at once. coef, intercept and residual_sd give every
+    replicate's values as length-K arrays; fit(k, rows) builds replicate
+    k's OlsFit.
 
     The normal equations square the condition number, so replicate k is
     accepted only when both hold, for the column-scaled Gram matrix of
@@ -341,8 +367,9 @@ class _GramFits:
         self._weights = np.zeros((k, gram.shape[1]))
         self._weights[:, design] = -solved
         self._weights[:, response] = 1.0
+        self._model, self._columns = model, columns
         self._coefficients = solved
-        self._coefficients[:, 0] += shift[response] - solved @ shift[design]
+        self._coefficients[:, 0] += shift[response] - _dot_rows(solved, shift[design])
         # Centred sum of squares of the response; acceptance keeps it well
         # away from 0, the response being far from the intercept's span.
         self._sst = model[:, p, p] - model[:, 0, p] ** 2 / model[:, 0, 0]
@@ -351,6 +378,30 @@ class _GramFits:
         self._pivots = np.arange(p)
         self._pivots.setflags(write=False)
         self._names = names
+
+    def coef(self, name: str) -> np.ndarray:
+        """Each replicate's coefficient of the named design column."""
+        return self._coefficients[:, self._names.index(name)]
+
+    @property
+    def intercept(self) -> np.ndarray:
+        return self._coefficients[:, 0]
+
+    @property
+    def residual_sd(self) -> np.ndarray:
+        """Each replicate's residual sd, n - p denominator, from the quadratic
+        form w'Gw of its Gram matrix, w being the residual's weights on z;
+        NaN where that form is not finite and positive.
+
+        For an accepted replicate the form's relative rounding error is
+        about (p + 1)^2 * eps / lambda_min of the column-scaled Gram matrix,
+        which acceptance holds below (p + 1) * GRAM_TOL / 2; w's own error
+        enters only to second order, since w minimizes the form.
+        """
+        w = self._weights[:, self._columns]
+        ssr = _dot_rows(w, _dot_rows(self._model, w[:, None, :]))
+        n, p = self._model[:, 0, 0], self._pivots.size
+        return np.where(np.isfinite(ssr) & (ssr > 0.0), np.sqrt(np.abs(ssr) / (n - p)), np.nan)
 
     def fit(self, k: int, rows: np.ndarray) -> OlsFit:
         """Replicate k's fit, rows being its rows of z; k must be accepted.

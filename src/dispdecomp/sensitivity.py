@@ -24,12 +24,11 @@ and unexplained portions; their total is untouched.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult, _fit, _standardized_gap
+from .decompose import DecompositionResult, _Source, _source, _standardized_gap
 from .regress import EstimationError, OlsFit
 from .tabular import Dataset
 
@@ -95,11 +94,12 @@ class SensitivityGrid:
         return self.cells[i * len(self.r2_mu_values) + j]
 
 
-def _pooled_fits(data: Dataset) -> tuple[OlsFit, OlsFit]:
+def _pooled_fits(source: _Source) -> tuple[OlsFit, OlsFit]:
     """The pooled outcome fit (outcome on group, covariates, and mediator)
-    and the pooled mediator fit (mediator on group and covariates), shared
-    through the Dataset. A fit's own error is tagged with its model."""
-    roles = data.roles
+    and the pooled mediator fit (mediator on group and covariates), from
+    source; a Dataset's are shared through its fit memo. A fit's own error
+    is tagged with its model."""
+    roles = source.roles
     regressors = (roles.group,) + roles.covariates
     models = (
         ("outcome", regressors + (roles.mediator,), roles.outcome),
@@ -108,10 +108,17 @@ def _pooled_fits(data: Dataset) -> tuple[OlsFit, OlsFit]:
     fits = []
     for label, names, response in models:
         try:
-            fits.append(_fit(data, None, names, response))
+            fits.append(source.fit(None, names, response))
         except EstimationError as exc:
             raise EstimationError(f"pooled {label} model: {exc}") from exc
     return fits[0], fits[1]
+
+
+def _explained_away(sd_m_perp, m_max):
+    """Whether the pooled mediator fit leaves too little residual for the
+    bias's scale factor: sd_m_perp at most 1e-12 times max |M| (m_max; a
+    zero reads as 1). Scalars or arrays."""
+    return sd_m_perp <= 1e-12 * np.where(m_max == 0.0, 1.0, m_max)
 
 
 def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
@@ -125,11 +132,10 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     means, with no group-1 mediator model. CDA's explained is the group-1
     mediator slope times this same gap.
     """
-    outcome_fit, mediator_fit = _pooled_fits(data)
-    m = data.column(data.roles.mediator)
+    source = _source(data)
+    outcome_fit, mediator_fit = _pooled_fits(source)
     sd_m_perp = mediator_fit.residual_sd
-    scale = float(np.max(np.abs(m))) or 1.0
-    if sd_m_perp <= 1e-12 * scale:
+    if _explained_away(sd_m_perp, float(np.max(np.abs(data.column(data.roles.mediator))))):
         raise EstimationError("mediator fully explained by observed covariates")
     try:
         gap_m = _standardized_gap(data, data.roles.mediator)
@@ -138,23 +144,29 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     return outcome_fit.residual_sd, sd_m_perp, gap_m
 
 
+def _adjusted(explained, unexplained, inputs, params: SensitivityParams):
+    """(bias, explained - bias, unexplained + bias), from the bias inputs
+    (sd_y_perp, sd_m_perp, gap_m); scalars or arrays."""
+    sd_y_perp, sd_m_perp, gap_m = inputs
+    magnitude = (
+        np.sqrt(params.r2_yu * params.r2_mu / (1.0 - params.r2_mu))
+        * (sd_y_perp / sd_m_perp)
+        * np.abs(gap_m)
+    )
+    bias = params.sign * np.where(gap_m < 0, -1, +1) * magnitude
+    return bias, explained - bias, unexplained + bias
+
+
 def _adjust_from_inputs(
     cda: DecompositionResult,
     inputs: tuple[float, float, float],
     params: SensitivityParams,
 ) -> AdjustedResult:
-    sd_y_perp, sd_m_perp, gap_m = inputs
-    magnitude = (
-        math.sqrt(params.r2_yu * params.r2_mu / (1.0 - params.r2_mu))
-        * (sd_y_perp / sd_m_perp)
-        * abs(gap_m)
-    )
-    direction = params.sign * (-1 if gap_m < 0 else +1)
-    bias = direction * magnitude
+    bias, delta_adjusted, zeta_adjusted = _adjusted(cda.explained, cda.unexplained, inputs, params)
     return AdjustedResult(
-        bias=bias,
-        delta_adjusted=cda.explained - bias,
-        zeta_adjusted=cda.unexplained + bias,
+        bias=float(bias),
+        delta_adjusted=float(delta_adjusted),
+        zeta_adjusted=float(zeta_adjusted),
         tau=cda.initial,
         params=params,
     )
@@ -213,7 +225,7 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     names = list(data.roles.covariates)
     if not names:
         return ()
-    outcome_fit, mediator_fit = _pooled_fits(data)
+    outcome_fit, mediator_fit = _pooled_fits(_source(data))
     if outcome_fit.r_squared >= 1.0 - 1e-12:
         raise EstimationError("outcome fully explained by group, covariates and mediator")
     if mediator_fit.r_squared >= 1.0 - 1e-12:

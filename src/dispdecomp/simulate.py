@@ -49,9 +49,20 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ._streams import substream
-from .decompose import _ESTIMATORS, METHODS, _check_integers, _GramReplicates, _percentile_bounds
+from .decompose import (
+    _ESTIMATORS,
+    METHODS,
+    _cda,
+    _check_integers,
+    _dic,
+    _gap,
+    _GramReplicates,
+    _kob,
+    _percentile_bounds,
+    _Source,
+)
 from .regress import EstimationError, _one_blas_thread
-from .sensitivity import SensitivityParams, adjust
+from .sensitivity import SensitivityParams, _adjusted, _explained_away, _pooled_fits, adjust
 from .tabular import DataError, Dataset, RoleSpec
 
 __all__ = [
@@ -514,7 +525,8 @@ def implied_moments(
     group=0/1 conditions on the group indicator (its variance drops to 0);
     confounded=False evaluates the confounder-free twin (loadings zeroed).
     The confounder variable U appears in the moment set only when the
-    scenario has one and confounded=True.
+    scenario has one and confounded=True. A noise sd whose square is
+    beyond the float range raises a ValueError that names it.
     """
     coefs = config.coefficients
     assert coefs is not None
@@ -524,7 +536,14 @@ def implied_moments(
     else:
         mom.add_root("R", float(group), 0.0)
     for name, intercept, terms, sd in _equations(config, confounded):
-        mom.add_linear(name, intercept, {p: c for p, c in terms if p is not None}, sd)
+        try:
+            mom.add_linear(name, intercept, {p: c for p, c in terms if p is not None}, sd)
+        except OverflowError:  # noise_sd**2 beyond the float range
+            fields = {"C": "baseline", "M": "mediator", "Y": "outcome"}
+            fields.update({x: f"intermediate[{i}]" for i, x in enumerate(_x_names(config))})
+            raise ValueError(
+                f"coefficients.{fields[name]}.noise_sd = {sd!r} is too large: the variance of {name} overflows"
+            ) from None
     return mom
 
 
@@ -695,7 +714,9 @@ def generate(config: ScenarioConfig, rep_index: int) -> Dataset:
     n = config.n
     rng = substream(config.seed, rep_index, 0)
     r = (rng.random(n) < coefs.p_r).astype(np.float64)
-    columns = _walk(_equations(config, True), {"R": r}, lambda sd: rng.normal(0.0, sd, n))
+    # sd * z is what rng.normal(0.0, sd, n) draws, as 0.0 + sd * z (only a
+    # zero's sign could differ), without its per-call argument handling.
+    columns = _walk(_equations(config, True), {"R": r}, lambda sd: sd * rng.standard_normal(n))
     columns.pop("U", None)  # the confounder is unobserved
     roles = RoleSpec(
         group="R",
@@ -748,8 +769,8 @@ class SimulationReport:
 
 # Replications whose fits are solved together: as many as make up this
 # many rows (16 at the default n of 2000), and at least one. A block holds
-# its generated columns and O(block * q^2) Gram matrices; the rows and fits
-# of one replication are built at a time.
+# its generated columns and O(block * q^2) Gram matrices; the rows of one
+# replication are built at a time.
 _BLOCK_ROWS = 2**15
 
 
@@ -771,24 +792,71 @@ def _estimates(data: Dataset, params: SensitivityParams | None) -> dict[str, tup
     return out
 
 
-def _replications(
-    config: ScenarioConfig, params: SensitivityParams | None
-) -> list[dict[str, tuple[float, float, float]]]:
-    """Every replication's estimates, in index order; the first failure, in
-    index order, raises.
+def _block_estimates(
+    gram: _GramReplicates, block: list[Dataset], params: SensitivityParams | None
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The block's estimates by method, (K, 3) arrays from its Gram solves,
+    and a mask of the replications whose rows hold them.
 
-    Replication 0 runs on fit_ols, and the fits it made name the models of
-    every later one. Later replications are generated in blocks, and each
-    model is solved once per block from the per-group Gram matrices
-    (decompose._GramReplicates), with rows shifted by the population means
-    of the configuration. A replication's fit memo then holds the fits that
-    passed the conditioning check, and the estimators fit the rest with
-    fit_ols. A block stops at a replication that generate rejects; the
-    block's earlier replications run before that error is raised.
+    The estimator bodies and the adjustment run once on the block, with
+    each model's coefficients, the group means and the pooled residual sds
+    as length-K arrays. A replication is left out of the mask when any of
+    its models is rejected, a residual sd's quadratic form is not finite
+    and positive, its mediator fails the adjustment's check, or any of its
+    estimates is not finite. The arithmetic runs with numpy's
+    floating-point warnings off: the rows it marks are recomputed.
     """
+    roles = block[0].roles
+
+    def parts(data: Dataset) -> dict[int, np.ndarray]:
+        rows = gram.rows(data, np.concatenate(data._rows))
+        n0 = data._rows[0].size
+        return {0: rows[:n0], 1: rows[n0:]}
+
+    grams, fits = gram.solve(block, parts)
+    source = _Source(roles, lambda *key: fits[key], lambda g, names: gram.means(grams[g], names))
+    with np.errstate(all="ignore"):
+        splits = {"DIC": _dic(source)[0], "KOB": _kob(source)[0], "CDA": _cda(source)}
+        valid = np.logical_and.reduce([model.accepted for model in fits.values()])
+        if params is not None:
+            outcome_fit, mediator_fit = _pooled_fits(source)
+            inputs = (outcome_fit.residual_sd, mediator_fit.residual_sd, _gap(source, roles.mediator))
+            initial, explained, unexplained = splits["CDA"]
+            _, delta, zeta = _adjusted(explained, unexplained, inputs, params)
+            splits[ADJUSTED_METHOD] = (initial, delta, zeta)
+            m_max = np.array([np.max(np.abs(data.column(roles.mediator))) for data in block])
+            valid &= ~_explained_away(inputs[1], m_max) & np.isfinite(inputs[:2]).all(axis=0)
+        estimates = {method: np.column_stack(split) for method, split in splits.items()}
+        for values in estimates.values():
+            valid &= np.isfinite(values).all(axis=1)
+    return estimates, valid
+
+
+def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> dict[str, np.ndarray]:
+    """Every replication's (initial, explained, unexplained) by method, a
+    (reps, 3) array; the first failure, in index order, raises.
+
+    Replication 0 runs the public estimators, and the fits they made name
+    the models of every later one. Later replications are generated in
+    blocks, and each model is solved once per block from the per-group Gram
+    matrices (decompose._GramReplicates), with rows shifted by the
+    population means of the configuration; _block_estimates then gives the
+    whole block's estimates as arrays. A replication that it leaves out
+    runs the public estimators on its own Dataset, as replication 0 does.
+    A block stops at a replication that generate rejects; the block's
+    earlier replications run before that error is raised.
+    """
+    methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
+    results = {method: np.empty((config.reps, 3)) for method in methods}
+
+    def run(rep: int, data: Dataset) -> None:
+        with _replication(rep):
+            for method, values in _estimates(data, params).items():
+                results[method][rep] = values
+
     with _replication(0):
         data = generate(config, 0)
-        results = [_estimates(data, params)]
+    run(0, data)
     moments = implied_moments(config)
     roles = data.roles
     gram = _GramReplicates(roles, data._fits, {name: moments.mean_of(name) for name in roles.all_roles()})
@@ -801,10 +869,12 @@ def _replications(
             except DataError as exc:
                 failure = rep, exc
                 break
-        for rep, (data, memo) in enumerate(gram.memos(block, gram.parts), start):
-            data._fits.update(memo)
-            with _replication(rep):
-                results.append(_estimates(data, params))
+        if block:
+            estimates, valid = _block_estimates(gram, block, params)
+            for method, values in estimates.items():
+                results[method][start : start + len(block)] = values
+            for k in np.flatnonzero(~valid):
+                run(start + int(k), block[k])
         if failure is not None:
             rep, exc = failure
             with _replication(rep):
@@ -819,21 +889,24 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     exact counterfactual mean, so no replication makes a Monte-Carlo draw.
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Replication 0's fits are fit_ols's, so
-    its estimates are those of the public estimators on its data. Later
-    replications run in blocks, each model solved once per block from the
-    replications' Gram matrices; every such fit agrees with fit_ols on the
-    same rows to GRAM_TOL relative, and a model whose conditioning cannot
-    promise that is fitted by fit_ols. The first replication to fail, in
-    index order, raises an EstimationError that names it. A replication's
-    estimates do not depend on reps or on the other replications of its
-    block. Replications run one after another in this thread; workers
-    (>= 1) is kept for compatibility and changes nothing, and per-index
-    substreams make the report byte-identical for any value of it. The
-    replications hold the OpenBLAS that numpy and scipy bundle to one
-    thread, since a second one only spins on these small fits and solves,
-    and restore its thread count afterwards; library callers of the
-    estimators outside this loop keep their own threading.
+    configuration's coefficients. Replication 0 runs the public
+    estimators, so its estimates are theirs on its data. Later
+    replications run in blocks: each model is solved once per block from
+    the replications' Gram matrices, in agreement with fit_ols on the same
+    rows to GRAM_TOL relative, and the block's estimates are computed from
+    those solves as arrays, by the estimators' own arithmetic. A
+    replication with a model whose conditioning cannot promise that
+    agreement runs the public estimators on its own data instead, so its
+    estimates, and any error, are theirs. The first replication to fail,
+    in index order, raises an EstimationError that names it. A
+    replication's estimates do not depend on reps or on the other
+    replications of its block. Replications run one after another in this
+    thread; workers (>= 1) is kept for compatibility and changes nothing,
+    and per-index substreams make the report byte-identical for any value
+    of it. The replications hold the OpenBLAS that numpy and scipy bundle
+    to one thread, since a second one only spins on these small fits and
+    solves, and restore its thread count afterwards; library callers of
+    the estimators outside this loop keep their own threading.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -844,11 +917,9 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     with _one_blas_thread():
         results = _replications(config, params)
 
-    report_methods = METHODS + ((ADJUSTED_METHOD,) if sensitivity else ())
     cells: list[CellSummary] = []
-    for method in report_methods:
+    for method, per_rep in results.items():
         truth = truths.for_method(method)
-        per_rep = np.array([results[rep][method] for rep in range(reps)])
         for qi, quantity in enumerate(("initial", "explained", "unexplained")):
             values = per_rep[:, qi]
             lower, upper = _percentile_bounds(values)

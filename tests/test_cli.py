@@ -471,6 +471,15 @@ class TestSimulateCommand:
         assert captured.err == "usage error: baseline.noise_sd must be a JSON number, got Infinity\n"
         assert captured.out == ""
 
+    def test_noise_sd_whose_square_overflows_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"scenario": "cx", "n": 100, "reps": 2, "coefficients": {"outcome": {"noise_sd": 1e160}}}')
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        message = "coefficients.outcome.noise_sd = 1e+160 is too large: the variance of Y overflows"
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "doc, message",
         [

@@ -663,6 +663,32 @@ class TestGramReplicateFits:
         result = decompose_module._bootstrap(data, list(METHODS), None, 20, 1)
         assert all(r.intervals["initial"][0] <= r.intervals["initial"][1] for r in result)
 
+    def test_a_replicate_solve_does_not_depend_on_its_block(self):
+        # Each replicate's coefficients and residual sd are the same bits
+        # solved in a block of 20 or alone, with two baseline covariates
+        # (an intercept with several shifted terms).
+        data = random_dataset(3, n=80, n_baseline=2, n_intermediate=2)
+        for method in METHODS:
+            decompose_module._ESTIMATORS[method](data, None)
+        roles = data.roles
+        gram = decompose_module._GramReplicates(
+            roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()}
+        )
+        shifted, n0 = gram.rows(data), data._rows[0].size
+        resamples = [resample_rows(data, 2, b) for b in range(20)]
+
+        def parts(resample):
+            return shifted[resample[:n0]], shifted[resample[n0:]]
+
+        _, block = gram.solve(resamples, parts)
+        for k, resample in enumerate(resamples):
+            _, alone = gram.solve([resample], parts)
+            for key, fits in block.items():
+                _, names, _ = key
+                for name in ("intercept",) + names:
+                    assert fits.coef(name)[k] == alone[key].coef(name)[0], (k, key, name)
+                assert fits.residual_sd[k] == alone[key].residual_sd[0], (k, key)
+
     def test_cda_with_explicit_draws_agrees_through_the_gram_residuals(self):
         data = generate(ScenarioConfig("both", n=400, seed=2), 0)
         settings = CdaSettings(mc_draws_per_unit=50, seed=3)

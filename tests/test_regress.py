@@ -5,6 +5,7 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import random_dataset
 from dispdecomp import EstimationError, fit_ols, partial_r2
 from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set
 
@@ -106,6 +107,19 @@ class TestFitOls:
         npt.assert_allclose(scaled.coef("b"), base.coef("b"), rtol=1e-9)
         npt.assert_allclose(scaled.r_squared, base.r_squared, rtol=1e-9)
         npt.assert_allclose(scaled.residual_sd, base.residual_sd, rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_sums_of_squares_beyond_the_float_range(self, scale):
+        # The sums of squares of a response near 1e160 pass the float range
+        # (with no warning: warnings are errors here), while its residual sd
+        # does not.
+        data = random_dataset(6, n=60, n_baseline=2, n_intermediate=2)
+        columns = {name: data.column(name) for name in ("R", "X1", "X2", "C1", "C2")}
+        base = fit_ols(columns, data.column("M"))
+        fit = fit_ols(columns, scale * data.column("M"))
+        npt.assert_allclose(fit.residual_sd, scale * base.residual_sd, rtol=1e-12)
+        npt.assert_allclose(fit.r_squared, base.r_squared, rtol=1e-12)
+        npt.assert_allclose(fit.coef("X1"), scale * base.coef("X1"), rtol=1e-12)
 
     def test_unscaled_variances_frozen_line_fit(self):
         # X'X = [[3, 3], [3, 5]], whose inverse has diagonal 5/6 and 1/2.

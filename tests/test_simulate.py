@@ -641,6 +641,12 @@ class TestConfigFromJson:
             config_from_json('{"scenario": ["cx"]}')
 
 
+def _intermediate_noise_at_1(coefs):
+    intermediate = list(coefs.intermediate)
+    intermediate[1] = dataclasses.replace(intermediate[1], noise_sd=1e160)
+    return dataclasses.replace(coefs, intermediate=tuple(intermediate))
+
+
 class TestImpliedMoments:
     def test_matches_large_sample(self):
         config = ScenarioConfig("both", n=200_000, reps=1, seed=12)
@@ -728,6 +734,24 @@ class TestTruths:
         assert truths.for_method("CDA_adjusted") == truths.cda
         with pytest.raises(ValueError, match="unknown method"):
             truths.for_method("XYZ")
+
+
+class TestNoiseOverflow:
+    @pytest.mark.parametrize(
+        "edit, key, name",
+        [
+            (lambda c: dataclasses.replace(c, outcome=dataclasses.replace(c.outcome, noise_sd=1e160)), "outcome", "Y"),
+            (_intermediate_noise_at_1, "intermediate[1]", "X2"),
+        ],
+    )
+    def test_a_noise_sd_whose_square_overflows_is_a_value_error(self, edit, key, name):
+        config = ScenarioConfig("my-conf", n=100, reps=2, coefficients=edit(default_coefficients("my-conf")))
+        message = f"coefficients.{key}.noise_sd = 1e+160 is too large: the variance of {name} overflows"
+        for call in (compute_truths, run_harness, lambda c: run_harness(c, sensitivity=True)):
+            with pytest.raises(ValueError) as info:
+                call(config)
+            assert str(info.value) == message
+            assert not isinstance(info.value, EstimationError)
 
 
 class TestPathways:
@@ -1018,37 +1042,38 @@ def gram_bound(config, rep):
     return 10 * 2 * GRAM_TOL * scale
 
 
-def assert_harness_matches_fresh_copies(config, report, params):
-    """Replication 0 runs on fit_ols, so it is equal bit for bit; the later
-    ones, whose fits are Gram solves where the check accepts them, are
-    within gram_bound."""
+def assert_harness_matches_fresh_copies(config, report, params, fallbacks=()):
+    """Replication 0 and the replications in fallbacks run the public
+    estimators, so they are equal bit for bit; the later ones, computed
+    from their block's Gram solves, are within gram_bound."""
     for rep in range(config.reps):
         bound = gram_bound(config, rep)
         for (method, q), expected in fresh_copy_estimates(config, rep, params).items():
             actual = report.cell(method, q).estimates[rep]
-            if rep == 0:
-                assert actual == expected
+            if rep == 0 or rep in fallbacks:
+                assert actual == expected, (rep, method, q)
             else:
                 assert abs(actual - expected) <= bound, (rep, method, q)
 
 
 def counting_fits(monkeypatch):
-    """Lists that gather each fit_ols call and each fit accepted from a Gram solve."""
-    qr_calls, gram_calls = [], []
-    fit_ols, gram_fit = decompose_module.fit_ols, regress_module._GramFits.fit
+    """Lists that gather each fit_ols call, and each model's count of
+    replicates that _GramFits accepts."""
+    qr_calls, accepted = [], []
+    fit_ols, gram_init = decompose_module.fit_ols, regress_module._GramFits.__init__
 
     def counting_qr(*args, **kwargs):
         qr_calls.append(args)
         return fit_ols(*args, **kwargs)
 
     def counting_gram(self, *args):
-        gram_calls.append(args)
-        return gram_fit(self, *args)
+        gram_init(self, *args)
+        accepted.append(int(self.accepted.sum()))
 
     # Every fit, the sensitivity adjustment's too, goes through decompose._fit.
     monkeypatch.setattr(decompose_module, "fit_ols", counting_qr)
-    monkeypatch.setattr(regress_module._GramFits, "fit", counting_gram)
-    return qr_calls, gram_calls
+    monkeypatch.setattr(regress_module._GramFits, "__init__", counting_gram)
+    return qr_calls, accepted
 
 
 class TestSharedFits:
@@ -1066,10 +1091,10 @@ class TestSharedFits:
     def test_fits_per_replication(self, monkeypatch, scenario, sensitivity, per_replication):
         # Replication 0 runs on fit_ols; the fits it made name the models
         # that every later replication takes from its block's Gram solves.
-        qr_calls, gram_calls = counting_fits(monkeypatch)
+        qr_calls, accepted = counting_fits(monkeypatch)
         run_harness(ScenarioConfig(scenario, n=self.N, reps=self.REPS), sensitivity=sensitivity)
         assert len(qr_calls) == per_replication
-        assert len(gram_calls) == (self.REPS - 1) * per_replication
+        assert sum(accepted) == (self.REPS - 1) * per_replication
 
     @pytest.mark.parametrize("scenario", ["both", "c-only"])
     def test_estimates_equal_those_on_fresh_copies(self, scenario):
@@ -1100,20 +1125,18 @@ class TestBlockFits:
     )
     def test_fit_ols_takes_the_fits_gram_cannot_promise(self, monkeypatch, edit):
         # Y near 1e7 is nearly collinear with the intercept, and X1..X3 with
-        # one another: the conditioning check rejects those models, and
-        # fit_ols fits them in every later replication. Y near 1e153 makes
-        # Gram matrices that overflow, which are rejected too (with no
-        # warning: warnings are errors here). The models without them are
-        # still Gram solves.
+        # one another: the conditioning check rejects those models. Y near
+        # 1e153 makes Gram matrices that overflow, which are rejected too
+        # (with no warning: warnings are errors here). A replication with a
+        # rejected model runs all six fits on fit_ols, so every later one does.
         config = ScenarioConfig("cx", n=500, reps=40, coefficients=edit(default_coefficients("cx")))
         assert block_size(config.n) >= config.reps - 1
-        qr_calls, gram_calls = counting_fits(monkeypatch)
+        qr_calls, _ = counting_fits(monkeypatch)
         report = run_harness(config)
         later = len(qr_calls) - 6
-        assert later > 0 and gram_calls
-        assert later + len(gram_calls) == (config.reps - 1) * 6
+        assert later == (config.reps - 1) * 6
         monkeypatch.undo()
-        assert_harness_matches_fresh_copies(config, report, None)
+        assert_harness_matches_fresh_copies(config, report, None, fallbacks=range(config.reps))
 
     def test_a_replication_does_not_depend_on_its_block(self):
         # At n = 1000, replications 33..36 make a short last block of the
@@ -1140,23 +1163,75 @@ class TestBlockFits:
         config = ScenarioConfig("cx", n=1000, reps=40, seed=2)
         assert block_size(config.n) == 32
         generate_one = simulate_module.generate
-        replication_of = {}
 
         def generating(config, rep):
             if rep == bad_generate:
                 raise DataError("generate failed")
             data = generate_one(config, rep)
-            replication_of[id(data)] = rep
+            if rep == bad_estimate:
+                # Five group-1 rows: the group-1 Gram matrices are singular, so
+                # the replication falls back, and fit_ols rejects KOB's model.
+                data = data.take(np.concatenate([data._rows[0], data._rows[1][:5]]))
             return data
 
-        def kob(data, settings):
-            if replication_of[id(data)] == bad_estimate:
-                raise EstimationError("KOB failed")
-            return decompose_kob(data)
-
         monkeypatch.setattr(simulate_module, "generate", generating)
-        monkeypatch.setitem(decompose_module._ESTIMATORS, "KOB", kob)
         with pytest.raises(EstimationError) as info:
             run_harness(config)
-        failure = "KOB failed" if named == bad_estimate else "generate failed"
+        if named == bad_estimate:
+            failure = "group 1: insufficient observations: 5 rows for 6 design columns"
+        else:
+            failure = "generate failed"
         assert str(info.value) == f"replication {named}: {failure}"
+
+    def test_a_replication_that_falls_back_equals_the_public_estimators(self, monkeypatch):
+        # One model of replication 5 is rejected, so that replication runs
+        # the public estimators on its own data, bit for bit; the rest of
+        # its block still comes from the Gram solves.
+        config = ScenarioConfig("both", n=1000, reps=12, seed=5)
+        qr_calls, accepted = counting_fits(monkeypatch)
+        gram_init = regress_module._GramFits.__init__
+
+        def rejecting(self, *args):
+            gram_init(self, *args)
+            if len(accepted) == 1:  # the block's first model
+                self.accepted[5 - 1] = False
+
+        monkeypatch.setattr(regress_module._GramFits, "__init__", rejecting)
+        report = run_harness(config, sensitivity=True)
+        assert len(qr_calls) == 2 * 7
+        monkeypatch.undo()
+        params = oracle_sensitivity_params(config)
+        assert_harness_matches_fresh_copies(config, report, params, fallbacks={5})
+
+    def test_one_replication_per_block_gives_the_same_report(self, monkeypatch):
+        config = ScenarioConfig("both", n=1000, reps=40, seed=7)
+        assert block_size(config.n) == 32
+        default = run_harness(config, sensitivity=True)
+        monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 1)
+        assert block_size(config.n) == 1
+        assert run_harness(config, sensitivity=True) == default
+
+    def test_adjustment_near_the_edge_of_the_pooled_mediator_model(self, monkeypatch):
+        # M is within 1.5% of the span of R, X1..X3 and C. The pooled
+        # outcome model's Gram matrix holds the pooled mediator model's, so
+        # by eigenvalue interlacing the mediator model is never the worse
+        # conditioned: in the replications where the outcome model passes,
+        # the mediator model is within about ten times of its own limit,
+        # and in the rest the replication falls back. Its residual sd comes
+        # from the quadratic form w'Gw, whose rounding error is about
+        # (p + 1)^2 * eps * |v|^2 (v: w times the column norms), while the
+        # form is at least lambda_min * |v|^2 of the column-scaled Gram
+        # matrix. Acceptance holds (p + 1) * eps / lambda_min below
+        # GRAM_TOL / 2, so the sd is within about GRAM_TOL relative, and the
+        # bias, proportional to 1 / sd, too.
+        coefs = default_coefficients("my-conf")
+        coefs = dataclasses.replace(
+            coefs, mediator=dataclasses.replace(coefs.mediator, noise_sd=0.015, on_confounder=0.015)
+        )
+        config = ScenarioConfig("my-conf", n=1000, reps=33, seed=1, coefficients=coefs)
+        qr_calls, _ = counting_fits(monkeypatch)
+        report = run_harness(config, sensitivity=True)
+        fallbacks = len(qr_calls) // 7 - 1
+        assert 0 < fallbacks < config.reps - 1
+        monkeypatch.undo()
+        assert_harness_matches_fresh_copies(config, report, oracle_sensitivity_params(config))
