@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from ._streams import stream_seed, substream
-from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, fit_ols
+from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, _ReplicateFit, fit_ols
 from .tabular import Dataset, RoleSpec
 
 __all__ = [
@@ -92,10 +92,9 @@ class KobDetail:
         )
 
 
-def _check_integers(instance, names: tuple[str, ...]) -> None:
-    """Raise ValueError unless each named field is an int or numpy integer, not a bool."""
-    for name in names:
-        value = getattr(instance, name)
+def _check_integers(**values: object) -> None:
+    """Raise ValueError unless each value is an int or numpy integer, not a bool."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -114,7 +113,7 @@ class CdaSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integers(self, ("mc_draws_per_unit", "seed"))
+        _check_integers(mc_draws_per_unit=self.mc_draws_per_unit, seed=self.seed)
         if self.mc_draws_per_unit < 0:
             raise ValueError(f"mc_draws_per_unit must be >= 0, got {self.mc_draws_per_unit}")
 
@@ -154,13 +153,14 @@ def _result(
     return DecompositionResult(method, initial, explained, unexplained, proportion, detail)
 
 
-def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit:
+def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit | _ReplicateFit:
     """fit_ols of response on the named columns, over one group's rows or all (None).
 
     Each (group, names, response) is fitted once per Dataset: a repeated
     request returns the same OlsFit. Names are kept in their order, because
     pivoted QR of the same columns in another order can differ in the last
-    bits. A fit that raises is not kept.
+    bits. A fit that raises is not kept. A bootstrap replicate's memo may
+    already hold a _ReplicateFit for the key, which is returned as it is.
     """
     key = (group, names, response)
     fit = data._fits.get(key)
@@ -182,7 +182,7 @@ class _Source(NamedTuple):
     """
 
     roles: RoleSpec
-    fit: Callable[[int | None, tuple[str, ...], str], OlsFit | _GramFits]
+    fit: Callable[[int | None, tuple[str, ...], str], OlsFit | _ReplicateFit | _GramFits]
     means: Callable[[int, tuple[str, ...]], Mapping[str, float | np.ndarray]]
 
 
@@ -454,17 +454,25 @@ class _GramReplicates:
         """Each replicate in turn, with a fit memo of its accepted fits.
 
         parts(replicate) gives its rows of z by fit group (0, 1, or None
-        for all), in the order _fit reads them. It is called twice per
-        replicate: for the block's Gram matrices, then for the replicate's
-        fits as it is yielded. Each slot of replicates is emptied (None) as
-        its replicate is yielded, so the block holds the rows and fits of
-        one replicate at a time.
+        for all), in the order _fit reads them. It is called once per
+        replicate for the block's Gram matrices, and again only for a fit
+        whose residuals are read. The memo's fits are _ReplicateFits: the
+        block's solved coefficients, with residuals formed on first read.
+        Each slot of replicates is emptied (None) as its replicate is
+        yielded, so the block holds the rows of one replicate at a time.
         """
         _, solved = self.solve(replicates, parts)
         for k in range(len(replicates)):
             replicate, replicates[k] = replicates[k], None
-            rows = parts(replicate)
-            yield replicate, {key: fits.fit(k, rows[key[0]]) for key, fits in solved.items() if fits.accepted[k]}
+            yield replicate, {
+                key: _ReplicateFit(fits, k, partial(_group_rows, parts, replicate, key[0]))
+                for key, fits in solved.items()
+                if fits.accepted[k]
+            }
+
+
+def _group_rows(parts: Callable[[object], dict], replicate: object, group: int | None) -> np.ndarray:
+    return parts(replicate)[group]
 
 
 def _resample_memos(data: Dataset) -> Callable[[list[np.ndarray]], Iterator[tuple[np.ndarray, dict]]]:
@@ -494,6 +502,7 @@ def _bootstrap(
     for method in methods:
         if method not in _ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
+    _check_integers(B=B, seed=seed)
     if B < 2:
         raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
     points = [_ESTIMATORS[method](data, settings) for method in methods]
@@ -571,19 +580,23 @@ def bootstrap(
     seed stream_seed(seed, b, attempt, 1).
     Resamples that break an estimator precondition (e.g. a degenerate
     design) are retried with fresh draws, up to 10*B failures in total.
+    B (at least 2) and seed must be ints or numpy integers, not bools.
 
     Several methods share one loop (the CLI's --method all): each resample
     is drawn and copied once (Dataset.take) for every method that needs it,
     and each method keeps its own attempt count and failure budget, so it
     sees the resamples it would see alone and gets the same results.
     The point estimates are pivoted-QR fits (fit_ols); the fits they made
-    name the models that every replicate needs. A first attempt gets those
-    models in its fit memo before the estimators run, solved from the
-    resample's per-group cross-product (Gram) matrices in blocks of
-    resamples; they agree with fit_ols on the same rows to GRAM_TOL
-    relative. A model whose Gram matrix is too ill-conditioned to promise
-    that, and every model of a retried resample, is fitted by fit_ols as
-    before, so resamples are retried exactly when fit_ols rejects them.
+    name the models that every replicate needs. Those models are solved
+    from the resamples' per-group cross-product (Gram) matrices in blocks
+    of resamples, each resample's rows gathered once. A first attempt gets
+    them in its fit memo before the estimators run, as that resample's
+    solved coefficients; residuals are formed from its rows only where an
+    estimator reads them (CDA with explicit draws). They agree with
+    fit_ols on the same rows to GRAM_TOL relative. A model whose Gram
+    matrix is too ill-conditioned to promise that, and every model of a
+    retried resample, is fitted by fit_ols as before, so resamples are
+    retried exactly when fit_ols rejects them.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one
     thread, since a second one only spins on these small fits and solves,
     and restores its thread count afterwards; the point estimate keeps the

@@ -322,8 +322,8 @@ class _GramFits:
     is z'z over replicate k's rows. columns indexes z: the design
     (intercept first, named by names), then the response. The solves are
     made for all K at once. coef, intercept and residual_sd give every
-    replicate's values as length-K arrays; fit(k, rows) builds replicate
-    k's OlsFit.
+    replicate's values as length-K arrays; _ReplicateFit(fits, k, rows) is
+    replicate k's fit as the estimators read an OlsFit.
 
     The normal equations square the condition number, so replicate k is
     accepted only when both hold, for the column-scaled Gram matrix of
@@ -370,13 +370,6 @@ class _GramFits:
         self._model, self._columns = model, columns
         self._coefficients = solved
         self._coefficients[:, 0] += shift[response] - _dot_rows(solved, shift[design])
-        # Centred sum of squares of the response; acceptance keeps it well
-        # away from 0, the response being far from the intercept's span.
-        self._sst = model[:, p, p] - model[:, 0, p] ** 2 / model[:, 0, 0]
-        self._r_factors = np.zeros((k, p, p))
-        self._r_factors[ok] = np.linalg.cholesky(model[ok, :p, :p]).transpose(0, 2, 1) @ unshift[:p, :p]
-        self._pivots = np.arange(p)
-        self._pivots.setflags(write=False)
         self._names = names
 
     def coef(self, name: str) -> np.ndarray:
@@ -400,30 +393,34 @@ class _GramFits:
         """
         w = self._weights[:, self._columns]
         ssr = _dot_rows(w, _dot_rows(self._model, w[:, None, :]))
-        n, p = self._model[:, 0, 0], self._pivots.size
+        n, p = self._model[:, 0, 0], len(self._names)
         return np.where(np.isfinite(ssr) & (ssr > 0.0), np.sqrt(np.abs(ssr) / (n - p)), np.nan)
 
-    def fit(self, k: int, rows: np.ndarray) -> OlsFit:
-        """Replicate k's fit, rows being its rows of z; k must be accepted.
 
-        The coefficients and residuals are those of the unshifted design;
-        r_factor is the Cholesky factor of that design's Gram matrix, with
-        identity pivots.
-        """
-        residuals = rows @ self._weights[k]
-        ssr = float(residuals @ residuals)
-        # n > p: the accepted Gram matrix of design and response is nonsingular.
-        n, p = rows.shape[0], self._pivots.size
-        return OlsFit(
-            coefficients=dict(zip(self._names, self._coefficients[k].tolist())),
-            residuals=residuals,
-            residual_sd=float(np.sqrt(ssr / (n - p))),
-            r_squared=min(1.0, max(0.0, 1.0 - ssr / float(self._sst[k]))),
-            n=n,
-            p=p,
-            r_factor=self._r_factors[k],
-            pivots=self._pivots,
-        )
+class _ReplicateFit:
+    """Replicate k of a _GramFits, read as the estimators read an OlsFit.
+
+    coefficients, coef and intercept are that replicate's solved values;
+    k must be accepted. rows() gives the replicate's rows of z. It is
+    called only when residuals is first read, as rows() @ w with w the
+    residual's weights on z: those are the unshifted design's residuals.
+    """
+
+    def __init__(self, fits: _GramFits, k: int, rows: Callable[[], np.ndarray]) -> None:
+        self.coefficients = dict(zip(fits._names, fits._coefficients[k].tolist()))
+        self._weights, self._rows = fits._weights[k], rows
+
+    @property
+    def intercept(self) -> float:
+        return self.coefficients[INTERCEPT]
+
+    coef = OlsFit.coef
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        residuals = self._rows() @ self._weights
+        residuals.setflags(write=False)
+        return residuals
 
 
 # Kept public for perfbench/workloads.py, which traces it by name.

@@ -194,13 +194,15 @@ def _partial_r2_from_t(fit: OlsFit, names: list[str]) -> dict[str, float]:
     Uses partial R2 = t^2 / (t^2 + df), with the coefficient's t-statistic
     and the fit's residual degrees of freedom (Cinelli & Hazlett 2020).
     This equals partial_r2 with every other design column as a control.
+    t is formed before it is squared: it does not depend on the response's
+    scale, while the squared coefficient and residual sd can overflow.
     """
     variances = fit.unscaled_variances()
     df = fit.n - fit.p
     out = {}
     for name in names:
-        t_sq = fit.coef(name) ** 2 / (variances[name] * fit.residual_sd**2)
-        out[name] = t_sq / (t_sq + df)
+        t = fit.coef(name) / (variances[name] ** 0.5 * fit.residual_sd)
+        out[name] = t * t / (t * t + df)
     return out
 
 

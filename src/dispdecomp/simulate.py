@@ -243,7 +243,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         loads = _structure(self.scenario).loads
-        _check_integers(self, ("n", "reps", "seed"))
+        _check_integers(n=self.n, reps=self.reps, seed=self.seed)
         for name, (low, high) in _BOUNDS.items():
             value = getattr(self, name)
             if value < low:
@@ -526,10 +526,14 @@ def implied_moments(
     confounded=False evaluates the confounder-free twin (loadings zeroed).
     The confounder variable U appears in the moment set only when the
     scenario has one and confounded=True. A noise sd whose square is
-    beyond the float range raises a ValueError that names it.
+    beyond the float range raises a ValueError that names it; so does an
+    equation whose coefficients make a mean or covariance that is not
+    finite, as soon as that equation is added.
     """
     coefs = config.coefficients
     assert coefs is not None
+    fields = {"C": "baseline", "M": "mediator", "Y": "outcome"}
+    fields.update({x: f"intermediate[{i}]" for i, x in enumerate(_x_names(config))})
     mom = _Moments()
     if group is None:
         mom.add_root("R", coefs.p_r, coefs.p_r * (1.0 - coefs.p_r))
@@ -537,13 +541,17 @@ def implied_moments(
         mom.add_root("R", float(group), 0.0)
     for name, intercept, terms, sd in _equations(config, confounded):
         try:
-            mom.add_linear(name, intercept, {p: c for p, c in terms if p is not None}, sd)
+            # An overflow is raised below as an error that names the equation.
+            with np.errstate(over="ignore", invalid="ignore"):
+                mom.add_linear(name, intercept, {p: c for p, c in terms if p is not None}, sd)
         except OverflowError:  # noise_sd**2 beyond the float range
-            fields = {"C": "baseline", "M": "mediator", "Y": "outcome"}
-            fields.update({x: f"intermediate[{i}]" for i, x in enumerate(_x_names(config))})
             raise ValueError(
                 f"coefficients.{fields[name]}.noise_sd = {sd!r} is too large: the variance of {name} overflows"
             ) from None
+        if not (np.isfinite(mom.mean[-1]) and np.isfinite(mom.cov[-1]).all()):
+            raise ValueError(
+                f"coefficients.{fields[name]} are too large: the implied mean or covariances of {name} overflow"
+            )
     return mom
 
 

@@ -12,7 +12,7 @@ from dispdecomp import (
     CdaSettings, DecompositionResult, RenderedReport, decompose_cda, decompose_dic, main, render,
 )
 
-from conftest import build_dataset, random_dataset, src_env
+from conftest import build_dataset, random_dataset, src_env, write_dataset_csv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -359,6 +359,20 @@ class TestBenchmarkCommand:
         assert "| name | r2_with_y | r2_with_m |" in out
         assert "| Z | 0.925926 | 0.1 |" in out
 
+    def test_outcome_near_1e160_prints_the_strengths_of_the_unscaled_outcome(self, tmp_path, capsys):
+        data = random_dataset(6, n=60)
+        flags = ["--group", "R", "--outcome", "Y", "--mediator", "M", "--baseline", "C1", "--intermediate", "X1"]
+        outputs = []
+        for scale in (1.0, 1e160):
+            path = tmp_path / f"scaled-{scale}.csv"
+            columns = {**data.columns, "Y": scale * data.column("Y")}
+            write_dataset_csv(build_dataset(columns, baseline=("C1",), intermediate=("X1",)), path)
+            assert main(["benchmark", "--data", str(path), *flags, "--format", "csv"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[1] == outputs[0]
+
     def test_perfect_outcome_fit_is_an_error_with_no_output(self, tmp_path, capsys):
         path = tmp_path / "perfect.csv"
         path.write_text("R,Z,M,Y\n0,1,2,0\n0,2,1,0\n0,4,3,0\n1,1,1,1\n1,3,2,1\n1,4,4,1\n")
@@ -477,6 +491,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         message = "coefficients.outcome.noise_sd = 1e+160 is too large: the variance of Y overflows"
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
+    def test_coefficients_whose_moments_overflow_are_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text('{"scenario": "cx", "n": 100, "reps": 2, "coefficients": {"outcome": {"on_mediator": 1e200}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        message = "coefficients.outcome are too large: the implied mean or covariances of Y overflow"
         assert captured.err == f"usage error: {message}\n"
         assert captured.out == ""
 

@@ -547,6 +547,25 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="B >= 2"):
             bootstrap(data, "DIC", B=1)
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"B": 5, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"B": 2.5}, "B must be an integer, got 2.5"),
+            ({"B": "3"}, "B must be an integer, got '3'"),
+            ({"B": True}, "B must be an integer, got True"),
+            ({"B": 5, "seed": False}, "seed must be an integer, got False"),
+        ],
+    )
+    def test_b_and_seed_must_be_integers(self, arguments, message):
+        with pytest.raises(ValueError) as info:
+            bootstrap(random_dataset(35, n=20), "DIC", **arguments)
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_accepted(self):
+        data = random_dataset(35, n=20)
+        assert bootstrap(data, "DIC", B=np.int64(5), seed=np.int32(1)) == bootstrap(data, "DIC", B=5, seed=1)
+
     def test_failed_resamples_are_retried(self, monkeypatch):
         data = random_dataset(36, n=20)
         point = decompose_dic(data)
@@ -584,28 +603,18 @@ class TestBootstrap:
 
 
 def assert_fit_agrees(gram, qr, replicate, key):
-    """A Gram-filled fit against fit_ols on the same rows, field by field, to GRAM_TOL."""
+    """A Gram-filled fit against fit_ols on the same rows, to GRAM_TOL: its
+    coefficients, and its residuals as formed on first read."""
     group, names, _ = key
     rows = slice(None) if group is None else replicate._rows[group]
     design = np.column_stack([np.ones(qr.n)] + [replicate.column(name)[rows] for name in names])
     norms = np.linalg.norm(design, axis=0)
     assert list(gram.coefficients) == list(qr.coefficients)
-    assert (gram.n, gram.p) == (qr.n, qr.p)
     # Coefficients times their column norms, relative to that vector's norm.
     scaled = np.array(list(gram.coefficients.values())) * norms
     expected = np.array(list(qr.coefficients.values())) * norms
     assert np.max(np.abs(scaled - expected)) <= GRAM_TOL * np.linalg.norm(expected)
     assert np.max(np.abs(gram.residuals - qr.residuals)) <= GRAM_TOL * np.max(np.abs(qr.residuals))
-    npt.assert_allclose(gram.residual_sd, qr.residual_sd, rtol=GRAM_TOL)
-    assert abs(gram.r_squared - qr.r_squared) <= GRAM_TOL
-    npt.assert_allclose(
-        list(gram.unscaled_variances().values()), list(qr.unscaled_variances().values()), rtol=GRAM_TOL
-    )
-    # r_factor and pivots describe the unshifted design: design[:, pivots] = Q R.
-    r, permuted = gram.r_factor, design[:, gram.pivots]
-    assert np.all(np.tril(r, -1) == 0.0)
-    gap = np.abs(r.T @ r - permuted.T @ permuted)
-    assert np.all(gap <= GRAM_TOL * np.outer(norms[gram.pivots], norms[gram.pivots]))
 
 
 class TestGramReplicateFits:
@@ -704,6 +713,46 @@ class TestGramReplicateFits:
             assert_within_gram_tol(
                 [drawn.initial, drawn.explained, drawn.unexplained], [qr.initial, qr.explained, qr.unexplained]
             )
+
+
+class TestRowsBuiltOnce:
+    """How often _resample_memos builds a resample's rows: once for the Gram
+    step, and once more for each fit whose residuals are read."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record every parts call of _GramReplicates.memos, and every memo it yields."""
+        built, memos = [], []
+        original = decompose_module._GramReplicates.memos
+
+        def memos_counting(self, replicates, parts):
+            def counted(replicate):
+                built.append(replicate)
+                return parts(replicate)
+
+            for replicate, memo in original(self, replicates, counted):
+                memos.append(memo)
+                yield replicate, memo
+
+        monkeypatch.setattr(decompose_module._GramReplicates, "memos", memos_counting)
+        return built, memos
+
+    def test_a_default_bootstrap_builds_each_resamples_rows_once(self, monkeypatch):
+        built, memos = self.counting(monkeypatch)
+        B = decompose_module._GRAM_BLOCK + 8
+        decompose_module._bootstrap(random_dataset(3, n=80, n_baseline=2, n_intermediate=2), list(METHODS), None, B, 1)
+        assert len(built) == len(memos) == B
+        assert all(memo for memo in memos)
+
+    def test_explicit_draws_build_rows_again_only_for_the_residuals_read(self, monkeypatch):
+        built, memos = self.counting(monkeypatch)
+        data = generate(ScenarioConfig("both", n=300, seed=3), 0)
+        B = decompose_module._GRAM_BLOCK + 8
+        decompose_module._bootstrap(data, ["CDA"], CdaSettings(mc_draws_per_unit=5, seed=4), B, 1)
+        read = [key for memo in memos for key, fit in memo.items() if "residuals" in vars(fit)]
+        assert len(built) == B + len(read)
+        # Each resample's group-0 mediator model, and only it, is drawn from.
+        assert read == [(0, data.roles.baseline, "M")] * B
 
 
 # The 10-row CSV of the CLI's bootstrap test: five rows per group, so a

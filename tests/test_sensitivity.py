@@ -338,6 +338,18 @@ class TestBenchmark:
         assert strengths == sorted(strengths, reverse=True)
         assert {b.name for b in out} == {"C1", "C2", "X1", "X2"}
 
+    def test_outcome_near_1e160_gives_the_strengths_of_the_unscaled_outcome(self):
+        # The squared coefficients and residual sd of Y x 1e160 pass the
+        # float range; its t statistics are those of Y.
+        data = random_dataset(6, n=60)
+        scaled = build_dataset(
+            {**data.columns, "Y": 1e160 * data.column("Y")}, baseline=("C1",), intermediate=("X1",)
+        )
+        plain, big = benchmark(data), benchmark(scaled)
+        assert [b.name for b in big] == [b.name for b in plain]
+        for b, p in zip(big, plain):
+            npt.assert_allclose((b.r2_with_y, b.r2_with_m), (p.r2_with_y, p.r2_with_m), rtol=1e-12)
+
     def test_empty_without_covariates(self):
         data = build_dataset({"R": [0, 0, 1, 1], "M": [1, 2, 3, 4], "Y": [1, 3, 2, 5]})
         assert benchmark(data) == ()

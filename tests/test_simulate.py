@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -752,6 +753,24 @@ class TestNoiseOverflow:
                 call(config)
             assert str(info.value) == message
             assert not isinstance(info.value, EstimationError)
+
+    @pytest.mark.parametrize(
+        "equation, field, key, name",
+        [("outcome", "on_mediator", "outcome", "Y"), ("mediator", "on_group", "mediator", "M")],
+    )
+    def test_coefficients_whose_moments_overflow_are_a_value_error(self, equation, field, key, name):
+        coefs = default_coefficients("cx")
+        edited = dataclasses.replace(getattr(coefs, equation), **{field: 1e200})
+        config = ScenarioConfig("cx", n=100, reps=2, coefficients=dataclasses.replace(coefs, **{equation: edited}))
+        message = f"coefficients.{key} are too large: the implied mean or covariances of {name} overflow"
+        calls = (implied_moments, compute_truths, run_harness, lambda c: run_harness(c, sensitivity=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call(config)
+                assert str(info.value) == message
+                assert not isinstance(info.value, EstimationError)
 
 
 class TestPathways:
