@@ -414,14 +414,16 @@ class _GramReplicates:
             columns = np.array([0] + [self.index[name] for name in names] + [self.index[response]])
             self.models.append((key, columns, [INTERCEPT, *names]))
 
-    def rows(self, data: Dataset, order: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """data's rows of z, data's rows taken in the given order. The result
-        is the transpose of a (q, n) array, so each column of z is written in
-        one contiguous pass."""
-        z = np.empty((self.shift.size, data.n))
+    def rows(self, data: Dataset | Mapping[str, np.ndarray], order: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The rows of z over data, a Dataset or its equal-length columns by
+        name, taken in the given order of all its rows. The result is the
+        transpose of a (q, n) array, so each column of z is written in one
+        contiguous pass."""
+        columns = data.columns if isinstance(data, Dataset) else data
+        z = np.empty((self.shift.size, len(columns[next(iter(self.index))])))
         z[0] = 1.0
         for name, j in self.index.items():
-            np.subtract(data.column(name)[order], self.shift[j], out=z[j])
+            np.subtract(columns[name][order], self.shift[j], out=z[j])
         return z.T
 
     def solve(self, replicates: list, parts: Callable[[object], Mapping[int, np.ndarray]]) -> tuple[np.ndarray, dict]:
@@ -440,9 +442,14 @@ class _GramReplicates:
                 rows = parts(replicate)
                 for g in (0, 1):
                     grams[g, k] = rows[g].T @ rows[g]
+        return grams, self.fits(grams)
+
+    def fits(self, grams: np.ndarray) -> dict:
+        """A _GramFits of each model over the Gram matrices grams, (2, K, q, q)
+        by group, by its key."""
+        with np.errstate(over="ignore", invalid="ignore"):
             by_group = {0: grams[0], 1: grams[1], None: grams[0] + grams[1]}
-            fits = {key: _GramFits(by_group[key[0]], self.shift, columns, names) for key, columns, names in self.models}
-        return grams, fits
+            return {key: _GramFits(by_group[key[0]], self.shift, columns, names) for key, columns, names in self.models}
 
     def means(self, grams: np.ndarray, names: tuple[str, ...]) -> dict[str, np.ndarray]:
         """Each replicate's mean of each named column over the rows of its

@@ -708,24 +708,48 @@ def oracle_explained_bias(config: ScenarioConfig) -> float:
 # Generation and the replication harness
 
 
-def generate(config: ScenarioConfig, rep_index: int) -> Dataset:
-    """One synthetic dataset for replication rep_index.
+def _draw_block(config: ScenarioConfig, reps: range) -> dict[str, np.ndarray]:
+    """The observed columns of replications reps, each a (len(reps), n)
+    array whose row k is replication reps[k]'s.
 
-    Deterministic given (config.seed, rep_index); variables are drawn in
-    topological order from a per-replication substream. Absent variables
-    are omitted from the Dataset entirely.
+    Each replication draws from its own substream, in topological order: R,
+    then each equation's noise where its terms place it. The equations are
+    evaluated once on the stacked rows, element by element as on one
+    replication's columns, so a row does not depend on the others.
     """
-    if rep_index < 0:
-        raise ValueError(f"rep_index must be >= 0, got {rep_index}")
     coefs = config.coefficients
     assert coefs is not None
     n = config.n
-    rng = substream(config.seed, rep_index, 0)
-    r = (rng.random(n) < coefs.p_r).astype(np.float64)
-    # sd * z is what rng.normal(0.0, sd, n) draws, as 0.0 + sd * z (only a
-    # zero's sign could differ), without its per-call argument handling.
-    columns = _walk(_equations(config, True), {"R": r}, lambda sd: sd * rng.standard_normal(n))
+    rngs = [substream(config.seed, rep, 0) for rep in reps]
+    r = np.empty((len(rngs), n))
+    for row, rng in zip(r, rngs):
+        row[:] = rng.random(n) < coefs.p_r
+
+    def noise(sd: float) -> np.ndarray:
+        # sd * z is what rng.normal(0.0, sd, n) draws, as 0.0 + sd * z (only a
+        # zero's sign could differ), without its per-call argument handling.
+        z = np.empty_like(r)
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        return np.multiply(sd, z, out=z)
+
+    columns = _walk(_equations(config, True), {"R": r}, noise)
     columns.pop("U", None)  # the confounder is unobserved
+    return columns
+
+
+def generate(config: ScenarioConfig, rep_index: int) -> Dataset:
+    """One synthetic dataset for replication rep_index (an integer >= 0).
+
+    Deterministic given (config.seed, rep_index); variables are drawn in
+    topological order from a per-replication substream. It is the one row
+    of a block of one replication, so the harness's blocks hold the same
+    columns. Absent variables are omitted from the Dataset entirely.
+    """
+    _check_integers(rep_index=rep_index)
+    if rep_index < 0:
+        raise ValueError(f"rep_index must be >= 0, got {rep_index}")
+    columns = _draw_block(config, range(rep_index, rep_index + 1))
     roles = RoleSpec(
         group="R",
         outcome="Y",
@@ -733,7 +757,7 @@ def generate(config: ScenarioConfig, rep_index: int) -> Dataset:
         baseline=("C",) if "C" in columns else (),
         intermediate=tuple(_x_names(config)),
     )
-    return Dataset(columns, roles)
+    return Dataset({name: column[0] for name, column in columns.items()}, roles)
 
 
 @dataclass(frozen=True)
@@ -775,10 +799,11 @@ class SimulationReport:
         return tuple(seen)
 
 
-# Replications whose fits are solved together: as many as make up this
-# many rows (16 at the default n of 2000), and at least one. A block holds
-# its generated columns and O(block * q^2) Gram matrices; the rows of one
-# replication are built at a time.
+# Replications generated together: as many as make up this many rows (16
+# at the default n of 2000), and at least one. A block holds its columns
+# as (block, n) arrays and the rows of one replication at a time; it is
+# freed before the next is drawn. The Gram matrices of as many replications
+# as make up this many floats (2 * q^2 each) are solved together.
 _BLOCK_ROWS = 2**15
 
 
@@ -800,28 +825,53 @@ def _estimates(data: Dataset, params: SensitivityParams | None) -> dict[str, tup
     return out
 
 
-def _block_estimates(
-    gram: _GramReplicates, block: list[Dataset], params: SensitivityParams | None
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The block's estimates by method, (K, 3) arrays from its Gram solves,
-    and a mask of the replications whose rows hold them.
+def _block_grams(
+    config: ScenarioConfig, gram: _GramReplicates, roles: RoleSpec, reps: range
+) -> Iterator[tuple[list[np.ndarray], float]]:
+    """Each replication of reps, in order: its Gram matrices (q, q) of
+    groups 0 and 1, and its max |M|, from one _draw_block of them all.
 
-    The estimator bodies and the adjustment run once on the block, with
-    each model's coefficients, the group means and the pooled residual sds
-    as length-K arrays. A replication is left out of the mask when any of
-    its models is rejected, a residual sd's quadratic form is not finite
-    and positive, its mediator fails the adjustment's check, or any of its
-    estimates is not finite. The arithmetic runs with numpy's
-    floating-point warnings off: the rows it marks are recomputed.
+    The block is checked at once for what Dataset rejects: a value that is
+    not finite, or a group with no rows. A replication that fails the check
+    raises the DataError of its own Dataset.
     """
-    roles = block[0].roles
+    columns = _draw_block(config, reps)
+    r = columns[roles.group]
+    ones = r.sum(axis=1)
+    checked = (ones > 0) & (ones < config.n)
+    for column in columns.values():
+        checked &= np.isfinite(column).all(axis=1)
+    m_max = np.abs(columns[roles.mediator]).max(axis=1)
+    for k in range(len(reps)):
+        replication = {name: column[k] for name, column in columns.items()}
+        if not checked[k]:
+            Dataset(replication, roles)  # raises its DataError
+        rows0, rows1 = np.flatnonzero(r[k] == 0.0), np.flatnonzero(r[k] == 1.0)
+        rows = gram.rows(replication, np.concatenate([rows0, rows1]))
+        # As in _GramReplicates.solve: a Gram matrix that overflows is
+        # rejected by _GramFits and left to fit_ols, so its overflow is no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = [part.T @ part for part in (rows[: rows0.size], rows[rows0.size :])]
+        yield grams, float(m_max[k])
 
-    def parts(data: Dataset) -> dict[int, np.ndarray]:
-        rows = gram.rows(data, np.concatenate(data._rows))
-        n0 = data._rows[0].size
-        return {0: rows[:n0], 1: rows[n0:]}
 
-    grams, fits = gram.solve(block, parts)
+def _block_estimates(
+    gram: _GramReplicates, roles: RoleSpec, grams: np.ndarray, m_max: np.ndarray, params: SensitivityParams | None
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The estimates by method, (K, 3) arrays, of the K replications whose
+    Gram matrices grams (2, K, q, q) holds and whose max |M| is m_max, and a
+    mask of the replications whose rows hold them.
+
+    Each model is solved once over the K replications, and the estimator
+    bodies and the adjustment run once, with each model's coefficients, the
+    group means and the pooled residual sds as length-K arrays. A
+    replication is left out of the mask when any of its models is rejected,
+    a residual sd's quadratic form is not finite and positive, its mediator
+    fails the adjustment's check, or any of its estimates is not finite.
+    The arithmetic runs with numpy's floating-point warnings off: the rows
+    it marks are recomputed.
+    """
+    fits = gram.fits(grams)
     source = _Source(roles, lambda *key: fits[key], lambda g, names: gram.means(grams[g], names))
     with np.errstate(all="ignore"):
         splits = {"DIC": _dic(source)[0], "KOB": _kob(source)[0], "CDA": _cda(source)}
@@ -832,7 +882,6 @@ def _block_estimates(
             initial, explained, unexplained = splits["CDA"]
             _, delta, zeta = _adjusted(explained, unexplained, inputs, params)
             splits[ADJUSTED_METHOD] = (initial, delta, zeta)
-            m_max = np.array([np.max(np.abs(data.column(roles.mediator))) for data in block])
             valid &= ~_explained_away(inputs[1], m_max) & np.isfinite(inputs[:2]).all(axis=0)
         estimates = {method: np.column_stack(split) for method, split in splits.items()}
         for values in estimates.values():
@@ -845,48 +894,62 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     (reps, 3) array; the first failure, in index order, raises.
 
     Replication 0 runs the public estimators, and the fits they made name
-    the models of every later one. Later replications are generated in
-    blocks, and each model is solved once per block from the per-group Gram
-    matrices (decompose._GramReplicates), with rows shifted by the
-    population means of the configuration; _block_estimates then gives the
-    whole block's estimates as arrays. A replication that it leaves out
-    runs the public estimators on its own Dataset, as replication 0 does.
-    A block stops at a replication that generate rejects; the block's
-    earlier replications run before that error is raised.
+    the models of every later one. Later replications are drawn in blocks
+    of stacked columns (_block_grams), with no Dataset each, and give their
+    per-group Gram matrices (decompose._GramReplicates), with rows shifted
+    by the population means of the configuration. Those matrices are
+    gathered over the scenario, and each model is solved once over as many
+    replications as _BLOCK_ROWS floats of them hold (all 199 later ones on
+    the defaults); _block_estimates then gives their estimates as arrays.
+    A replication that it leaves out runs the public estimators on
+    generate's Dataset of it, as replication 0 does. Generation stops at
+    the first replication that Dataset rejects; the earlier replications
+    run before that error is raised.
     """
     methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
     results = {method: np.empty((config.reps, 3)) for method in methods}
 
-    def run(rep: int, data: Dataset) -> None:
+    def run(rep: int) -> Dataset:
         with _replication(rep):
+            data = generate(config, rep)
             for method, values in _estimates(data, params).items():
                 results[method][rep] = values
+        return data
 
-    with _replication(0):
-        data = generate(config, 0)
-    run(0, data)
+    data = run(0)
     moments = implied_moments(config)
     roles = data.roles
     gram = _GramReplicates(roles, data._fits, {name: moments.mean_of(name) for name in roles.all_roles()})
-    size = max(1, _BLOCK_ROWS // config.n)
-    for start in range(1, config.reps, size):
-        block, failure = [], None
-        for rep in range(start, min(start + size, config.reps)):
-            try:
-                block.append(generate(config, rep))
-            except DataError as exc:
-                failure = rep, exc
-                break
-        if block:
-            estimates, valid = _block_estimates(gram, block, params)
-            for method, values in estimates.items():
-                results[method][start : start + len(block)] = values
-            for k in np.flatnonzero(~valid):
-                run(start + int(k), block[k])
-        if failure is not None:
-            rep, exc = failure
-            with _replication(rep):
-                raise exc
+    q = gram.shift.size
+    chunk = min(max(1, _BLOCK_ROWS // (2 * q * q)), config.reps - 1)
+    grams, m_max = np.empty((2, chunk, q, q)), np.empty(chunk)
+    done, count = 1, 0  # grams[:, :count] holds replications done, done + 1, ...
+
+    def solve() -> None:
+        nonlocal done, count
+        estimates, valid = _block_estimates(gram, roles, grams[:, :count], m_max[:count], params)
+        for method, values in estimates.items():
+            results[method][done : done + count] = values
+        for k in np.flatnonzero(~valid):
+            run(done + int(k))
+        done, count = done + count, 0
+
+    block = max(1, _BLOCK_ROWS // config.n)
+    failure = None
+    try:
+        for start in range(1, config.reps, block):
+            for pair, m in _block_grams(config, gram, roles, range(start, min(start + block, config.reps))):
+                grams[:, count], m_max[count] = pair, m
+                count += 1
+                if count == chunk:
+                    solve()
+    except DataError as exc:
+        failure = exc
+    if count:
+        solve()
+    if failure is not None:
+        with _replication(done):
+            raise failure
     return results
 
 
@@ -899,23 +962,27 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     replication's CDA result with oracle-true parameters computed from the
     configuration's coefficients. Replication 0 runs the public
     estimators, so its estimates are theirs on its data. Later
-    replications run in blocks: each model is solved once per block from
-    the replications' Gram matrices, in agreement with fit_ols on the same
-    rows to GRAM_TOL relative, and the block's estimates are computed from
-    those solves as arrays, by the estimators' own arithmetic. A
-    replication with a model whose conditioning cannot promise that
-    agreement runs the public estimators on its own data instead, so its
-    estimates, and any error, are theirs. The first replication to fail,
-    in index order, raises an EstimationError that names it. A
-    replication's estimates do not depend on reps or on the other
-    replications of its block. Replications run one after another in this
-    thread; workers (>= 1) is kept for compatibility and changes nothing,
-    and per-index substreams make the report byte-identical for any value
-    of it. The replications hold the OpenBLAS that numpy and scipy bundle
+    replications are drawn in blocks of stacked columns, with the same
+    bits as generate, and give only their Gram matrices; each model is
+    solved once over the Gram matrices of the scenario's later
+    replications (or of as many as _BLOCK_ROWS floats hold), in agreement
+    with fit_ols on the same rows to GRAM_TOL relative, and their
+    estimates are computed from those solves as arrays, by the
+    estimators' own arithmetic. A replication with a model whose
+    conditioning cannot promise that agreement runs the public estimators
+    on generate's data of it instead, so its estimates, and any error, are
+    theirs. The first replication to fail, in index order, raises an
+    EstimationError that names it. A replication's estimates do not depend
+    on reps or on the other replications that share its block or its
+    solve. Replications run one after another in this thread; workers (an
+    integer >= 1) is kept for compatibility and changes nothing, and
+    per-index substreams make the report byte-identical for any value of
+    it. The replications hold the OpenBLAS that numpy and scipy bundle
     to one thread, since a second one only spins on these small fits and
     solves, and restore its thread count afterwards; library callers of
     the estimators outside this loop keep their own threading.
     """
+    _check_integers(workers=workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     params = oracle_sensitivity_params(config) if sensitivity else None

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -43,7 +44,6 @@ from dispdecomp import (
 )
 from dispdecomp._streams import substream
 from dispdecomp.regress import GRAM_TOL
-from dispdecomp.tabular import DataError
 
 # Population values of the three estimands under the default coefficients,
 # derived by hand from the structural equations (path algebra over the
@@ -314,6 +314,30 @@ class TestOneModel:
         assert {len(c.coefficients.intermediate) for c in configs} == {1, 2, 5}
         for i, config in enumerate(configs):
             self.assert_generate_matches(config, i % 3)
+
+    @staticmethod
+    def assert_blocks_match(config, reps):
+        """Each replication of reps, drawn in blocks as run_harness draws
+        them, against the reference byte for byte."""
+        size = block_size(config.n)
+        for start in range(reps.start, reps.stop, size):
+            block = range(start, min(start + size, reps.stop))
+            columns = simulate_module._draw_block(config, block)
+            for k, rep in enumerate(block):
+                expected, _, _ = reference_generate(config, rep)
+                assert list(columns) == list(expected)
+                for name, column in expected.items():
+                    assert columns[name][k].tobytes() == column.tobytes(), (rep, name)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_blocks_on_default_scenarios(self, scenario):
+        config = ScenarioConfig(scenario, n=1000, reps=41, seed=11)
+        assert block_size(config.n) == 32
+        self.assert_blocks_match(config, range(1, 41))
+
+    def test_blocks_on_random_configs(self):
+        for config in random_configs():
+            self.assert_blocks_match(dataclasses.replace(config, n=1000), range(1, 41))
 
     def test_implied_moments(self):
         for config in [ScenarioConfig(s) for s in SCENARIOS] + random_configs():
@@ -892,6 +916,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="rep_index"):
             generate(ScenarioConfig("none"), -1)
 
+    def test_numpy_integers_are_replication_indices(self):
+        config = ScenarioConfig("cx", n=60, reps=3, seed=5)
+        npt.assert_array_equal(generate(config, np.int64(2)).column("Y"), generate(config, 2).column("Y"))
+
     def test_group_is_binary_balanced(self):
         data = generate(ScenarioConfig("none", n=2000), 0)
         r = data.column("R")
@@ -959,6 +987,25 @@ class TestRunHarness:
         config = ScenarioConfig("none", n=60, reps=2)
         with pytest.raises(ValueError, match="workers"):
             run_harness(config, workers=0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda config: generate(config, 1.5), "rep_index must be an integer, got 1.5"),
+            (lambda config: generate(config, True), "rep_index must be an integer, got True"),
+            (lambda config: generate(config, "1"), "rep_index must be an integer, got '1'"),
+            (lambda config: generate(config, -1), "rep_index must be >= 0, got -1"),
+            (lambda config: run_harness(config, workers=1.5), "workers must be an integer, got 1.5"),
+            (lambda config: run_harness(config, workers=True), "workers must be an integer, got True"),
+            (lambda config: run_harness(config, workers="2"), "workers must be an integer, got '2'"),
+            (lambda config: run_harness(config, workers=0), "workers must be >= 1, got 0"),
+        ],
+        ids=["index-float", "index-bool", "index-str", "index-negative", "workers-float", "workers-bool", "workers-str", "workers-zero"],
+    )
+    def test_integer_arguments_are_checked(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(ScenarioConfig("none", n=60, reps=2))
+        assert str(info.value) == message
 
     def test_replication_failures_are_tagged(self, monkeypatch):
         def boom(data, settings):
@@ -1181,26 +1228,47 @@ class TestBlockFits:
     def test_the_first_failure_in_index_order_is_named(self, monkeypatch, bad_estimate, bad_generate, named):
         config = ScenarioConfig("cx", n=1000, reps=40, seed=2)
         assert block_size(config.n) == 32
-        generate_one = simulate_module.generate
+        draw_block = simulate_module._draw_block
 
-        def generating(config, rep):
-            if rep == bad_generate:
-                raise DataError("generate failed")
-            data = generate_one(config, rep)
-            if rep == bad_estimate:
-                # Five group-1 rows: the group-1 Gram matrices are singular, so
-                # the replication falls back, and fit_ols rejects KOB's model.
-                data = data.take(np.concatenate([data._rows[0], data._rows[1][:5]]))
-            return data
+        def drawing(config, reps):
+            columns = draw_block(config, reps)
+            for k, rep in enumerate(reps):
+                if rep == bad_generate:
+                    columns["Y"][k, 0] = np.nan
+                if rep == bad_estimate:
+                    # Five group-1 rows: the group-1 Gram matrices are singular, so
+                    # the replication falls back, and fit_ols rejects KOB's model.
+                    r = columns["R"][k]
+                    r[np.flatnonzero(r == 1.0)[5:]] = 0.0
+            return columns
 
-        monkeypatch.setattr(simulate_module, "generate", generating)
+        monkeypatch.setattr(simulate_module, "_draw_block", drawing)
         with pytest.raises(EstimationError) as info:
             run_harness(config)
         if named == bad_estimate:
             failure = "group 1: insufficient observations: 5 rows for 6 design columns"
         else:
-            failure = "generate failed"
+            failure = "column 'Y' contains missing or non-finite values"
         assert str(info.value) == f"replication {named}: {failure}"
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_a_later_replication_with_an_empty_group_is_named(self, monkeypatch, group):
+        # The block's check finds the empty group; the error is the one the
+        # replication's own Dataset raises.
+        config = ScenarioConfig("none", n=100, reps=20, seed=3)
+        draw_block = simulate_module._draw_block
+
+        def drawing(config, reps):
+            columns = draw_block(config, reps)
+            for k, rep in enumerate(reps):
+                if rep == 7:
+                    columns["R"][k] = 1.0 - group
+            return columns
+
+        monkeypatch.setattr(simulate_module, "_draw_block", drawing)
+        with pytest.raises(EstimationError) as info:
+            run_harness(config)
+        assert str(info.value) == f"replication 7: group {group} has no rows"
 
     def test_a_replication_that_falls_back_equals_the_public_estimators(self, monkeypatch):
         # One model of replication 5 is rejected, so that replication runs
@@ -1229,6 +1297,39 @@ class TestBlockFits:
         monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 1)
         assert block_size(config.n) == 1
         assert run_harness(config, sensitivity=True) == default
+
+    def test_each_model_is_solved_once_per_scenario(self, monkeypatch):
+        # The Gram matrices of all 199 later replications (2 * 8^2 floats
+        # each) fit in _BLOCK_ROWS floats, so each of the seven models gets
+        # one _GramFits over them all, however many blocks drew them.
+        _, accepted = counting_fits(monkeypatch)
+        run_harness(ScenarioConfig("both", n=2000, reps=200), sensitivity=True)
+        assert accepted == [199] * 7
+
+    def test_solves_in_several_chunks_give_the_same_report(self, monkeypatch):
+        config = ScenarioConfig("both", n=1000, reps=40, seed=7)
+        default = run_harness(config, sensitivity=True)
+        _, accepted = counting_fits(monkeypatch)
+        # Blocks of 3 replications, and solves of 3000 // (2 * 8^2) = 23, so
+        # a solve ends inside a block (replications 22..24).
+        monkeypatch.setattr(simulate_module, "_BLOCK_ROWS", 3000)
+        assert block_size(config.n) == 3
+        assert run_harness(config, sensitivity=True) == default
+        assert accepted == [23] * 7 + [16] * 7
+
+    def test_peak_memory_holds_one_block(self):
+        # The traced peak of this run was 2.67 MB when every replication
+        # was its own Dataset. A block's stacked columns and the scenario's
+        # Gram matrices may add to that, but not a second block of columns
+        # (about 4.9 MB).
+        run_harness(ScenarioConfig("both", n=50, reps=2), sensitivity=True)
+        tracemalloc.start()
+        try:
+            run_harness(ScenarioConfig("both", n=2000, reps=200), sensitivity=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 2.67e6
 
     def test_adjustment_near_the_edge_of_the_pooled_mediator_model(self, monkeypatch):
         # M is within 1.5% of the span of R, X1..X3 and C. The pooled
