@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from ._streams import stream_seed, substream
-from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, _ReplicateFit, fit_ols
+from .regress import INTERCEPT, EstimationError, OlsFit, _GramFits, _one_blas_thread, _ReplicateFit, _residuals, fit_ols
 from .tabular import Dataset, RoleSpec
 
 __all__ = [
@@ -160,7 +160,8 @@ def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str
     request returns the same OlsFit. Names are kept in their order, because
     pivoted QR of the same columns in another order can differ in the last
     bits. A fit that raises is not kept. A bootstrap replicate's memo may
-    already hold a _ReplicateFit for the key, which is returned as it is.
+    already hold a _ReplicateFit (Gram-solved coefficients) for the key,
+    which is returned as it is.
     """
     key = (group, names, response)
     fit = data._fits.get(key)
@@ -175,10 +176,10 @@ class _Source(NamedTuple):
     """What an estimator body reads: the roles, fit(group, names, response)
     as _fit takes them, and means(group, names) as _group_means takes them.
 
-    For one Dataset (_source) the fits are OlsFits and every value is a
-    float; for a block of replicates the fits' coefficients and the means
-    are length-K arrays. Each estimator's arithmetic is written once, in
-    its body, for both.
+    For one Dataset (_source) the fits are OlsFits (or a bootstrap
+    replicate's _ReplicateFits) and every value is a float; for a block of
+    replicates the coefficients and means are length-K arrays. No body
+    reads residuals. Each estimator's arithmetic is written once, for both.
     """
 
     roles: RoleSpec
@@ -277,17 +278,12 @@ def _gap(source: _Source, response: str):
     return mean1[response] - (fit.intercept + sum(fit.coef(z) * mean1[z] for z in baseline))
 
 
-def _standardized_gap(data: Dataset, response: str) -> float:
-    """_gap of one Dataset's response."""
-    return _gap(_source(data), response)
-
-
-def _cda(source: _Source, mean_draw: Callable[[np.ndarray], float] | None = None):
+def _cda(source: _Source, mean_draw: Callable[[OlsFit | _ReplicateFit], float] | None = None):
     """CDA's (initial, explained, unexplained).
 
-    mean_draw(residuals), when given, is the Monte-Carlo mean of residual
-    draws from the group-0 mediator model's residuals; it is subtracted
-    from the mediator gap once every model is fitted.
+    mean_draw(fit), when given, is the Monte-Carlo mean of residual draws
+    from the residuals of fit, the group-0 mediator model; it is
+    subtracted from the mediator gap once every model is fitted.
     """
     roles = source.roles
     try:
@@ -308,7 +304,7 @@ def _cda(source: _Source, mean_draw: Callable[[np.ndarray], float] | None = None
             raise EstimationError(f"baseline models: {base_exc}") from base_exc
         raise EstimationError(f"group 1 outcome model: {exc}") from exc
     if mean_draw is not None:
-        mediator_gap -= mean_draw(source.fit(0, roles.baseline, roles.mediator).residuals)
+        mediator_gap -= mean_draw(source.fit(0, roles.baseline, roles.mediator))
     return _split(initial, outcome_model.coef(roles.mediator) * mediator_gap)
 
 
@@ -332,16 +328,17 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     means. KOB's explained is the same slope times the raw mediator gap.
     With the default settings.mc_draws_per_unit of 0 the residual adds its
     mean, 0. A positive draw count instead draws n1 * draws residuals with
-    replacement, as multinomial counts over the n0 group-0 mediator
-    residuals, and subtracts their mean from the gap. This adds zero-mean
-    noise with sd |slope| * sd0 / sqrt(n1 * draws) to explained, sd0 being
-    the sd of those residuals. Deterministic given data (and settings.seed
-    when drawing). A draw total n1 * draws above 2**63 - 1, more than the
-    count draw can hold, raises ValueError.
+    replacement, as multinomial counts over the n0 residuals of the group-0
+    mediator model (formed from data's group-0 rows and that model's
+    coefficients, as fit_ols forms them), and subtracts their mean from the
+    gap. This adds zero-mean noise with sd |slope| * sd0 / sqrt(n1 * draws)
+    to explained, sd0 being the sd of those residuals. Deterministic given
+    data (and settings.seed when drawing). A draw total n1 * draws above
+    2**63 - 1, more than the count draw can hold, raises ValueError.
     """
     settings = settings or CdaSettings()
 
-    def mean_draw(residuals: np.ndarray) -> float:
+    def mean_draw(fit: OlsFit | _ReplicateFit) -> float:
         n1 = data._rows[1].size
         total = n1 * int(settings.mc_draws_per_unit)
         if total > _MAX_DRAWS:
@@ -353,8 +350,10 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
         # explained. Drawing with replacement from n0 residuals, it is
         # counts @ residuals / total with multinomial counts, in O(n0)
         # memory whatever the draw count.
-        n0 = residuals.size
-        counts = substream(settings.seed).multinomial(total, np.full(n0, 1.0 / n0))
+        rows = data._rows[0]
+        baseline = {name: data.column(name)[rows] for name in data.roles.baseline}
+        residuals = _residuals(fit, baseline, data.column(data.roles.mediator)[rows])
+        counts = substream(settings.seed).multinomial(total, np.full(rows.size, 1.0 / rows.size))
         return float(counts @ residuals / total)
 
     return _result("CDA", _cda(_source(data), mean_draw if settings.mc_draws_per_unit else None), data)
@@ -385,9 +384,9 @@ def _percentile_bounds(values: np.ndarray) -> tuple[float, float]:
     return at(25, 1000), at(975, 1000)
 
 
-# Resamples whose fits are solved together. Their Gram matrices and
-# solutions take O(block * q^2) memory; a resample's rows, O(n * q), are
-# gathered one at a time.
+# Resamples whose fits are solved together. A block holds each resample's
+# indices, O(n), until it is used, and their Gram matrices and solutions,
+# O(block * q^2); a resample's rows of z, O(n * q), are gathered in turn.
 _GRAM_BLOCK = 32
 
 
@@ -414,35 +413,23 @@ class _GramReplicates:
             columns = np.array([0] + [self.index[name] for name in names] + [self.index[response]])
             self.models.append((key, columns, [INTERCEPT, *names]))
 
-    def rows(self, data: Dataset | Mapping[str, np.ndarray], order: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """The rows of z over data, a Dataset or its equal-length columns by
-        name, taken in the given order of all its rows. The result is the
-        transpose of a (q, n) array, so each column of z is written in one
-        contiguous pass."""
-        columns = data.columns if isinstance(data, Dataset) else data
+    def rows(self, columns: Mapping[str, np.ndarray], order: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The rows of z over equal-length columns by name, in the given order
+        of their rows: the transpose of a (q, n) array, so that each column
+        of z is written in one contiguous pass."""
         z = np.empty((self.shift.size, len(columns[next(iter(self.index))])))
         z[0] = 1.0
         for name, j in self.index.items():
             np.subtract(columns[name][order], self.shift[j], out=z[j])
         return z.T
 
-    def solve(self, replicates: list, parts: Callable[[object], Mapping[int, np.ndarray]]) -> tuple[np.ndarray, dict]:
-        """The replicates' Gram matrices, (2, K, q, q) by group, and a
-        _GramFits of each model over them, by its key.
-
-        parts(replicate) gives its rows of z by group: parts(replicate)[g]
-        for g = 0 and 1.
-        """
-        q = self.shift.size
-        grams = np.empty((2, len(replicates), q, q))
-        # A cross product that overflows is rejected by _GramFits and left
-        # to fit_ols, so its overflow is no warning.
+    def grams(self, rows: np.ndarray, n0: int, out: np.ndarray) -> None:
+        """Write the Gram matrices of one replicate's rows of z, group 0's n0
+        rows first, into out, (2, q, q) by group. A product that overflows
+        raises no warning: _GramFits rejects it and leaves it to fit_ols."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, replicate in enumerate(replicates):
-                rows = parts(replicate)
-                for g in (0, 1):
-                    grams[g, k] = rows[g].T @ rows[g]
-        return grams, self.fits(grams)
+            for g, part in enumerate((rows[:n0], rows[n0:])):
+                np.matmul(part.T, part, out=out[g])
 
     def fits(self, grams: np.ndarray) -> dict:
         """A _GramFits of each model over the Gram matrices grams, (2, K, q, q)
@@ -456,47 +443,6 @@ class _GramReplicates:
         Gram matrix in grams (K, q, q), from that matrix's first row."""
         count = grams[:, 0, 0]
         return {name: grams[:, 0, self.index[name]] / count + self.shift[self.index[name]] for name in names}
-
-    def memos(self, replicates: list, parts: Callable[[object], dict]) -> Iterator[tuple[object, dict]]:
-        """Each replicate in turn, with a fit memo of its accepted fits.
-
-        parts(replicate) gives its rows of z by fit group (0, 1, or None
-        for all), in the order _fit reads them. It is called once per
-        replicate for the block's Gram matrices, and again only for a fit
-        whose residuals are read. The memo's fits are _ReplicateFits: the
-        block's solved coefficients, with residuals formed on first read.
-        Each slot of replicates is emptied (None) as its replicate is
-        yielded, so the block holds the rows of one replicate at a time.
-        """
-        _, solved = self.solve(replicates, parts)
-        for k in range(len(replicates)):
-            replicate, replicates[k] = replicates[k], None
-            yield replicate, {
-                key: _ReplicateFit(fits, k, partial(_group_rows, parts, replicate, key[0]))
-                for key, fits in solved.items()
-                if fits.accepted[k]
-            }
-
-
-def _group_rows(parts: Callable[[object], dict], replicate: object, group: int | None) -> np.ndarray:
-    return parts(replicate)[group]
-
-
-def _resample_memos(data: Dataset) -> Callable[[list[np.ndarray]], Iterator[tuple[np.ndarray, dict]]]:
-    """memos(resamples) gives each resample of data (indices into it, group
-    0's rows first) with a fit memo of the models in data._fits, from
-    _GramReplicates with data's means as the shift."""
-    roles = data.roles
-    gram = _GramReplicates(roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()})
-    shifted = gram.rows(data)
-    n0 = data._rows[0].size
-
-    def parts(resample: np.ndarray) -> dict:
-        rows = shifted[resample]
-        return {0: rows[:n0], 1: rows[n0:], None: rows}
-
-    return lambda resamples: gram.memos(resamples, parts)
-
 
 def _bootstrap(
     data: Dataset,
@@ -514,7 +460,10 @@ def _bootstrap(
         raise ValueError(f"bootstrap needs B >= 2 replicates, got {B}")
     points = [_ESTIMATORS[method](data, settings) for method in methods]
     derive_seeds = (settings or CdaSettings()).mc_draws_per_unit > 0
-    memos = _resample_memos(data)
+    roles = data.roles
+    gram = _GramReplicates(roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()})
+    shifted = gram.rows(data.columns)
+    q = gram.shift.size
 
     idx0, idx1 = data._rows
 
@@ -530,7 +479,15 @@ def _bootstrap(
     with _one_blas_thread():
         for start in range(0, B, _GRAM_BLOCK):
             first = [resample(b, 0) for b in range(start, min(start + _GRAM_BLOCK, B))]
-            for b, (rows, fits) in enumerate(memos(first), start):
+            grams = np.empty((2, len(first), q, q))
+            # Each gather is freed as the next is bound, as in simulate._replications.
+            for k, z in enumerate(shifted[rows] for rows in first):
+                gram.grams(z, idx0.size, grams[:, k])
+            solved = gram.fits(grams)
+            for k, b in enumerate(range(start, start + len(first))):
+                # Each slot is emptied as it is used, so the block frees its resamples as it goes.
+                rows, first[k] = first[k], None
+                fits = {key: _ReplicateFit(model, k) for key, model in solved.items() if model.accepted[k]}
                 pending = range(len(methods))
                 attempt = 0
                 while pending:
@@ -594,16 +551,15 @@ def bootstrap(
     and each method keeps its own attempt count and failure budget, so it
     sees the resamples it would see alone and gets the same results.
     The point estimates are pivoted-QR fits (fit_ols); the fits they made
-    name the models that every replicate needs. Those models are solved
-    from the resamples' per-group cross-product (Gram) matrices in blocks
-    of resamples, each resample's rows gathered once. A first attempt gets
-    them in its fit memo before the estimators run, as that resample's
-    solved coefficients; residuals are formed from its rows only where an
-    estimator reads them (CDA with explicit draws). They agree with
-    fit_ols on the same rows to GRAM_TOL relative. A model whose Gram
-    matrix is too ill-conditioned to promise that, and every model of a
-    retried resample, is fitted by fit_ols as before, so resamples are
-    retried exactly when fit_ols rejects them.
+    name the models that every replicate needs. A first attempt's fit memo
+    gets them before the estimators run, as its coefficients solved from
+    per-group cross-product (Gram) matrices, in blocks of resamples whose
+    rows are each gathered once; they agree with fit_ols on the same rows
+    to GRAM_TOL relative. Such a fit holds no residuals: CDA with explicit
+    draws forms them from the resample's data, as on any data. A model too
+    ill-conditioned to promise that agreement, and every model of a
+    retried resample, is fitted by fit_ols, so resamples are retried
+    exactly when fit_ols rejects them.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one
     thread, since a second one only spins on these small fits and solves,
     and restores its thread count afterwards; the point estimate keeps the

@@ -10,7 +10,8 @@ statistics of one fit and does not call it. The exceptions are the
 replicate fits of the bootstrap and of the simulation harness past its
 replication 0 (_GramFits): they solve the normal equations, but only
 where the conditioning guarantees agreement with fit_ols to GRAM_TOL,
-and leave the rest to fit_ols.
+and leave the rest to fit_ols. Such a fit is its coefficients only; a
+caller that needs residuals forms them from its data (_residuals).
 """
 from __future__ import annotations
 
@@ -206,6 +207,26 @@ def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _design(columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """The (n, p) design of an intercept and the named columns, each of n rows."""
+    design = np.empty((n, len(columns) + 1))
+    design[:, 0] = 1.0
+    for j, (name, col) in enumerate(columns.items(), start=1):
+        arr = np.asarray(col, dtype=np.float64)
+        if arr.shape != (n,):
+            raise EstimationError(
+                f"column {name!r} has shape {arr.shape}, expected ({n},)"
+            )
+        design[:, j] = arr
+    return design
+
+
+def _residuals(fit: OlsFit | _ReplicateFit, columns: Mapping[str, np.ndarray], response: np.ndarray) -> np.ndarray:
+    """response - design @ beta, for a fit's coefficients beta on the columns
+    it was fitted to: fit_ols's own residuals of an OlsFit, bit for bit."""
+    return response - _design(columns, response.size) @ np.fromiter(fit.coefficients.values(), np.float64)
+
+
 def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     """Least squares of response on an intercept and the named columns (QR,
     column pivoting).
@@ -224,15 +245,7 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     n = y.size
     names = [INTERCEPT] + list(columns)
     p = len(names)
-    design = np.empty((n, p))
-    design[:, 0] = 1.0
-    for j, (name, col) in enumerate(columns.items(), start=1):
-        arr = np.asarray(col, dtype=np.float64)
-        if arr.shape != (n,):
-            raise EstimationError(
-                f"column {name!r} has shape {arr.shape}, expected ({n},)"
-            )
-        design[:, j] = arr
+    design = _design(columns, n)
     if n < p:
         raise EstimationError(
             f"insufficient observations: {n} rows for {p} design columns"
@@ -322,8 +335,8 @@ class _GramFits:
     is z'z over replicate k's rows. columns indexes z: the design
     (intercept first, named by names), then the response. The solves are
     made for all K at once. coef, intercept and residual_sd give every
-    replicate's values as length-K arrays; _ReplicateFit(fits, k, rows) is
-    replicate k's fit as the estimators read an OlsFit.
+    replicate's values as length-K arrays; _ReplicateFit(fits, k) is
+    replicate k's coefficients as the estimators read an OlsFit.
 
     The normal equations square the condition number, so replicate k is
     accepted only when both hold, for the column-scaled Gram matrix of
@@ -364,10 +377,9 @@ class _GramFits:
         solved = np.zeros((k, p))
         scaled_solution = np.linalg.solve(system[:, :p, :p], system[:, :p, p:])[..., 0]
         solved[ok] = scaled_solution * norms[ok, p:] / norms[ok, :p]
-        self._weights = np.zeros((k, gram.shape[1]))
-        self._weights[:, design] = -solved
-        self._weights[:, response] = 1.0
-        self._model, self._columns = model, columns
+        # The residual's weights on the model's columns of z: design, then response.
+        self._weights = np.column_stack([-solved, np.ones(k)])
+        self._model = model
         self._coefficients = solved
         self._coefficients[:, 0] += shift[response] - _dot_rows(solved, shift[design])
         self._names = names
@@ -383,7 +395,7 @@ class _GramFits:
     @property
     def residual_sd(self) -> np.ndarray:
         """Each replicate's residual sd, n - p denominator, from the quadratic
-        form w'Gw of its Gram matrix, w being the residual's weights on z;
+        form w'Gw of its Gram matrix, w being the residual's weights;
         NaN where that form is not finite and positive.
 
         For an accepted replicate the form's relative rounding error is
@@ -391,36 +403,24 @@ class _GramFits:
         which acceptance holds below (p + 1) * GRAM_TOL / 2; w's own error
         enters only to second order, since w minimizes the form.
         """
-        w = self._weights[:, self._columns]
+        w = self._weights
         ssr = _dot_rows(w, _dot_rows(self._model, w[:, None, :]))
         n, p = self._model[:, 0, 0], len(self._names)
         return np.where(np.isfinite(ssr) & (ssr > 0.0), np.sqrt(np.abs(ssr) / (n - p)), np.nan)
 
 
 class _ReplicateFit:
-    """Replicate k of a _GramFits, read as the estimators read an OlsFit.
+    """Replicate k (accepted) of a _GramFits, read as the estimators read an
+    OlsFit: its solved coefficients, and no residuals (see _residuals)."""
 
-    coefficients, coef and intercept are that replicate's solved values;
-    k must be accepted. rows() gives the replicate's rows of z. It is
-    called only when residuals is first read, as rows() @ w with w the
-    residual's weights on z: those are the unshifted design's residuals.
-    """
-
-    def __init__(self, fits: _GramFits, k: int, rows: Callable[[], np.ndarray]) -> None:
+    def __init__(self, fits: _GramFits, k: int) -> None:
         self.coefficients = dict(zip(fits._names, fits._coefficients[k].tolist()))
-        self._weights, self._rows = fits._weights[k], rows
 
     @property
     def intercept(self) -> float:
         return self.coefficients[INTERCEPT]
 
     coef = OlsFit.coef
-
-    @functools.cached_property
-    def residuals(self) -> np.ndarray:
-        residuals = self._rows() @ self._weights
-        residuals.setflags(write=False)
-        return residuals
 
 
 # Kept public for perfbench/workloads.py, which traces it by name.

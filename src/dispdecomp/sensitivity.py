@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionResult, _Source, _source, _standardized_gap
+from .decompose import DecompositionResult, _gap, _Source, _source
 from .regress import EstimationError, OlsFit
 from .tabular import Dataset
 
@@ -138,7 +138,7 @@ def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     if _explained_away(sd_m_perp, float(np.max(np.abs(data.column(data.roles.mediator))))):
         raise EstimationError("mediator fully explained by observed covariates")
     try:
-        gap_m = _standardized_gap(data, data.roles.mediator)
+        gap_m = _gap(source, data.roles.mediator)
     except EstimationError as exc:
         raise EstimationError(f"group 0 mediator model: {exc}") from exc
     return outcome_fit.residual_sd, sd_m_perp, gap_m

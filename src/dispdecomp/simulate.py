@@ -231,9 +231,10 @@ def _decimal(value: int) -> str:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation. n, reps and seed are integers (not bool), with
-    50 <= n <= 10**7 (a replication holds about ten float64 columns of n rows,
-    0.8 GB at the top) and 1 <= reps <= 10**6; coefficients=None takes the
-    scenario's defaults."""
+    50 <= n <= 10**7 and 1 <= reps <= 10**6; coefficients=None takes the
+    scenario's defaults. run_harness's peak memory is about 31 float64
+    values per row (2.5 GB at the top): replication 0's columns and fits,
+    held while a later replication's columns and rows of z are built."""
 
     scenario: str
     n: int = 2000
@@ -825,11 +826,11 @@ def _estimates(data: Dataset, params: SensitivityParams | None) -> dict[str, tup
     return out
 
 
-def _block_grams(
+def _block_rows(
     config: ScenarioConfig, gram: _GramReplicates, roles: RoleSpec, reps: range
-) -> Iterator[tuple[list[np.ndarray], float]]:
-    """Each replication of reps, in order: its Gram matrices (q, q) of
-    groups 0 and 1, and its max |M|, from one _draw_block of them all.
+) -> Iterator[tuple[np.ndarray, int, float]]:
+    """Each replication of reps, in order, from one _draw_block of them all:
+    its rows of z (gram.rows) with group 0's n0 first, n0, and its max |M|.
 
     The block is checked at once for what Dataset rejects: a value that is
     not finite, or a group with no rows. A replication that fails the check
@@ -847,12 +848,7 @@ def _block_grams(
         if not checked[k]:
             Dataset(replication, roles)  # raises its DataError
         rows0, rows1 = np.flatnonzero(r[k] == 0.0), np.flatnonzero(r[k] == 1.0)
-        rows = gram.rows(replication, np.concatenate([rows0, rows1]))
-        # As in _GramReplicates.solve: a Gram matrix that overflows is
-        # rejected by _GramFits and left to fit_ols, so its overflow is no warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grams = [part.T @ part for part in (rows[: rows0.size], rows[rows0.size :])]
-        yield grams, float(m_max[k])
+        yield gram.rows(replication, np.concatenate([rows0, rows1])), rows0.size, float(m_max[k])
 
 
 def _block_estimates(
@@ -895,16 +891,15 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
 
     Replication 0 runs the public estimators, and the fits they made name
     the models of every later one. Later replications are drawn in blocks
-    of stacked columns (_block_grams), with no Dataset each, and give their
-    per-group Gram matrices (decompose._GramReplicates), with rows shifted
-    by the population means of the configuration. Those matrices are
-    gathered over the scenario, and each model is solved once over as many
-    replications as _BLOCK_ROWS floats of them hold (all 199 later ones on
-    the defaults); _block_estimates then gives their estimates as arrays.
-    A replication that it leaves out runs the public estimators on
-    generate's Dataset of it, as replication 0 does. Generation stops at
-    the first replication that Dataset rejects; the earlier replications
-    run before that error is raised.
+    (_block_rows), with no Dataset each, and give only their per-group Gram
+    matrices (decompose._GramReplicates), rows shifted by the population
+    means of the configuration. Each model is solved once over as many
+    replications as _BLOCK_ROWS floats of Gram matrices hold (all 199 later
+    ones on the defaults), and _block_estimates gives their estimates as
+    arrays. A replication it leaves out runs the public estimators on
+    generate's Dataset of it. Generation stops at the first replication
+    that Dataset rejects; the earlier replications run before that error
+    is raised.
     """
     methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
     results = {method: np.empty((config.reps, 3)) for method in methods}
@@ -925,7 +920,7 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     grams, m_max = np.empty((2, chunk, q, q)), np.empty(chunk)
     done, count = 1, 0  # grams[:, :count] holds replications done, done + 1, ...
 
-    def solve() -> None:
+    def estimate() -> None:
         nonlocal done, count
         estimates, valid = _block_estimates(gram, roles, grams[:, :count], m_max[:count], params)
         for method, values in estimates.items():
@@ -938,15 +933,19 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     failure = None
     try:
         for start in range(1, config.reps, block):
-            for pair, m in _block_grams(config, gram, roles, range(start, min(start + block, config.reps))):
-                grams[:, count], m_max[count] = pair, m
+            for rows, n0, m in _block_rows(config, gram, roles, range(start, min(start + block, config.reps))):
+                gram.grams(rows, n0, grams[:, count])
+                m_max[count] = m
                 count += 1
                 if count == chunk:
-                    solve()
+                    estimate()
+            # Rows are freed as the next replication's are bound: freeing each
+            # first ran 1% slower. The block's last go before the next block.
+            del rows
     except DataError as exc:
         failure = exc
     if count:
-        solve()
+        estimate()
     if failure is not None:
         with _replication(done):
             raise failure
@@ -961,20 +960,16 @@ def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int 
     sensitivity=True additionally runs the bias adjustment on every
     replication's CDA result with oracle-true parameters computed from the
     configuration's coefficients. Replication 0 runs the public
-    estimators, so its estimates are theirs on its data. Later
-    replications are drawn in blocks of stacked columns, with the same
-    bits as generate, and give only their Gram matrices; each model is
-    solved once over the Gram matrices of the scenario's later
-    replications (or of as many as _BLOCK_ROWS floats hold), in agreement
-    with fit_ols on the same rows to GRAM_TOL relative, and their
-    estimates are computed from those solves as arrays, by the
-    estimators' own arithmetic. A replication with a model whose
-    conditioning cannot promise that agreement runs the public estimators
-    on generate's data of it instead, so its estimates, and any error, are
-    theirs. The first replication to fail, in index order, raises an
-    EstimationError that names it. A replication's estimates do not depend
-    on reps or on the other replications that share its block or its
-    solve. Replications run one after another in this thread; workers (an
+    estimators on generate's data of it. Later replications are drawn with
+    the same bits as generate and estimated by the estimators' own
+    arithmetic from Gram solves, which agree with fit_ols on the same rows
+    to GRAM_TOL relative (_replications); a replication whose conditioning
+    cannot promise that runs the public estimators instead, so its
+    estimates, and any error, are theirs. The first replication to fail,
+    in index order, raises an EstimationError that names it. A
+    replication's estimates do not depend on reps or on the other
+    replications that share its block or its solve. Replications run one
+    after another in this thread; workers (an
     integer >= 1) is kept for compatibility and changes nothing, and
     per-index substreams make the report byte-identical for any value of
     it. The replications hold the OpenBLAS that numpy and scipy bundle

@@ -29,6 +29,7 @@ from dispdecomp.regress import GRAM_TOL, RANK_TOL
 from dispdecomp.simulate import SCENARIOS
 import dispdecomp._streams as streams_module
 import dispdecomp.decompose as decompose_module
+import dispdecomp.regress as regress_module
 
 from conftest import build_dataset, random_dataset
 
@@ -291,12 +292,12 @@ class TestCda:
         # mediator gap, whatever the seed.
         data = generate(ScenarioConfig("both", n=400, seed=2), 0)
         roles = data.roles
-        gap = decompose_module._standardized_gap
-        initial = gap(data, roles.outcome)
+        source = decompose_module._source(data)
+        initial = decompose_module._gap(source, roles.outcome)
         slope = decompose_module._fit(data, 1, roles.covariates + (roles.mediator,), roles.outcome).coef(
             roles.mediator
         )
-        explained = slope * gap(data, roles.mediator)
+        explained = slope * decompose_module._gap(source, roles.mediator)
         limit = DecompositionResult(
             method="CDA",
             initial=initial,
@@ -602,19 +603,45 @@ class TestBootstrap:
             bootstrap(data, "DIC", B=2, seed=0)
 
 
+def gram_solves(data, resamples):
+    """A _GramFits of each model in data._fits over the resamples of data
+    (indices into it, group 0's rows first), by its key, solved as the
+    bootstrap solves a block: rows shifted by data's means."""
+    roles = data.roles
+    gram = decompose_module._GramReplicates(
+        roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()}
+    )
+    shifted, q = gram.rows(data.columns), gram.shift.size
+    grams = np.empty((2, len(resamples), q, q))
+    for k, resample in enumerate(resamples):
+        gram.grams(shifted[resample], data._rows[0].size, grams[:, k])
+    return gram.fits(grams)
+
+
+def gram_memos(data, resamples):
+    """Each resample with the fit memo a bootstrap's first attempt gets: a
+    _ReplicateFit of each model its Gram solve accepts."""
+    solved = gram_solves(data, resamples)
+    for k, resample in enumerate(resamples):
+        yield resample, {key: regress_module._ReplicateFit(fits, k) for key, fits in solved.items() if fits.accepted[k]}
+
+
 def assert_fit_agrees(gram, qr, replicate, key):
     """A Gram-filled fit against fit_ols on the same rows, to GRAM_TOL: its
-    coefficients, and its residuals as formed on first read."""
-    group, names, _ = key
+    coefficients, and the residuals CDA's draw forms from them."""
+    group, names, response = key
     rows = slice(None) if group is None else replicate._rows[group]
-    design = np.column_stack([np.ones(qr.n)] + [replicate.column(name)[rows] for name in names])
+    columns = {name: replicate.column(name)[rows] for name in names}
+    design = np.column_stack([np.ones(qr.n)] + list(columns.values()))
     norms = np.linalg.norm(design, axis=0)
     assert list(gram.coefficients) == list(qr.coefficients)
     # Coefficients times their column norms, relative to that vector's norm.
     scaled = np.array(list(gram.coefficients.values())) * norms
     expected = np.array(list(qr.coefficients.values())) * norms
     assert np.max(np.abs(scaled - expected)) <= GRAM_TOL * np.linalg.norm(expected)
-    assert np.max(np.abs(gram.residuals - qr.residuals)) <= GRAM_TOL * np.max(np.abs(qr.residuals))
+    residuals = regress_module._residuals(gram, columns, replicate.column(response)[rows])
+    assert not hasattr(gram, "residuals")
+    assert np.max(np.abs(residuals - qr.residuals)) <= GRAM_TOL * np.max(np.abs(qr.residuals))
 
 
 class TestGramReplicateFits:
@@ -627,7 +654,7 @@ class TestGramReplicateFits:
             decompose_module._ESTIMATORS[method](data, None)
         resamples = [resample_rows(data, seed, b) for b in range(count)]
         accepted = dict.fromkeys(data._fits, 0)
-        for resample, memo in decompose_module._resample_memos(data)(resamples):
+        for resample, memo in gram_memos(data, resamples):
             replicate = data.take(resample)
             for key, fit in memo.items():
                 accepted[key] += 1
@@ -679,19 +706,10 @@ class TestGramReplicateFits:
         data = random_dataset(3, n=80, n_baseline=2, n_intermediate=2)
         for method in METHODS:
             decompose_module._ESTIMATORS[method](data, None)
-        roles = data.roles
-        gram = decompose_module._GramReplicates(
-            roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()}
-        )
-        shifted, n0 = gram.rows(data), data._rows[0].size
         resamples = [resample_rows(data, 2, b) for b in range(20)]
-
-        def parts(resample):
-            return shifted[resample[:n0]], shifted[resample[n0:]]
-
-        _, block = gram.solve(resamples, parts)
+        block = gram_solves(data, resamples)
         for k, resample in enumerate(resamples):
-            _, alone = gram.solve([resample], parts)
+            alone = gram_solves(data, [resample])
             for key, fits in block.items():
                 _, names, _ = key
                 for name in ("intercept",) + names:
@@ -703,7 +721,7 @@ class TestGramReplicateFits:
         settings = CdaSettings(mc_draws_per_unit=50, seed=3)
         decompose_cda(data, settings)
         resamples = [resample_rows(data, 4, b) for b in range(10)]
-        for resample, memo in decompose_module._resample_memos(data)(resamples):
+        for resample, memo in gram_memos(data, resamples):
             assert (0, data.roles.baseline, "M") in memo
             filled = data.take(resample)
             filled._fits.update(memo)
@@ -716,43 +734,54 @@ class TestGramReplicateFits:
 
 
 class TestRowsBuiltOnce:
-    """How often _resample_memos builds a resample's rows: once for the Gram
-    step, and once more for each fit whose residuals are read."""
+    """How often the bootstrap builds a resample's rows of z: once, for its
+    Gram matrices (_GramReplicates.grams), with or without explicit draws."""
 
     @staticmethod
     def counting(monkeypatch):
-        """Record every parts call of _GramReplicates.memos, and every memo it yields."""
-        built, memos = [], []
-        original = decompose_module._GramReplicates.memos
+        """Record the rows of every grams call, and every block's solves."""
+        built, solved = [], []
+        grams, fits = decompose_module._GramReplicates.grams, decompose_module._GramReplicates.fits
 
-        def memos_counting(self, replicates, parts):
-            def counted(replicate):
-                built.append(replicate)
-                return parts(replicate)
+        def grams_counting(self, rows, n0, out):
+            built.append(rows.shape)
+            return grams(self, rows, n0, out)
 
-            for replicate, memo in original(self, replicates, counted):
-                memos.append(memo)
-                yield replicate, memo
+        def fits_recording(self, block):
+            solved.append(fits(self, block))
+            return solved[-1]
 
-        monkeypatch.setattr(decompose_module._GramReplicates, "memos", memos_counting)
-        return built, memos
+        monkeypatch.setattr(decompose_module._GramReplicates, "grams", grams_counting)
+        monkeypatch.setattr(decompose_module._GramReplicates, "fits", fits_recording)
+        return built, solved
 
     def test_a_default_bootstrap_builds_each_resamples_rows_once(self, monkeypatch):
-        built, memos = self.counting(monkeypatch)
+        built, solved = self.counting(monkeypatch)
         B = decompose_module._GRAM_BLOCK + 8
         decompose_module._bootstrap(random_dataset(3, n=80, n_baseline=2, n_intermediate=2), list(METHODS), None, B, 1)
-        assert len(built) == len(memos) == B
-        assert all(memo for memo in memos)
+        assert len(built) == B
+        assert [len(next(iter(block.values())).accepted) for block in solved] == [decompose_module._GRAM_BLOCK, 8]
+        # Every resample's memo holds a fit.
+        assert all(np.logical_or.reduce([fits.accepted for fits in block.values()]).all() for block in solved)
 
-    def test_explicit_draws_build_rows_again_only_for_the_residuals_read(self, monkeypatch):
-        built, memos = self.counting(monkeypatch)
+    def test_explicit_draws_build_each_resamples_rows_once(self, monkeypatch):
+        built, _ = self.counting(monkeypatch)
+        residuals = regress_module._residuals
+        drawn = []
+
+        def residuals_recording(fit, columns, response):
+            drawn.append((type(fit), list(fit.coefficients)))
+            return residuals(fit, columns, response)
+
+        monkeypatch.setattr(decompose_module, "_residuals", residuals_recording)
         data = generate(ScenarioConfig("both", n=300, seed=3), 0)
         B = decompose_module._GRAM_BLOCK + 8
         decompose_module._bootstrap(data, ["CDA"], CdaSettings(mc_draws_per_unit=5, seed=4), B, 1)
-        read = [key for memo in memos for key, fit in memo.items() if "residuals" in vars(fit)]
-        assert len(built) == B + len(read)
-        # Each resample's group-0 mediator model, and only it, is drawn from.
-        assert read == [(0, data.roles.baseline, "M")] * B
+        assert len(built) == B
+        # The point estimate's group-0 mediator model, then each resample's,
+        # and only it, is drawn from, its residuals formed from the data.
+        model = ["intercept", *data.roles.baseline]
+        assert drawn == [(regress_module.OlsFit, model)] + [(regress_module._ReplicateFit, model)] * B
 
 
 # The 10-row CSV of the CLI's bootstrap test: five rows per group, so a
@@ -869,7 +898,7 @@ class TestOneResampleLoop:
 
         data = make()
         together = decompose_module._bootstrap(data, list(METHODS), None, 50, 2)
-        _, memo = next(decompose_module._resample_memos(data)([resample_rows(data, 2, 0)]))
+        _, memo = next(gram_memos(data, [resample_rows(data, 2, 0)]))
         assert set(data._fits) - set(memo) == {(0, ("X1", "C1", "M"), "Y")}
         for methods in (["DIC"], ["KOB"], ["CDA"], ["DIC", "CDA"], ["CDA", "KOB"]):
             for result in decompose_module._bootstrap(make(), methods, None, 50, 2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dataset
 from dispdecomp import EstimationError, fit_ols, partial_r2
-from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set
+from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set, _residuals
 
 # Constants below were computed once with exact rational arithmetic
 # (normal equations over fractions.Fraction), independent of this
@@ -346,3 +346,32 @@ class TestFitOlsMatchesScipyReference:
         with pytest.raises(EstimationError) as got:
             fit_ols(columns, response)
         assert str(got.value) == str(expected.value)
+
+
+class TestResidualsFromCoefficients:
+    """The residuals CDA's draw forms from a fit's coefficients and its data
+    (_residuals) are fit_ols's own, bit for bit (==)."""
+
+    @staticmethod
+    def assert_same(columns, response):
+        fit = fit_ols(columns, response)
+        assert np.array_equal(_residuals(fit, columns, response), fit.residuals)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_designs(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(8, 300))
+        self.assert_same(random_columns(rng, n, int(rng.integers(0, 7))), rng.normal(size=n) + 3.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_n_equals_p(self, p):
+        rng = np.random.default_rng(p)
+        self.assert_same(random_columns(rng, p, p - 1), rng.normal(size=p))
+
+    @pytest.mark.parametrize("offset_response", [False, True])
+    def test_columns_offset_by_1e8(self, offset_response):
+        rng = np.random.default_rng(11)
+        columns = random_columns(rng, 200, 3)
+        columns["x0"] = 1e8 + 1e7 * columns["x0"]
+        response = rng.normal(size=200) + (1e8 if offset_response else 0.0)
+        self.assert_same(columns, response)

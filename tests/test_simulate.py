@@ -1331,6 +1331,22 @@ class TestBlockFits:
             tracemalloc.stop()
         assert peak <= 1.3 * 2.67e6
 
+    def test_peak_memory_per_row(self):
+        # The traced peak is 31.0 to 31.1 float64 values per row at n = 5e4,
+        # 2e5 and 1e6, as ScenarioConfig's docstring says: replication 0's
+        # columns and fits, held while a later replication's columns and
+        # rows of z (8 values per row) are built. A second copy of those
+        # rows, alive at once, reads 39 and breaks the bound.
+        n = 50_000
+        run_harness(ScenarioConfig("both", n=50, reps=2), sensitivity=True)
+        tracemalloc.start()
+        try:
+            run_harness(ScenarioConfig("both", n=n, reps=3), sensitivity=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * n
+
     def test_adjustment_near_the_edge_of_the_pooled_mediator_model(self, monkeypatch):
         # M is within 1.5% of the span of R, X1..X3 and C. The pooled
         # outcome model's Gram matrix holds the pooled mediator model's, so
