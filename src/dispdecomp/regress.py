@@ -1,7 +1,7 @@
 """Least-squares fitting with named columns.
 
-The engine is deliberately small: ordinary least squares through a
-column-pivoted Householder QR factorization (never the normal equations),
+The engine is deliberately small: ordinary least squares through
+scipy.linalg's column-pivoted Householder QR (never the normal equations),
 with rank deficiency reported as a hard error that names a minimal set of
 linearly dependent columns. Everything downstream (decompositions,
 sensitivity analysis, benchmarking) is built on fit_ols. partial_r2 is
@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 __all__ = ["EstimationError", "OlsFit", "fit_ols", "partial_r2"]
 
@@ -163,50 +162,6 @@ def _one_blas_thread() -> Iterator[None]:
             set_(count)
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine with its optimal workspace, as scipy.linalg does.
-
-    The workspace size is queried first: a smaller one makes LAPACK switch
-    to its unblocked code on wide designs, which rounds differently.
-    """
-    kwargs["lwork"] = -1
-    kwargs["lwork"] = int(routine(*args, **kwargs)[-2][0])
-    *out, _, info = routine(*args, **kwargs)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
-    return out
-
-
-def _pivoted_qr(design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economic column-pivoted QR, design[:, piv] = q @ r, for n >= p.
-
-    The LAPACK calls and workspace sizes of
-    scipy.linalg.qr(design, mode="economic", pivoting=True), so q, r and
-    piv are the same bit for bit. Q is formed in place in the Fortran-order
-    copy that dgeqp3 factors; r is C-ordered, like scipy's.
-    """
-    p = design.shape[1]
-    qr, piv, tau = _lapack(lapack.dgeqp3, np.array(design, order="F"), overwrite_a=1)
-    piv -= 1
-    r = np.zeros((p, p))
-    for i in range(p):
-        r[i, i:] = qr[i, i:]
-    (q,) = _lapack(lapack.dorgqr, qr, tau, overwrite_a=1)
-    return q, r, piv
-
-
-def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """r x = b for the C-ordered upper-triangular r with a nonzero diagonal.
-
-    This is scipy.linalg.solve_triangular(r, b): LAPACK reads a C-ordered
-    matrix as its transpose, so it solves the lower system transposed.
-    """
-    x, info = lapack.dtrtrs(r.T, b, lower=1, trans=1)
-    if info != 0:
-        raise ValueError(f"dtrtrs failed with info {info}")
-    return x
-
-
 def _design(columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """The (n, p) design of an intercept and the named columns, each of n rows."""
     design = np.empty((n, len(columns) + 1))
@@ -228,8 +183,8 @@ def _residuals(fit: OlsFit | _ReplicateFit, columns: Mapping[str, np.ndarray], r
 
 
 def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
-    """Least squares of response on an intercept and the named columns (QR,
-    column pivoting).
+    """Least squares of response on an intercept and the named columns
+    (scipy.linalg.qr with column pivoting, then solve_triangular).
 
     Every caller relies on the intercept: CDA's regression standardization,
     KOB's terms summing to the raw gap, and the centred R-squared of
@@ -253,7 +208,12 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     if not np.isfinite(design).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in design or response")
 
-    q, r, piv = _pivoted_qr(design)
+    # LAPACK factors this Fortran-ordered copy in place: the design itself
+    # is read again by the refinement, and scipy would copy a C-ordered one
+    # twice, for the workspace query and for the factorization.
+    q, r, piv = scipy.linalg.qr(
+        np.array(design, order="F"), overwrite_a=True, mode="economic", pivoting=True, check_finite=False
+    )
     diag = np.abs(r.diagonal())
     top = diag[0]
     deficient = np.nonzero(diag <= RANK_TOL * top)[0]
@@ -264,13 +224,13 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
             "design columns are linearly dependent: " + ", ".join(dep)
         )
 
-    beta_piv = _solve_upper(r, q.T @ y)
+    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y, check_finite=False)
     beta = np.empty(p)
     beta[piv] = beta_piv
     # One step of iterative refinement; on well-scaled problems this lands
     # small-integer solutions exactly instead of within a few ulp.
     resid0 = y - design @ beta
-    beta[piv] += _solve_upper(r, q.T @ resid0)
+    beta[piv] += scipy.linalg.solve_triangular(r, q.T @ resid0, check_finite=False)
     residuals = y - design @ beta
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -232,9 +232,10 @@ def _decimal(value: int) -> str:
 class ScenarioConfig:
     """One simulation. n, reps and seed are integers (not bool), with
     50 <= n <= 10**7 and 1 <= reps <= 10**6; coefficients=None takes the
-    scenario's defaults. run_harness's peak memory is about 31 float64
-    values per row (2.5 GB at the top): replication 0's columns and fits,
-    held while a later replication's columns and rows of z are built."""
+    scenario's defaults. run_harness's peak memory is about 27 float64
+    values per row (2.2 GB at the top): replication 0's columns and fits,
+    held while its last fit_ols factors a design. Later replications hold
+    about 18."""
 
     scenario: str
     n: int = 2000
@@ -832,21 +833,18 @@ def _block_rows(
     """Each replication of reps, in order, from one _draw_block of them all:
     its rows of z (gram.rows) with group 0's n0 first, n0, and its max |M|.
 
-    The block is checked at once for what Dataset rejects: a value that is
-    not finite, or a group with no rows. A replication that fails the check
-    raises the DataError of its own Dataset.
+    Nothing here checks what Dataset rejects. A value that is not finite
+    makes the Gram matrix of the pooled model that holds its column
+    non-finite, and a group with no rows makes its group's Gram matrices
+    zero: _GramFits rejects both, so the replication runs on generate's
+    Dataset, which raises. R itself is always 0 or 1 (rng.random(n) < p_r);
+    only a patched _draw_block could put another value in it.
     """
     columns = _draw_block(config, reps)
     r = columns[roles.group]
-    ones = r.sum(axis=1)
-    checked = (ones > 0) & (ones < config.n)
-    for column in columns.values():
-        checked &= np.isfinite(column).all(axis=1)
     m_max = np.abs(columns[roles.mediator]).max(axis=1)
     for k in range(len(reps)):
         replication = {name: column[k] for name, column in columns.items()}
-        if not checked[k]:
-            Dataset(replication, roles)  # raises its DataError
         rows0, rows1 = np.flatnonzero(r[k] == 0.0), np.flatnonzero(r[k] == 1.0)
         yield gram.rows(replication, np.concatenate([rows0, rows1])), rows0.size, float(m_max[k])
 
@@ -897,9 +895,9 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     replications as _BLOCK_ROWS floats of Gram matrices hold (all 199 later
     ones on the defaults), and _block_estimates gives their estimates as
     arrays. A replication it leaves out runs the public estimators on
-    generate's Dataset of it. Generation stops at the first replication
-    that Dataset rejects; the earlier replications run before that error
-    is raised.
+    generate's Dataset of it, in index order, so that Dataset or those
+    estimators raise the first failure. Replication 0's Dataset is
+    released once its fits have named the models.
     """
     methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
     results = {method: np.empty((config.reps, 3)) for method in methods}
@@ -915,6 +913,7 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     moments = implied_moments(config)
     roles = data.roles
     gram = _GramReplicates(roles, data._fits, {name: moments.mean_of(name) for name in roles.all_roles()})
+    del data
     q = gram.shift.size
     chunk = min(max(1, _BLOCK_ROWS // (2 * q * q)), config.reps - 1)
     grams, m_max = np.empty((2, chunk, q, q)), np.empty(chunk)
@@ -930,25 +929,18 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
         done, count = done + count, 0
 
     block = max(1, _BLOCK_ROWS // config.n)
-    failure = None
-    try:
-        for start in range(1, config.reps, block):
-            for rows, n0, m in _block_rows(config, gram, roles, range(start, min(start + block, config.reps))):
-                gram.grams(rows, n0, grams[:, count])
-                m_max[count] = m
-                count += 1
-                if count == chunk:
-                    estimate()
-            # Rows are freed as the next replication's are bound: freeing each
-            # first ran 1% slower. The block's last go before the next block.
-            del rows
-    except DataError as exc:
-        failure = exc
+    for start in range(1, config.reps, block):
+        for rows, n0, m in _block_rows(config, gram, roles, range(start, min(start + block, config.reps))):
+            gram.grams(rows, n0, grams[:, count])
+            m_max[count] = m
+            count += 1
+            if count == chunk:
+                estimate()
+        # Rows are freed as the next replication's are bound: freeing each
+        # first ran 1% slower. The block's last go before the next block.
+        del rows
     if count:
         estimate()
-    if failure is not None:
-        with _replication(done):
-            raise failure
     return results
 
 

@@ -207,8 +207,9 @@ def reference_fit_ols(columns, response):
     """fit_ols as written on scipy.linalg.qr and solve_triangular.
 
     Returns (coefficients, residuals, residual_sd, r_squared, r_factor,
-    pivots). fit_ols calls the LAPACK routines behind these two functions
-    directly and must reproduce every value bit for bit.
+    pivots). fit_ols makes the same calls on a Fortran-ordered copy of the
+    design that the factorization overwrites, and must reproduce every
+    value bit for bit.
     """
     y = np.asarray(response, dtype=np.float64)
     if y.ndim != 1:

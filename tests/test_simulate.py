@@ -1217,9 +1217,9 @@ class TestBlockFits:
     @pytest.mark.parametrize(
         "bad_estimate, bad_generate, named",
         [
-            (9, 20, 9),  # the estimator fails first, in the block that generate stops
+            (9, 20, 9),  # the estimator fails first, in the block of the bad data
             (None, 20, 20),
-            (25, 20, 20),  # replication 25 is never generated
+            (25, 20, 20),  # replication 25's estimators never run
             (None, 1, 1),  # the first of a block
             (32, 33, 32),  # the last of a block, then the first of the next
             (33, None, 33),
@@ -1251,10 +1251,31 @@ class TestBlockFits:
             failure = "column 'Y' contains missing or non-finite values"
         assert str(info.value) == f"replication {named}: {failure}"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["C", "X1", "M", "Y"])
+    def test_a_non_finite_value_in_the_middle_of_a_block_is_named(self, monkeypatch, name, value):
+        # The value makes the pooled Gram matrices of replication 17 non-finite,
+        # so its models are rejected and its own Dataset raises.
+        config = ScenarioConfig("cx", n=1000, reps=40, seed=2)
+        assert block_size(config.n) == 32
+        draw_block = simulate_module._draw_block
+
+        def drawing(config, reps):
+            columns = draw_block(config, reps)
+            for k, rep in enumerate(reps):
+                if rep == 17:
+                    columns[name][k, 500] = value
+            return columns
+
+        monkeypatch.setattr(simulate_module, "_draw_block", drawing)
+        with pytest.raises(EstimationError) as info:
+            run_harness(config, sensitivity=True)
+        assert str(info.value) == f"replication 17: column {name!r} contains missing or non-finite values"
+
     @pytest.mark.parametrize("group", [0, 1])
     def test_a_later_replication_with_an_empty_group_is_named(self, monkeypatch, group):
-        # The block's check finds the empty group; the error is the one the
-        # replication's own Dataset raises.
+        # The empty group's Gram matrices are zero, so its models are
+        # rejected; the error is the one the replication's own Dataset raises.
         config = ScenarioConfig("none", n=100, reps=20, seed=3)
         draw_block = simulate_module._draw_block
 
@@ -1332,11 +1353,12 @@ class TestBlockFits:
         assert peak <= 1.3 * 2.67e6
 
     def test_peak_memory_per_row(self):
-        # The traced peak is 31.0 to 31.1 float64 values per row at n = 5e4,
+        # The traced peak is 27.0 to 27.1 float64 values per row at n = 5e4,
         # 2e5 and 1e6, as ScenarioConfig's docstring says: replication 0's
-        # columns and fits, held while a later replication's columns and
-        # rows of z (8 values per row) are built. A second copy of those
-        # rows, alive at once, reads 39 and breaks the bound.
+        # columns and fits, held while its last fit_ols factors a design.
+        # Later replications, drawn once replication 0's Dataset is released,
+        # peak at 18. Keeping that Dataset alive reads 31, and a QR of the
+        # C-ordered design, copied twice by scipy, reads 30; both break it.
         n = 50_000
         run_harness(ScenarioConfig("both", n=50, reps=2), sensitivity=True)
         tracemalloc.start()
@@ -1345,7 +1367,7 @@ class TestBlockFits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 8 * n
+        assert peak <= 28 * 8 * n
 
     def test_adjustment_near_the_edge_of_the_pooled_mediator_model(self, monkeypatch):
         # M is within 1.5% of the span of R, X1..X3 and C. The pooled
