@@ -312,7 +312,7 @@ def _run_simulate(args: argparse.Namespace) -> str:
         raise UsageError("simulate requires exactly one of --scenario or --config")
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read --config file: {exc}") from None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -384,10 +384,12 @@ def _percentile_bounds(values: np.ndarray) -> tuple[float, float]:
     return at(25, 1000), at(975, 1000)
 
 
-# Resamples whose fits are solved together. A block holds each resample's
-# indices, O(n), until it is used, and their Gram matrices and solutions,
-# O(block * q^2); a resample's rows of z, O(n * q), are gathered in turn.
-_GRAM_BLOCK = 32
+# Resamples whose fits are solved together: as many as make up this many
+# rows (32 at n = 2000) and whose Gram matrices (2 * q^2 floats each) make
+# up no more than this many floats, and at least one. A block holds each
+# resample's indices until it is used, and their Gram matrices and
+# solutions; a resample's rows of z, O(n * q), are gathered in turn.
+_GRAM_BLOCK = 2**16
 
 
 class _GramReplicates:
@@ -444,6 +446,28 @@ class _GramReplicates:
         count = grams[:, 0, 0]
         return {name: grams[:, 0, self.index[name]] / count + self.shift[self.index[name]] for name in names}
 
+    def blocks(
+        self, replicates: Iterable[tuple[np.ndarray, int, object]], size: int
+    ) -> Iterator[tuple[list, np.ndarray]]:
+        """The replicates, (rows, n0, tag) as grams takes them, in blocks of
+        size (the last may be shorter): each block's tags, in order, and
+        its Gram matrices, (2, K, q, q) by group. A replicate's rows are
+        freed once written, before the next is drawn. Every block is
+        written into the same buffer, so a block must be used up before the
+        next is asked for."""
+        grams = np.empty((2, size, self.shift.size, self.shift.size))
+        tags = []
+        for rows, n0, tag in replicates:
+            self.grams(rows, n0, grams[:, len(tags)])
+            del rows
+            tags.append(tag)
+            if len(tags) == size:
+                yield tags, grams
+                tags = []
+        if tags:
+            yield tags, grams[:, : len(tags)]
+
+
 def _bootstrap(
     data: Dataset,
     methods: list[str],
@@ -451,7 +475,12 @@ def _bootstrap(
     B: int = 1000,
     seed: int = 0,
 ) -> list[DecompositionResult]:
-    """[bootstrap(data, method, settings, B, seed) for method in methods], from one resample loop."""
+    """[bootstrap(data, method, settings, B, seed) for method in methods], from one resample loop.
+
+    Resample b's first attempt is drawn, and its Gram matrices written, by
+    _GramReplicates.blocks, as the harness's replications are; the block
+    keeps its indices, as its tag, for the estimators' Dataset.take.
+    """
     for method in methods:
         if method not in _ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
@@ -463,7 +492,6 @@ def _bootstrap(
     roles = data.roles
     gram = _GramReplicates(roles, data._fits, {name: data.column(name).sum() / data.n for name in roles.all_roles()})
     shifted = gram.rows(data.columns)
-    q = gram.shift.size
 
     idx0, idx1 = data._rows
 
@@ -476,13 +504,10 @@ def _bootstrap(
     failures = [0] * len(methods)
     max_failures = 10 * B
     samples = np.empty((len(methods), B, 3))
+    block = max(1, min(B, _GRAM_BLOCK // data.n, _GRAM_BLOCK // (2 * gram.shift.size**2)))
+    firsts = ((shifted[rows], idx0.size, rows) for rows in (resample(b, 0) for b in range(B)))
     with _one_blas_thread():
-        for start in range(0, B, _GRAM_BLOCK):
-            first = [resample(b, 0) for b in range(start, min(start + _GRAM_BLOCK, B))]
-            grams = np.empty((2, len(first), q, q))
-            # Each gather is freed as the next is bound, as in simulate._replications.
-            for k, z in enumerate(shifted[rows] for rows in first):
-                gram.grams(z, idx0.size, grams[:, k])
+        for start, (first, grams) in zip(range(0, B, block), gram.blocks(firsts, block)):
             solved = gram.fits(grams)
             for k, b in enumerate(range(start, start + len(first))):
                 # Each slot is emptied as it is used, so the block frees its resamples as it goes.
@@ -555,11 +580,17 @@ def bootstrap(
     gets them before the estimators run, as its coefficients solved from
     per-group cross-product (Gram) matrices, in blocks of resamples whose
     rows are each gathered once; they agree with fit_ols on the same rows
-    to GRAM_TOL relative. Such a fit holds no residuals: CDA with explicit
-    draws forms them from the resample's data, as on any data. A model too
-    ill-conditioned to promise that agreement, and every model of a
-    retried resample, is fitted by fit_ols, so resamples are retried
-    exactly when fit_ols rejects them.
+    to GRAM_TOL relative. A block is as many resamples as make up 2**16
+    rows (32 at n = 2000; one above n = 32 768), but no more than 2**16
+    floats of Gram matrices hold. It holds their indices until each is
+    used, so the loop's traced peak beyond the data is about 30 float64
+    values per row at n = 5e4, where blocks of 32 resamples read 67.5; at
+    n = 2e5 the one-resample blocks, each solving every model, ran about
+    12% slower than blocks of 32 (B = 64, on 2 vCPUs). Such a fit holds
+    no residuals: CDA with explicit draws forms them from the resample's
+    data, as on any data. A model too ill-conditioned to promise that
+    agreement, and every model of a retried resample, is fitted by
+    fit_ols, so resamples are retried exactly when fit_ols rejects them.
     The resample loop holds the OpenBLAS that numpy and scipy bundle to one
     thread, since a second one only spins on these small fits and solves,
     and restores its thread count afterwards; the point estimate keeps the

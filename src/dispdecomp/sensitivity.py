@@ -157,21 +157,6 @@ def _adjusted(explained, unexplained, inputs, params: SensitivityParams):
     return bias, explained - bias, unexplained + bias
 
 
-def _adjust_from_inputs(
-    cda: DecompositionResult,
-    inputs: tuple[float, float, float],
-    params: SensitivityParams,
-) -> AdjustedResult:
-    bias, delta_adjusted, zeta_adjusted = _adjusted(cda.explained, cda.unexplained, inputs, params)
-    return AdjustedResult(
-        bias=float(bias),
-        delta_adjusted=float(delta_adjusted),
-        zeta_adjusted=float(zeta_adjusted),
-        tau=cda.initial,
-        params=params,
-    )
-
-
 def adjust(cda: DecompositionResult, data: Dataset, params: SensitivityParams) -> AdjustedResult:
     """Bias-adjust a causal decomposition for a hypothesized confounder.
 
@@ -181,11 +166,12 @@ def adjust(cda: DecompositionResult, data: Dataset, params: SensitivityParams) -
     baseline-standardized mediator gap. Its sign is params.sign times the
     sign of the mediator gap. The adjusted split subtracts the bias from
     the explained portion and adds it to the unexplained portion,
-    preserving their total exactly.
+    preserving their total exactly. It is the one cell of
+    grid(cda, data, (params.r2_yu,), (params.r2_mu,), params.sign).
     """
     if cda.method != "CDA":
         raise ValueError(f"adjust applies to CDA results, got method {cda.method!r}")
-    return _adjust_from_inputs(cda, _bias_inputs(data), params)
+    return grid(cda, data, (params.r2_yu,), (params.r2_mu,), params.sign).cells[0]
 
 
 def _partial_r2_from_t(fit: OlsFit, names: list[str]) -> dict[str, float]:
@@ -256,9 +242,10 @@ def grid(
     if not yu or not mu:
         raise ValueError("grid needs at least one value on each axis")
     inputs = _bias_inputs(data)
-    cells = tuple(
-        _adjust_from_inputs(cda, inputs, SensitivityParams(r2_yu=a, r2_mu=b, sign=sign))
-        for a in yu
-        for b in mu
-    )
-    return SensitivityGrid(r2_yu_values=yu, r2_mu_values=mu, sign=sign, cells=cells)
+    cells = []
+    for a in yu:
+        for b in mu:
+            params = SensitivityParams(r2_yu=a, r2_mu=b, sign=sign)
+            bias, delta, zeta = _adjusted(cda.explained, cda.unexplained, inputs, params)
+            cells.append(AdjustedResult(float(bias), float(delta), float(zeta), cda.initial, params))
+    return SensitivityGrid(r2_yu_values=yu, r2_mu_values=mu, sign=sign, cells=tuple(cells))

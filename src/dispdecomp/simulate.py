@@ -40,6 +40,7 @@ hand-derived truths, and a 10^6-row brute-force check.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -830,8 +831,11 @@ def _estimates(data: Dataset, params: SensitivityParams | None) -> dict[str, tup
 def _block_rows(
     config: ScenarioConfig, gram: _GramReplicates, roles: RoleSpec, reps: range
 ) -> Iterator[tuple[np.ndarray, int, float]]:
-    """Each replication of reps, in order, from one _draw_block of them all:
-    its rows of z (gram.rows) with group 0's n0 first, n0, and its max |M|.
+    """Each replication of reps, in order, from one _draw_block of them all,
+    as _GramReplicates.blocks takes it: its rows of z (gram.rows) with
+    group 0's n0 first, n0, and its max |M| as its tag. The block's columns
+    are freed once its last replication is taken, before the next block
+    is drawn.
 
     Nothing here checks what Dataset rejects. A value that is not finite
     makes the Gram matrix of the pooled model that holds its column
@@ -889,15 +893,17 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
 
     Replication 0 runs the public estimators, and the fits they made name
     the models of every later one. Later replications are drawn in blocks
-    (_block_rows), with no Dataset each, and give only their per-group Gram
-    matrices (decompose._GramReplicates), rows shifted by the population
-    means of the configuration. Each model is solved once over as many
-    replications as _BLOCK_ROWS floats of Gram matrices hold (all 199 later
-    ones on the defaults), and _block_estimates gives their estimates as
-    arrays. A replication it leaves out runs the public estimators on
-    generate's Dataset of it, in index order, so that Dataset or those
-    estimators raise the first failure. Replication 0's Dataset is
-    released once its fits have named the models.
+    of _BLOCK_ROWS rows (_block_rows), with no Dataset each, and give only
+    their per-group Gram matrices, rows shifted by the population means of
+    the configuration. _GramReplicates.blocks gathers those of as many
+    replications as _BLOCK_ROWS floats hold (at least one; all 199 later
+    ones on the defaults), freeing each replication's rows once they are
+    written. Each model is solved once over such a block, and
+    _block_estimates gives their estimates as arrays. A replication it
+    leaves out runs the public estimators on generate's Dataset of it, in
+    index order, so that Dataset or those estimators raise the first
+    failure. Replication 0's Dataset is released once its fits have named
+    the models.
     """
     methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
     results = {method: np.empty((config.reps, 3)) for method in methods}
@@ -915,32 +921,18 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     gram = _GramReplicates(roles, data._fits, {name: moments.mean_of(name) for name in roles.all_roles()})
     del data
     q = gram.shift.size
-    chunk = min(max(1, _BLOCK_ROWS // (2 * q * q)), config.reps - 1)
-    grams, m_max = np.empty((2, chunk, q, q)), np.empty(chunk)
-    done, count = 1, 0  # grams[:, :count] holds replications done, done + 1, ...
-
-    def estimate() -> None:
-        nonlocal done, count
-        estimates, valid = _block_estimates(gram, roles, grams[:, :count], m_max[:count], params)
+    chunk = max(1, min(_BLOCK_ROWS // (2 * q * q), config.reps - 1))
+    block = max(1, _BLOCK_ROWS // config.n)
+    draws = itertools.chain.from_iterable(
+        _block_rows(config, gram, roles, range(start, min(start + block, config.reps)))
+        for start in range(1, config.reps, block)
+    )
+    for done, (m_max, grams) in zip(range(1, config.reps, chunk), gram.blocks(draws, chunk)):
+        estimates, valid = _block_estimates(gram, roles, grams, np.array(m_max), params)
         for method, values in estimates.items():
-            results[method][done : done + count] = values
+            results[method][done : done + len(m_max)] = values
         for k in np.flatnonzero(~valid):
             run(done + int(k))
-        done, count = done + count, 0
-
-    block = max(1, _BLOCK_ROWS // config.n)
-    for start in range(1, config.reps, block):
-        for rows, n0, m in _block_rows(config, gram, roles, range(start, min(start + block, config.reps))):
-            gram.grams(rows, n0, grams[:, count])
-            m_max[count] = m
-            count += 1
-            if count == chunk:
-                estimate()
-        # Rows are freed as the next replication's are bound: freeing each
-        # first ran 1% slower. The block's last go before the next block.
-        del rows
-    if count:
-        estimate()
     return results
 
 

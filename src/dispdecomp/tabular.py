@@ -136,7 +136,7 @@ class Dataset:
 
 def _open_csv(path: str) -> TextIO:
     try:
-        return open(path, newline="", encoding="utf-8")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
 

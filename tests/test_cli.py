@@ -155,6 +155,20 @@ class TestDecomposeCommand:
         assert err.startswith("error: ")
         assert "linearly dependent" in err
 
+    def test_a_utf8_byte_order_mark_gives_the_same_output(self, tmp_path, capsys):
+        data = random_dataset(4, n=60, n_baseline=1, n_intermediate=1)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_dataset_csv(data, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        flags = ["--group", "R", "--outcome", "Y", "--mediator", "M", "--baseline", "C1",
+                 "--intermediate", "X1", "--method", "all", "--bootstrap", "20"]
+        outputs = []
+        for path in (plain, marked):
+            assert main(["decompose", "--data", str(path), *flags]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert "## KOB" in outputs[0].out
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["decompose", *base_flags(str(tmp_path / "nope.csv"))]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -440,6 +454,15 @@ class TestSimulateCommand:
         ) == 0
         second = capsys.readouterr()
         assert first.out == second.out
+
+    def test_config_file_with_a_utf8_byte_order_mark(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + b'{"scenario": "none", "n": 70, "reps": 3, "seed": 4}')
+        assert main(["simulate", "--config", str(cfg), "--format", "csv"]) == 0
+        first = capsys.readouterr()
+        assert main(["simulate", "--scenario", "none", "--n", "70", "--reps", "3", "--seed", "4",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr() == first
 
     def test_config_errors(self, tmp_path, capsys):
         assert main(["simulate"]) == 1

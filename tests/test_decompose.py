@@ -603,6 +603,12 @@ class TestBootstrap:
             bootstrap(data, "DIC", B=2, seed=0)
 
 
+def gram_block(n, q=8):
+    """Resamples whose fits the bootstrap solves together at this n, with
+    q columns of z: 8 for an intercept and seven role columns."""
+    return max(1, min(decompose_module._GRAM_BLOCK // n, decompose_module._GRAM_BLOCK // (2 * q * q)))
+
+
 def gram_solves(data, resamples):
     """A _GramFits of each model in data._fits over the resamples of data
     (indices into it, group 0's rows first), by its key, solved as the
@@ -757,10 +763,13 @@ class TestRowsBuiltOnce:
 
     def test_a_default_bootstrap_builds_each_resamples_rows_once(self, monkeypatch):
         built, solved = self.counting(monkeypatch)
-        B = decompose_module._GRAM_BLOCK + 8
-        decompose_module._bootstrap(random_dataset(3, n=80, n_baseline=2, n_intermediate=2), list(METHODS), None, B, 1)
+        n = 80
+        size = gram_block(n)
+        assert size == 512  # 2**16 floats of Gram matrices, fewer than 2**16 rows make
+        B = size + 8
+        decompose_module._bootstrap(random_dataset(3, n=n, n_baseline=2, n_intermediate=2), list(METHODS), None, B, 1)
         assert len(built) == B
-        assert [len(next(iter(block.values())).accepted) for block in solved] == [decompose_module._GRAM_BLOCK, 8]
+        assert [len(next(iter(block.values())).accepted) for block in solved] == [size, 8]
         # Every resample's memo holds a fit.
         assert all(np.logical_or.reduce([fits.accepted for fits in block.values()]).all() for block in solved)
 
@@ -775,7 +784,7 @@ class TestRowsBuiltOnce:
 
         monkeypatch.setattr(decompose_module, "_residuals", residuals_recording)
         data = generate(ScenarioConfig("both", n=300, seed=3), 0)
-        B = decompose_module._GRAM_BLOCK + 8
+        B = gram_block(data.n) + 8
         decompose_module._bootstrap(data, ["CDA"], CdaSettings(mc_draws_per_unit=5, seed=4), B, 1)
         assert len(built) == B
         # The point estimate's group-0 mediator model, then each resample's,
@@ -917,8 +926,27 @@ class TestOneResampleLoop:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert gram_block(n) == 32
         assert peaks[1] - peaks[0] < (1000 - 50) * 256
-        assert peaks[1] < decompose_module._GRAM_BLOCK * n * q * 8
+        assert peaks[1] < 32 * n * q * 8
+
+    def test_peak_memory_per_row(self):
+        # At n = 5e4 a block is one resample. The traced peak beyond the
+        # data is 30.1 float64 values per row: the point estimates' fits, the
+        # data's shifted rows, and one resample's indices, rows of z and copy.
+        # Blocks of 32 resamples, whose indices are all held at once, read
+        # 67.5, and a resample's rows of z kept until the next are drawn, 38.1.
+        n = 50_000
+        assert gram_block(n) == 1
+        decompose_module._bootstrap(random_dataset(3, n=100, n_baseline=2, n_intermediate=2), list(METHODS), None, 3, 7)
+        data = random_dataset(3, n=n, n_baseline=2, n_intermediate=2)
+        tracemalloc.start()
+        try:
+            decompose_module._bootstrap(data, list(METHODS), None, 40, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * n
 
 
 class TestFitMemo:

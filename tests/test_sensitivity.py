@@ -171,6 +171,15 @@ class TestAdjust:
         assert adjusted.zeta_adjusted == cda.unexplained
         assert adjusted.tau == cda.initial
 
+    @pytest.mark.parametrize(
+        "params",
+        [SensitivityParams(0, 0.5), SensitivityParams(np.float64(0.3), 0.2, sign=-1)],
+        ids=["int", "numpy-float"],
+    )
+    def test_returns_the_params_it_was_given(self, params):
+        data = random_dataset(41, n=30, n_baseline=1, n_intermediate=1)
+        assert adjust(decompose_cda(data), data, params).params == params
+
     def test_bias_matches_independent_computation(self):
         data = random_dataset(41, n=30, n_baseline=1, n_intermediate=1)
         cda = decompose_cda(data, CdaSettings(seed=1))

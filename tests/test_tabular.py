@@ -294,6 +294,24 @@ class TestLoadCsvMatchesReference:
         assert kind == "data"
         assert len(columns["M"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("R,M,Y\n0,1.5,2\n1,2.5,3\n", None),
+            ('"R",M,Y\n0,1.5,2\n1,2.5,3\n', None),
+            ("R,M,Y\n0,1.5,2\n1,2.5,3\n\n", "row 4: expected 3 cells, found 0"),
+            ("R,M,Y\n,1.5,2\n1,2.5,3\n", "row 2, column 'R': empty cell"),
+        ],
+        ids=["fast", "quoted-header", "reference", "first-column-error"],
+    )
+    def test_a_utf8_byte_order_mark_reads_as_without_it(self, tmp_path, text, error):
+        # Spreadsheets write "CSV UTF-8" with a byte-order mark before the header.
+        plain = self.check(tmp_path, text)
+        assert self.check(tmp_path, "\ufeff" + text) == plain
+        assert plain[0] == ("data" if error is None else "error")
+        if error is not None:
+            assert error in plain[1]
+
     def test_underscore_digits_parse_as_float_does(self, tmp_path):
         _, columns = self.check(tmp_path, "R,M,Y\n0,1_0,2\n1,2,3\n")
         assert columns["M"][0] == np.float64(10.0).view(np.uint64)
