@@ -156,12 +156,10 @@ def _result(
 def _fit(data: Dataset, group: int | None, names: tuple[str, ...], response: str) -> OlsFit | _ReplicateFit:
     """fit_ols of response on the named columns, over one group's rows or all (None).
 
-    Each (group, names, response) is fitted once per Dataset: a repeated
-    request returns the same OlsFit. Names are kept in their order, because
-    pivoted QR of the same columns in another order can differ in the last
-    bits. A fit that raises is not kept. A bootstrap replicate's memo may
-    already hold a _ReplicateFit (Gram-solved coefficients) for the key,
-    which is returned as it is.
+    Each (group, names, response) is fitted once per Dataset, in the given
+    column order, because pivoted QR of reordered columns can differ in the
+    last bits. A fit that raises is not kept. A bootstrap replicate's memo
+    may already hold a _ReplicateFit for the key, which is returned.
     """
     key = (group, names, response)
     fit = data._fits.get(key)
@@ -176,10 +174,9 @@ class _Source(NamedTuple):
     """What an estimator body reads: the roles, fit(group, names, response)
     as _fit takes them, and means(group, names) as _group_means takes them.
 
-    For one Dataset (_source) the fits are OlsFits (or a bootstrap
-    replicate's _ReplicateFits) and every value is a float; for a block of
-    replicates the coefficients and means are length-K arrays. No body
-    reads residuals. Each estimator's arithmetic is written once, for both.
+    For one Dataset (_source) every value is a float; for a block of
+    replicates the coefficients and means are length-K arrays, so each
+    estimator's arithmetic is written once, for both. No body reads residuals.
     """
 
     roles: RoleSpec
@@ -192,7 +189,6 @@ def _source(data: Dataset) -> _Source:
 
 
 def _split(initial, explained):
-    """(initial, explained, unexplained): the part not explained is the rest."""
     return initial, explained, initial - explained
 
 
@@ -224,7 +220,6 @@ def decompose_dic(data: Dataset) -> DecompositionResult:
 
 
 def _group_means(data: Dataset, g: int, names: tuple[str, ...]) -> dict[str, float]:
-    """Mean of each named column over group g's rows."""
     rows = data._rows[g]
     return {name: float(data.column(name)[rows].sum() / rows.size) for name in names}
 
@@ -329,12 +324,11 @@ def decompose_cda(data: Dataset, settings: CdaSettings | None = None) -> Decompo
     With the default settings.mc_draws_per_unit of 0 the residual adds its
     mean, 0. A positive draw count instead draws n1 * draws residuals with
     replacement, as multinomial counts over the n0 residuals of the group-0
-    mediator model (formed from data's group-0 rows and that model's
-    coefficients, as fit_ols forms them), and subtracts their mean from the
-    gap. This adds zero-mean noise with sd |slope| * sd0 / sqrt(n1 * draws)
-    to explained, sd0 being the sd of those residuals. Deterministic given
-    data (and settings.seed when drawing). A draw total n1 * draws above
-    2**63 - 1, more than the count draw can hold, raises ValueError.
+    mediator model, and subtracts their mean from the gap. This adds
+    zero-mean noise with sd |slope| * sd0 / sqrt(n1 * draws) to explained,
+    sd0 being the sd of those residuals. Deterministic given data (and
+    settings.seed when drawing). A draw total n1 * draws above 2**63 - 1,
+    more than the count draw can hold, raises ValueError.
     """
     settings = settings or CdaSettings()
 
@@ -385,10 +379,10 @@ def _percentile_bounds(values: np.ndarray) -> tuple[float, float]:
 
 
 # Resamples whose fits are solved together: as many as make up this many
-# rows (32 at n = 2000) and whose Gram matrices (2 * q^2 floats each) make
-# up no more than this many floats, and at least one. A block holds each
-# resample's indices until it is used, and their Gram matrices and
-# solutions; a resample's rows of z, O(n * q), are gathered in turn.
+# rows and whose Gram matrices (2 * q^2 floats each) make up no more than
+# this many floats, and at least one. A block holds each resample's indices
+# until it is used, and their Gram matrices and solutions; a resample's rows
+# of z, O(n * q), are gathered in turn.
 _GRAM_BLOCK = 2**16
 
 
@@ -477,9 +471,11 @@ def _bootstrap(
 ) -> list[DecompositionResult]:
     """[bootstrap(data, method, settings, B, seed) for method in methods], from one resample loop.
 
-    Resample b's first attempt is drawn, and its Gram matrices written, by
-    _GramReplicates.blocks, as the harness's replications are; the block
-    keeps its indices, as its tag, for the estimators' Dataset.take.
+    Each resample is drawn and copied (Dataset.take) once for every method
+    that needs it. Each method keeps its own attempt count and failure
+    budget, so it sees the resamples it would see alone. A first attempt's
+    fit memo gets the models its block solved and accepted; every other fit
+    is fit_ols's.
     """
     for method in methods:
         if method not in _ESTIMATORS:
@@ -562,38 +558,17 @@ def bootstrap(
     sizes preserved), recomputes the estimator B times, and attaches
     2.5/97.5 percentile intervals for initial/explained/unexplained to the
     point estimate on the original data. Replicate b draws from a stream
-    keyed by (seed, b), so results do not depend on evaluation order. For
-    CDA the point estimate uses settings as given. With the default exact
-    expectation the replicates make no draw and derive no seed; with a
-    positive draw count each replicate keeps only that count and takes the
-    seed stream_seed(seed, b, attempt, 1).
-    Resamples that break an estimator precondition (e.g. a degenerate
-    design) are retried with fresh draws, up to 10*B failures in total.
-    B (at least 2) and seed must be ints or numpy integers, not bools.
-
-    Several methods share one loop (the CLI's --method all): each resample
-    is drawn and copied once (Dataset.take) for every method that needs it,
-    and each method keeps its own attempt count and failure budget, so it
-    sees the resamples it would see alone and gets the same results.
-    The point estimates are pivoted-QR fits (fit_ols); the fits they made
-    name the models that every replicate needs. A first attempt's fit memo
-    gets them before the estimators run, as its coefficients solved from
-    per-group cross-product (Gram) matrices, in blocks of resamples whose
-    rows are each gathered once; they agree with fit_ols on the same rows
-    to GRAM_TOL relative. A block is as many resamples as make up 2**16
-    rows (32 at n = 2000; one above n = 32 768), but no more than 2**16
-    floats of Gram matrices hold. It holds their indices until each is
-    used, so the loop's traced peak beyond the data is about 30 float64
-    values per row at n = 5e4, where blocks of 32 resamples read 67.5; at
-    n = 2e5 the one-resample blocks, each solving every model, ran about
-    12% slower than blocks of 32 (B = 64, on 2 vCPUs). Such a fit holds
-    no residuals: CDA with explicit draws forms them from the resample's
-    data, as on any data. A model too ill-conditioned to promise that
-    agreement, and every model of a retried resample, is fitted by
-    fit_ols, so resamples are retried exactly when fit_ols rejects them.
-    The resample loop holds the OpenBLAS that numpy and scipy bundle to one
-    thread, since a second one only spins on these small fits and solves,
-    and restores its thread count afterwards; the point estimate keeps the
-    caller's threading (one thread under the CLI).
+    keyed by (seed, b), so results do not depend on evaluation order. The
+    CDA point estimate uses settings as given. Replicates derive no seed at
+    the default of 0 draws; with a positive draw count each keeps only that
+    count and takes the seed stream_seed(seed, b, attempt, 1). Resamples that break an estimator
+    precondition (e.g. a degenerate design) are retried with fresh draws;
+    more than 10*B failures raise EstimationError. B (at least 2) and seed
+    must be ints or numpy integers, not bools. Replicate fits come from
+    blocks of Gram solves that agree with fit_ols to GRAM_TOL relative, or
+    from fit_ols itself, so a resample is retried exactly when fit_ols
+    rejects it. The loop runs on one thread of the bundled OpenBLAS. Peak
+    memory per row is bounded by
+    tests/test_decompose.py::TestOneResampleLoop::test_peak_memory_per_row.
     """
     return _bootstrap(data, [method], settings, B, seed)[0]

@@ -1,17 +1,13 @@
 """Least-squares fitting with named columns.
 
-The engine is deliberately small: ordinary least squares through
-scipy.linalg's column-pivoted Householder QR (never the normal equations),
-with rank deficiency reported as a hard error that names a minimal set of
-linearly dependent columns. Everything downstream (decompositions,
-sensitivity analysis, benchmarking) is built on fit_ols. partial_r2 is
-for callers only: benchmarking reads the same values from the t
-statistics of one fit and does not call it. The exceptions are the
-replicate fits of the bootstrap and of the simulation harness past its
-replication 0 (_GramFits): they solve the normal equations, but only
-where the conditioning guarantees agreement with fit_ols to GRAM_TOL,
-and leave the rest to fit_ols. Such a fit is its coefficients only; a
-caller that needs residuals forms them from its data (_residuals).
+Ordinary least squares through scipy.linalg's column-pivoted Householder QR
+(never the normal equations), with rank deficiency reported as a hard error
+that names a minimal set of linearly dependent columns. Everything
+downstream is built on fit_ols. The one exception is the replicate fits of
+the bootstrap and of the simulation harness (_GramFits): they solve the
+normal equations, but only where the conditioning guarantees agreement
+with fit_ols to GRAM_TOL, and leave the rest to fit_ols. Such a fit is its
+coefficients only; a caller that needs residuals forms them (_residuals).
 """
 from __future__ import annotations
 
@@ -143,13 +139,11 @@ def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]
 def _one_blas_thread() -> Iterator[None]:
     """Run the body with every bundled OpenBLAS on one thread; restore after.
 
-    For loops over many small fits (n in the low thousands, a handful of
-    columns), where a second BLAS thread only spins: it doubles CPU time
-    and does not lower wall time. Results are bit-identical on those
-    designs. The CLI runs every command inside it too: the last bits of
-    tall designs with many columns depend on the thread count, and one
-    thread keeps them from depending on the machine. Does nothing when no
-    bundled OpenBLAS is found.
+    For loops over many small fits, where a second BLAS thread only spins;
+    results are bit-identical on those designs. The CLI runs every command
+    inside it too: the last bits of tall designs with many columns depend
+    on the thread count, and one thread keeps them from depending on the
+    machine. Does nothing when no bundled OpenBLAS is found.
     """
     controls = _openblas_controls()
     saved = [get() for get, _ in controls]

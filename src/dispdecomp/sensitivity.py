@@ -124,13 +124,8 @@ def _explained_away(sd_m_perp, m_max):
 def _bias_inputs(data: Dataset) -> tuple[float, float, float]:
     """Observable scale factors: (sd_y_perp, sd_m_perp, mediator gap).
 
-    sd_y_perp is the residual sd of the pooled outcome regression (outcome
-    on group, covariates, and mediator); sd_m_perp the residual sd of the
-    pooled mediator regression (mediator on group and covariates); the gap
-    is the baseline-standardized mediator gap: the group-1 mean mediator
-    minus the group-0 mediator-on-baseline model at the group-1 baseline
-    means, with no group-1 mediator model. CDA's explained is the group-1
-    mediator slope times this same gap.
+    The sds are the residual sds of the two _pooled_fits, and the gap is
+    CDA's baseline-standardized mediator gap (_gap).
     """
     source = _source(data)
     outcome_fit, mediator_fit = _pooled_fits(source)
@@ -202,13 +197,12 @@ def benchmark(data: Dataset) -> tuple[CovariateBenchmark, ...]:
     that coordinate pair. Sorted by r2_with_y, strongest first; ties keep
     role-order.
 
-    All values come from the t-statistics of two fits: the outcome on
-    every column and the mediator on every column. These are the pooled
-    fits of adjust and grid, so a Dataset shares them, and benchmark makes
-    no other fit. A pooled fit that fails raises its own error, tagged
-    with its model. A perfect fit (R-squared within 1e-12 of 1) leaves the
-    partial R-squared values undefined and raises EstimationError: first
-    for the outcome, then for the mediator.
+    All values come from the t-statistics of the two pooled fits of adjust
+    and grid, which a Dataset shares; benchmark makes no other fit. A
+    pooled fit that fails raises its own error, tagged with its model. A
+    perfect fit (R-squared within 1e-12 of 1) leaves the partial R-squared
+    values undefined and raises EstimationError: first for the outcome,
+    then for the mediator.
     """
     names = list(data.roles.covariates)
     if not names:

@@ -24,18 +24,14 @@ may be nonzero (active loadings default to 0.5):
 One table (_STRUCTURE) gives each scenario's structure, and one list of
 equations (_equations) gives the SEM after R; the generator and the truth
 oracle both read that list. Truths come from closed-form moment
-propagation, never from sampling: the implied means/covariances give
-population regression projections for the pooled and group-specific
-models, and a noise-free walk of the equations gives the
-conditional-expectation estimands for the causal decomposition. Because
-estimator targets are defined by each method's own assumptions, the truth
-oracle evaluates projections on the confounder-free twin of the
-configuration (the equations without their U terms); for unconfounded
-scenarios the twin is the scenario itself, and the causal estimands are
-identical either way since the confounder is mean-zero and independent of
-the group and baseline variables. The oracle's independence from the
-generator is held by the tests: a hand-expanded copy of the generator,
-hand-derived truths, and a 10^6-row brute-force check.
+propagation, never from sampling: population regression projections for
+the pooled and group-specific models, and a noise-free walk of the
+equations for the causal estimands. Each method's target is defined under
+its own no-unmeasured-confounding assumption, so projections are evaluated
+on the confounder-free twin (the equations without their U terms); the
+causal estimands are the same either way, since U is mean-zero and
+independent of the group and baseline. The tests keep the oracle
+independent of the generator.
 """
 from __future__ import annotations
 
@@ -233,10 +229,9 @@ def _decimal(value: int) -> str:
 class ScenarioConfig:
     """One simulation. n, reps and seed are integers (not bool), with
     50 <= n <= 10**7 and 1 <= reps <= 10**6; coefficients=None takes the
-    scenario's defaults. run_harness's peak memory is about 27 float64
-    values per row (2.2 GB at the top): replication 0's columns and fits,
-    held while its last fit_ols factors a design. Later replications hold
-    about 18."""
+    scenario's defaults. run_harness's peak memory is at most 28 float64
+    values per row, the bound of
+    tests/test_simulate.py::TestBlockFits::test_peak_memory_per_row."""
 
     scenario: str
     n: int = 2000
@@ -802,11 +797,11 @@ class SimulationReport:
         return tuple(seen)
 
 
-# Replications generated together: as many as make up this many rows (16
-# at the default n of 2000), and at least one. A block holds its columns
-# as (block, n) arrays and the rows of one replication at a time; it is
-# freed before the next is drawn. The Gram matrices of as many replications
-# as make up this many floats (2 * q^2 each) are solved together.
+# Replications generated together: as many as make up this many rows, and
+# at least one. A block holds its columns as (block, n) arrays and the rows
+# of one replication at a time; it is freed before the next is drawn. The
+# Gram matrices of as many replications as make up this many floats
+# (2 * q^2 each) are solved together.
 _BLOCK_ROWS = 2**15
 
 
@@ -832,17 +827,12 @@ def _block_rows(
     config: ScenarioConfig, gram: _GramReplicates, roles: RoleSpec, reps: range
 ) -> Iterator[tuple[np.ndarray, int, float]]:
     """Each replication of reps, in order, from one _draw_block of them all,
-    as _GramReplicates.blocks takes it: its rows of z (gram.rows) with
-    group 0's n0 first, n0, and its max |M| as its tag. The block's columns
-    are freed once its last replication is taken, before the next block
-    is drawn.
+    as _GramReplicates.blocks takes it: its rows of z with group 0's n0
+    first, n0, and its max |M| as its tag.
 
-    Nothing here checks what Dataset rejects. A value that is not finite
-    makes the Gram matrix of the pooled model that holds its column
-    non-finite, and a group with no rows makes its group's Gram matrices
-    zero: _GramFits rejects both, so the replication runs on generate's
-    Dataset, which raises. R itself is always 0 or 1 (rng.random(n) < p_r);
-    only a patched _draw_block could put another value in it.
+    Nothing here checks what Dataset rejects. A value that is not finite,
+    or a group with no rows, makes a Gram matrix that _GramFits rejects, so
+    the replication runs on generate's Dataset, which raises.
     """
     columns = _draw_block(config, reps)
     r = columns[roles.group]
@@ -860,14 +850,11 @@ def _block_estimates(
     Gram matrices grams (2, K, q, q) holds and whose max |M| is m_max, and a
     mask of the replications whose rows hold them.
 
-    Each model is solved once over the K replications, and the estimator
-    bodies and the adjustment run once, with each model's coefficients, the
-    group means and the pooled residual sds as length-K arrays. A
+    The estimator bodies and the adjustment run once, on length-K arrays. A
     replication is left out of the mask when any of its models is rejected,
     a residual sd's quadratic form is not finite and positive, its mediator
-    fails the adjustment's check, or any of its estimates is not finite.
-    The arithmetic runs with numpy's floating-point warnings off: the rows
-    it marks are recomputed.
+    fails the adjustment's check, or any of its estimates is not finite;
+    numpy's floating-point warnings are off, since those rows are recomputed.
     """
     fits = gram.fits(grams)
     source = _Source(roles, lambda *key: fits[key], lambda g, names: gram.means(grams[g], names))
@@ -892,18 +879,12 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
     (reps, 3) array; the first failure, in index order, raises.
 
     Replication 0 runs the public estimators, and the fits they made name
-    the models of every later one. Later replications are drawn in blocks
-    of _BLOCK_ROWS rows (_block_rows), with no Dataset each, and give only
-    their per-group Gram matrices, rows shifted by the population means of
-    the configuration. _GramReplicates.blocks gathers those of as many
-    replications as _BLOCK_ROWS floats hold (at least one; all 199 later
-    ones on the defaults), freeing each replication's rows once they are
-    written. Each model is solved once over such a block, and
-    _block_estimates gives their estimates as arrays. A replication it
+    the models of every later one; its Dataset is then released. Later
+    replications give only their per-group Gram matrices, rows shifted by
+    the configuration's population means, so their estimates do not depend
+    on which replications share a block. A replication that _block_estimates
     leaves out runs the public estimators on generate's Dataset of it, in
-    index order, so that Dataset or those estimators raise the first
-    failure. Replication 0's Dataset is released once its fits have named
-    the models.
+    index order, so that Dataset or those estimators raise the first failure.
     """
     methods = METHODS + ((ADJUSTED_METHOD,) if params is not None else ())
     results = {method: np.empty((config.reps, 3)) for method in methods}
@@ -939,27 +920,15 @@ def _replications(config: ScenarioConfig, params: SensitivityParams | None) -> d
 def run_harness(config: ScenarioConfig, sensitivity: bool = False, workers: int = 1) -> SimulationReport:
     """Replicate generate + estimate, aggregate against the truth oracle.
 
-    Every replication runs DIC, KOB and CDA (METHODS), CDA with its
-    exact counterfactual mean, so no replication makes a Monte-Carlo draw.
-    sensitivity=True additionally runs the bias adjustment on every
-    replication's CDA result with oracle-true parameters computed from the
-    configuration's coefficients. Replication 0 runs the public
-    estimators on generate's data of it. Later replications are drawn with
-    the same bits as generate and estimated by the estimators' own
-    arithmetic from Gram solves, which agree with fit_ols on the same rows
-    to GRAM_TOL relative (_replications); a replication whose conditioning
-    cannot promise that runs the public estimators instead, so its
-    estimates, and any error, are theirs. The first replication to fail,
-    in index order, raises an EstimationError that names it. A
-    replication's estimates do not depend on reps or on the other
-    replications that share its block or its solve. Replications run one
-    after another in this thread; workers (an
-    integer >= 1) is kept for compatibility and changes nothing, and
-    per-index substreams make the report byte-identical for any value of
-    it. The replications hold the OpenBLAS that numpy and scipy bundle
-    to one thread, since a second one only spins on these small fits and
-    solves, and restore its thread count afterwards; library callers of
-    the estimators outside this loop keep their own threading.
+    Every replication runs DIC, KOB and the exact CDA (METHODS);
+    sensitivity=True adds the bias adjustment with oracle-true parameters.
+    Replications past 0 are estimated from Gram solves that agree with
+    fit_ols to GRAM_TOL relative, or else by the public estimators. The
+    first replication to fail, in index order, raises an EstimationError
+    naming it. A replication's estimates depend on neither reps nor workers
+    (an integer >= 1 that changes nothing). Runs on one thread of the
+    bundled OpenBLAS, in peak memory per row bounded by
+    tests/test_simulate.py::TestBlockFits::test_peak_memory_per_row.
     """
     _check_integers(workers=workers)
     if workers < 1:

@@ -831,6 +831,136 @@ class TestPathways:
         )
 
 
+def matrix_moments(config, confounded=True):
+    """The SEM as matrices, built from the coefficient fields alone.
+
+    Returns the variables after R, in the order implied_moments adds them,
+    each group's means mu_g = (I - B)^-1 (a + b g), and the covariance given
+    R, Sigma = (I - B)^-1 D (I - B)^-T, which both groups share.
+    """
+    coefs = config.coefficients
+    has_c, has_x, loads = STRUCTURE[config.scenario]
+    loads = loads if confounded else ""
+    xs = [f"X{i}" for i in range(1, len(coefs.intermediate) + 1)] if has_x else []
+    names = (["C"] if has_c else []) + (["U"] if loads else []) + xs + ["M", "Y"]
+    at = {name: i for i, name in enumerate(names)}
+    size = len(names)
+    B, a, b, D = np.zeros((size, size)), np.zeros(size), np.zeros(size), np.zeros(size)
+
+    def equation(name, eq, noise_sd, parents):
+        a[at[name]], b[at[name]], D[at[name]] = eq.intercept, eq.on_group, noise_sd**2
+        for parent, coef in parents:
+            if parent in at:
+                B[at[name], at[parent]] = coef
+        if name[0] in loads:
+            B[at[name], at["U"]] = eq.on_confounder
+
+    if has_c:
+        equation("C", coefs.baseline, coefs.baseline.noise_sd, [])
+    if loads:
+        D[at["U"]] = 1.0
+    for x, eq in zip(xs, coefs.intermediate):
+        equation(x, eq, eq.noise_sd, [("C", eq.on_baseline)])
+    med, out = coefs.mediator, coefs.outcome
+    equation("M", med, med.noise_sd, [("C", med.on_baseline), *zip(xs, med.on_intermediate)])
+    equation("Y", out, out.noise_sd, [("C", out.on_baseline), ("M", out.on_mediator), *zip(xs, out.on_intermediate)])
+    inverse = np.linalg.inv(np.eye(size) - B)
+    mu = {g: inverse @ (a + b * g) for g in (0, 1)}
+    return names, mu, inverse @ np.diag(D) @ inverse.T
+
+
+def mixture_moments(config, group=None, confounded=True):
+    """(names, mean, cov) with R prepended: given R = group, or pooled as the
+    two-group mixture, mean sum p_g m_g and cov sum p_g (S_g + m_g m_g') - m m'."""
+    names, mu, sigma = matrix_moments(config, confounded)
+    size = len(names) + 1
+    means, covs = {}, {}
+    for g in (0, 1):
+        means[g] = np.concatenate([[float(g)], mu[g]])
+        covs[g] = np.zeros((size, size))
+        covs[g][1:, 1:] = sigma
+    if group is not None:
+        return ["R", *names], means[group], covs[group]
+    p = config.coefficients.p_r
+    weights = {0: 1.0 - p, 1: p}
+    mean = sum(weights[g] * means[g] for g in (0, 1))
+    cov = sum(weights[g] * (covs[g] + np.outer(means[g], means[g])) for g in (0, 1)) - np.outer(mean, mean)
+    return ["R", *names], mean, cov
+
+
+def projection(names, cov, target, regressors):
+    """Population slopes of target on the regressors."""
+    t, idx = names.index(target), [names.index(r) for r in regressors]
+    return dict(zip(regressors, np.linalg.solve(cov[np.ix_(idx, idx)], cov[idx, t])))
+
+
+def mixture_truths(config):
+    """(DIC, KOB, CDA) population targets as (initial, explained, unexplained),
+    from mixture_moments of the confounder-free twin."""
+    has_c, has_x, _ = STRUCTURE[config.scenario]
+    xs = [f"X{i}" for i in range(1, len(config.coefficients.intermediate) + 1)] if has_x else []
+    covariates = xs + (["C"] if has_c else [])
+    names, _, pooled = mixture_moments(config, confounded=False)
+    alpha = projection(names, pooled, "Y", ["R", *covariates])["R"]
+    beta = projection(names, pooled, "Y", ["R", *covariates, "M"])["R"]
+    _, mean1, within = mixture_moments(config, group=1, confounded=False)
+    _, mean0, _ = mixture_moments(config, group=0, confounded=False)
+    slope = projection(names, within, "Y", [*covariates, "M"])["M"]
+    m, y = names.index("M"), names.index("Y")
+    raw = mean1[y] - mean0[y]
+    kob_explained = slope * (mean1[m] - mean0[m])
+    # Group 0's means standardized to group 1's baseline mean.
+    control = mean0.copy()
+    if has_c:
+        c = names.index("C")
+        control = mean0 + within[:, c] / within[c, c] * (mean1[c] - mean0[c])
+    initial = mean1[y] - control[y]
+    cda_explained = slope * (mean1[m] - control[m])
+    return (
+        (alpha, alpha - beta, beta),
+        (raw, kob_explained, raw - kob_explained),
+        (initial, cda_explained, initial - cda_explained),
+    )
+
+
+def oracle_configs():
+    """The seven default configs and the 63 random ones."""
+    return [ScenarioConfig(scenario) for scenario in SCENARIOS] + random_configs()
+
+
+def assert_relative(actual, expected, tol=1e-12):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.all(np.abs(actual - expected) <= tol * np.maximum(1.0, np.abs(expected)))
+
+
+class TestMixtureOracle:
+    """implied_moments, compute_truths and the pathway functions against an
+    oracle built from the coefficient fields by matrix algebra, with the
+    pooled moments as the mixture of the two groups', on random SEMs."""
+
+    def test_implied_moments(self):
+        for config in oracle_configs():
+            for group in (None, 0, 1):
+                for confounded in (True, False):
+                    names, mean, cov = mixture_moments(config, group, confounded)
+                    moments = implied_moments(config, group=group, confounded=confounded)
+                    assert moments.names == names
+                    assert_relative(moments.mean, mean)
+                    assert_relative(moments.cov, cov)
+
+    def test_compute_truths(self):
+        for config in oracle_configs():
+            truths = compute_truths(config)
+            for truth, expected in zip((truths.dic, truths.kob, truths.cda), mixture_truths(config)):
+                assert_relative((truth.initial, truth.explained, truth.unexplained), expected)
+
+    def test_pathways(self):
+        for config in oracle_configs():
+            dic, kob, cda = mixture_truths(config)
+            assert_relative(baseline_pathway_contribution(config), kob[0] - cda[0])
+            assert_relative(intermediate_pathway_contribution(config), cda[0] - dic[0])
+
+
 class TestOracles:
     def test_my_conf_sensitivity_params_frozen(self):
         params = oracle_sensitivity_params(ScenarioConfig("my-conf"))
@@ -1353,9 +1483,10 @@ class TestBlockFits:
         assert peak <= 1.3 * 2.67e6
 
     def test_peak_memory_per_row(self):
-        # The traced peak is 27.0 to 27.1 float64 values per row at n = 5e4,
-        # 2e5 and 1e6, as ScenarioConfig's docstring says: replication 0's
-        # columns and fits, held while its last fit_ols factors a design.
+        # The bound that ScenarioConfig's docstring names: at most 28 float64
+        # values per row. The traced peak is 27.0 to 27.1 at n = 5e4, 2e5 and
+        # 1e6: replication 0's columns and fits, held while its last fit_ols
+        # factors a design.
         # Later replications, drawn once replication 0's Dataset is released,
         # peak at 18. Keeping that Dataset alive reads 31, and a QR of the
         # C-ordered design, copied twice by scipy, reads 30; both break it.
