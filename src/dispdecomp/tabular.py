@@ -8,9 +8,16 @@ finite, fully-numeric data with both groups present.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import math
+import os
+import stat
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -134,11 +141,114 @@ class Dataset:
         return Dataset({k: v[idx] for k, v in self.columns.items()}, self.roles)
 
 
+# Parsed tables are cached under the SHA-256 of this tag and the CSV's bytes.
+# Change the tag whenever a file could parse to a different table.
+_CACHE_TAG = b"dispdecomp load_csv table v1\0"
+# Total bytes of cache entries; past it the oldest are deleted on each write.
+_CACHE_BUDGET = 1 << 30
+_CHUNK = 1 << 20
+
+
+class _HashingReader(io.RawIOBase):
+    """A file's bytes, passed on unchanged and hashed as they pass."""
+
+    def __init__(self, file: io.RawIOBase) -> None:
+        self._file = file
+        self.sha256 = hashlib.sha256(_CACHE_TAG)
+
+    def readable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self._file.fileno()
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
 def _open_csv(path: str) -> TextIO:
+    """path as UTF-8 text; fh.buffer.raw.sha256 hashes every byte read."""
     try:
-        return open(path, newline="", encoding="utf-8-sig")
+        raw = _HashingReader(open(path, "rb", buffering=0))
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+
+
+def _key_of_rest(fh: TextIO) -> str:
+    """Read the rest of fh's bytes, undecoded; the cache key of the whole file."""
+    raw = fh.buffer.raw
+    chunk = bytearray(_CHUNK)
+    while raw.readinto(chunk):
+        pass
+    return raw.sha256.hexdigest()
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        # The base directory spec says a relative XDG_CACHE_HOME is ignored.
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(root):
+            raise OSError("no home directory for the table cache")
+    return Path(root, "dispdecomp")
+
+
+def _cached_table(key: str, width: int) -> np.ndarray | None:
+    """The table stored under key, or None if there is no valid one."""
+    try:
+        with open(_cache_dir() / f"{key}.npy", "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[1] != width or shape[0] < 1:
+                return None
+            count = shape[0] * width
+            # The size is checked before reading, so a damaged header cannot
+            # ask for more memory than the entry holds.
+            if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * count:
+                return None
+            table = np.fromfile(fh, dtype=np.float64, count=count)
+    except (OSError, ValueError, EOFError):
+        return None
+    return table.reshape(shape) if table.size == count else None
+
+
+def _store_table(key: str, table: np.ndarray) -> None:
+    """Write table as key's entry, then delete the oldest entries past the budget."""
+    if table.nbytes > _CACHE_BUDGET:
+        return
+    try:
+        directory = _cache_dir()
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.lib.format.write_array(fh, table, version=(1, 0), allow_pickle=False)
+            os.replace(tmp, directory / f"{key}.npy")
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+        with os.scandir(directory) as listing:
+            entries = [
+                (entry.stat().st_mtime_ns, entry.stat().st_size, entry.path)
+                for entry in listing
+                if entry.name.endswith((".npy", ".tmp"))
+            ]
+        total = 0
+        for _, size, path in sorted(entries, reverse=True):
+            total += size
+            if total > _CACHE_BUDGET:
+                os.unlink(path)
+    except (OSError, ValueError):
+        pass
 
 
 def _read_header(reader: Iterator[list[str]], path: str, roles: RoleSpec) -> list[str]:
@@ -239,14 +349,39 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
     Well-formed files are parsed in one vectorized pass; any file that pass
     cannot reproduce exactly is parsed again cell by cell, which also
     produces the error messages.
+
+    The table the vectorized pass makes of a regular file is kept in
+    $XDG_CACHE_HOME/dispdecomp (~/.cache/dispdecomp when that is unset),
+    under the SHA-256 of the bytes it was parsed from, and a later call on
+    the same bytes loads it in place of parsing; the result is the same
+    Dataset. The header is read and checked from the file on every call.
+    Pipes, files that the cell-by-cell parser reads and files that raise
+    DataError leave no entry. The directory is private to its owner,
+    entries past _CACHE_BUDGET bytes are deleted oldest first, and when
+    the cache cannot be read or written the file is parsed as if there
+    were none.
     """
     try:
         with _open_csv(path) as fh:
             header = _read_header(csv.reader(fh), path, roles)
-            table = _fast_table(fh, len(header))
+            # A pipe cannot be read twice, so only regular files are cached.
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            if regular:
+                table = _cached_table(_key_of_rest(fh), len(header))
+            else:
+                table = _fast_table(fh, len(header))
+        parsed = regular and table is None
+        if parsed:
+            with _open_csv(path) as fh:
+                header = _read_header(csv.reader(fh), path, roles)
+                table = _fast_table(fh, len(header))
+                # The bytes parsed, which may differ from those hashed above.
+                key = fh.buffer.raw.sha256.hexdigest()
         if table is None:
             return _load_csv_reference(path, roles)
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path!r}: {_not_utf8(exc)}") from exc
-    return Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
-
+    data = Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
+    if parsed:
+        _store_table(key, table)
+    return data

@@ -20,6 +20,16 @@ settings.load_profile("deterministic")
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path, monkeypatch):
+    """A fresh XDG_CACHE_HOME per test, so load_csv's table cache never
+    writes into the user's home and no test sees another's entries.
+    Subprocesses inherit it through src_env()."""
+    path = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(path))
+    return path
+
+
 def src_env():
     """Subprocess environment that imports dispdecomp from this checkout's src/.
 

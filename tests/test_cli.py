@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 import dispdecomp.cli
 import dispdecomp.decompose
+import dispdecomp.tabular
 from dispdecomp import (
     CdaSettings, DecompositionResult, RenderedReport, decompose_cda, decompose_dic, main, render,
 )
@@ -1019,3 +1021,44 @@ class TestGoldenBytes:
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err == err
+
+
+class TestTableCache:
+    def test_a_warm_cache_changes_no_output_byte(self, tmp_path, cache_home, capsys, monkeypatch):
+        path = tmp_path / "session.csv"
+        write_dataset_csv(random_dataset(11, n=200), path)
+        flags = ["--data", str(path), "--group", "R", "--outcome", "Y", "--mediator", "M",
+                 "--baseline", "C1", "--intermediate", "X1"]
+        session = [
+            ["decompose", *flags, "--method", "all", "--bootstrap", "50", "--seed", "7"],
+            ["sensitivity", *flags, "--grid", "0.05,0.1;0.1,0.3", "--format", "csv"],
+            ["benchmark", *flags],
+        ]
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr()
+
+        cold = []
+        for argv in session:
+            shutil.rmtree(cache_home, ignore_errors=True)
+            cold.append(run(argv))
+        # Each warm run reads the table the last cold run stored.
+        monkeypatch.setattr(dispdecomp.tabular, "_fast_table", None)
+        assert [run(argv) for argv in session] == cold
+        assert len(list((cache_home / "dispdecomp").iterdir())) == 1
+
+    def test_a_csv_on_a_pipe_is_read_once_and_not_stored(self, tmp_path, cache_home, capsys):
+        path = tmp_path / "session.csv"
+        write_dataset_csv(random_dataset(12, n=40), path)
+        flags = ["--group", "R", "--outcome", "Y", "--mediator", "M", "--method", "all", "--format", "csv"]
+        assert main(["decompose", "--data", str(path), *flags]) == 0
+        expected = capsys.readouterr().out
+        shutil.rmtree(cache_home)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dispdecomp", "decompose", "--data", "/dev/stdin", *flags],
+            input=path.read_text(), capture_output=True, text=True, timeout=60, env=src_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
+        assert not cache_home.exists()

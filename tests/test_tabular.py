@@ -1,4 +1,10 @@
 import dataclasses
+import hashlib
+import os
+import stat
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, load_csv
+from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, load_csv, tabular
 from dispdecomp.tabular import _fast_table, _load_csv_reference
 
 from conftest import build_dataset, write_dataset_csv
@@ -390,3 +396,166 @@ class TestCsvRoundTrip:
         write_dataset_csv(data, path)
         back = load_csv(path, data.roles)
         assert np.signbit(back.column("M")[0])
+
+
+def cache_entry(cache_home, path):
+    """Where load_csv keeps the table of the file at path."""
+    key = hashlib.sha256(tabular._CACHE_TAG + Path(path).read_bytes()).hexdigest()
+    return cache_home / "dispdecomp" / f"{key}.npy"
+
+
+def refuse_parse(*args):
+    raise AssertionError("parsed a file whose table is cached")
+
+
+def column_bits(data):
+    return {name: col.view(np.uint64).tolist() for name, col in data.columns.items()}
+
+
+class TestTableCache:
+    """load_csv keeps each parsed table under the SHA-256 of the file's bytes."""
+
+    def write(self, tmp_path, text, name="d.csv"):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_a_second_load_reads_the_stored_table_bit_for_bit(self, tmp_path, cache_home, monkeypatch):
+        path = self.write(tmp_path, "R,M,Y\n0,-0.0,2.5e-300\n1,0.1,3\n")
+        first = load_csv(path, minimal_roles())
+        assert cache_entry(cache_home, path).is_file()
+        monkeypatch.setattr(tabular, "_fast_table", refuse_parse)
+        monkeypatch.setattr(tabular, "_load_csv_reference", refuse_parse)
+        again = load_csv(path, minimal_roles())
+        assert column_bits(again) == column_bits(first)
+        assert list(again.columns) == ["R", "M", "Y"]
+
+    def test_a_file_rewritten_with_its_size_and_mtime_kept_loads_the_new_values(self, tmp_path):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        before = os.stat(path)
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [1.5, 2.5])
+        self.write(tmp_path, "R,M,Y\n0,7.5,2\n1,8.5,3\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [7.5, 8.5])
+
+    @staticmethod
+    def damage(entry, how):
+        if how == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-8])
+        elif how == "wrong-width":
+            np.save(entry, np.zeros((2, 4)))
+        elif how == "pickled-object":
+            np.save(entry, np.array([[{"R": 0}, 1, 2]], dtype=object), allow_pickle=True)
+        elif how == "rows-beyond-the-file":
+            # Read without the size check, this header asks for 24 TB.
+            with open(entry, "wb") as fh:
+                header = {"descr": "<f8", "fortran_order": False, "shape": (10**12, 3)}
+                np.lib.format.write_array_header_1_0(fh, header)
+                fh.write(bytes(48))
+        elif how == "not-npy":
+            entry.write_bytes(b"R,M,Y\n")
+
+    @pytest.mark.parametrize("how", ["truncated", "wrong-width", "pickled-object", "rows-beyond-the-file", "not-npy"])
+    def test_a_damaged_entry_reads_as_a_miss_and_is_rewritten(self, tmp_path, cache_home, how):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        first = load_csv(path, minimal_roles())
+        entry = cache_entry(cache_home, path)
+        self.damage(entry, how)
+        assert column_bits(load_csv(path, minimal_roles())) == column_bits(first)
+        stored = np.load(entry, allow_pickle=False)
+        npt.assert_array_equal(stored, [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]])
+
+    def test_an_unusable_cache_directory_changes_nothing(self, tmp_path, cache_home):
+        cache_home.mkdir()
+        (cache_home / "dispdecomp").write_text("not a directory")
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        expected = _outcome(_load_csv_reference, path, minimal_roles())
+        for _ in range(2):
+            assert _outcome(load_csv, path, minimal_roles()) == expected
+        assert (cache_home / "dispdecomp").read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "R,M,Y\n0,1_0,2\n1,2,3\n",
+            "R,M,Y\n0,1,2\n1,2,abc\n",
+            "R,M,Y\n0,1,2\n2,3,4\n1,5,6\n",
+            "R,M,Y\n0,1,2\n",
+            "R,M,Z\n0,1,2\n1,2,3\n",
+            "R,M,Y\n",
+        ],
+        ids=["reference-parser", "bad-cell", "bad-group", "one-group", "bad-header", "no-rows"],
+    )
+    def test_tables_the_fast_pass_does_not_accept_are_not_stored(self, tmp_path, cache_home, text):
+        path = self.write(tmp_path, text)
+        expected = _outcome(_load_csv_reference, path, minimal_roles())
+        for _ in range(2):
+            assert _outcome(load_csv, path, minimal_roles()) == expected
+        assert not (cache_home / "dispdecomp").exists()
+
+    def test_the_oldest_entries_are_evicted_past_the_budget(self, tmp_path, cache_home, monkeypatch):
+        paths = [self.write(tmp_path, f"R,M,Y\n0,{i},2\n1,2,3\n", f"{i}.csv") for i in range(3)]
+        entries = [cache_entry(cache_home, path) for path in paths]
+        load_csv(paths[0], minimal_roles())
+        monkeypatch.setattr(tabular, "_CACHE_BUDGET", 2 * entries[0].stat().st_size)
+        now = time.time_ns()
+        for age, path, entry in zip((30, 20), paths[:2], entries[:2]):
+            load_csv(path, minimal_roles())
+            os.utime(entry, ns=(now - age * 10**9, now - age * 10**9))
+        load_csv(paths[2], minimal_roles())
+        assert [entry.exists() for entry in entries] == [False, True, True]
+        # A table larger than the whole budget is not stored, and evicts nothing.
+        rows = "".join(f"{i % 2},{i},2\n" for i in range(40))
+        big = self.write(tmp_path, "R,M,Y\n" + rows, "big.csv")
+        load_csv(big, minimal_roles())
+        assert not cache_entry(cache_home, big).exists()
+        assert [entry.exists() for entry in entries] == [False, True, True]
+
+    def test_the_directory_and_entries_are_private(self, tmp_path, cache_home):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        load_csv(path, minimal_roles())
+        assert stat.S_IMODE((cache_home / "dispdecomp").stat().st_mode) == 0o700
+        assert stat.S_IMODE(cache_entry(cache_home, path).stat().st_mode) == 0o600
+
+    def test_a_warm_load_holds_the_table_not_the_file(self, tmp_path, monkeypatch):
+        # Long cells make the file about three times the table's bytes, so a
+        # load that read the whole file into memory would pass the bound.
+        rng = np.random.default_rng(3)
+        n, width = 20_000, 10
+        values = rng.normal(size=(n, width - 1)) * 1e-5
+        lines = [f"{i % 2}," + ",".join(f"{v:.17e}" for v in row) for i, row in enumerate(values.tolist())]
+        names = ["R", "M", "Y"] + [f"C{j}" for j in range(width - 3)]
+        path = self.write(tmp_path, ",".join(names) + "\n" + "\n".join(lines) + "\n")
+        roles = minimal_roles()
+        load_csv(path, roles)
+        bound = 2.5 * n * width * 8
+        assert os.stat(path).st_size > bound
+        monkeypatch.setattr(tabular, "_fast_table", refuse_parse)
+        tracemalloc.start()
+        try:
+            data = load_csv(path, roles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n == n
+        assert peak < bound
+
+    def test_a_file_changed_between_hash_and_parse_is_stored_under_what_was_parsed(
+        self, tmp_path, cache_home, monkeypatch
+    ):
+        old, new = "R,M,Y\n0,1.5,2\n1,2.5,3\n", "R,M,Y\n0,7.5,2\n1,8.5,3\n"
+        path = self.write(tmp_path, old)
+        lookup = tabular._cached_table
+
+        def rewrite_after_lookup(*args):
+            found = lookup(*args)
+            self.write(tmp_path, new)
+            return found
+
+        monkeypatch.setattr(tabular, "_cached_table", rewrite_after_lookup)
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [7.5, 8.5])
+        monkeypatch.setattr(tabular, "_cached_table", lookup)
+        assert [p.name for p in (cache_home / "dispdecomp").iterdir()] == [cache_entry(cache_home, path).name]
+        self.write(tmp_path, old)
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [1.5, 2.5])
