@@ -141,30 +141,32 @@ class Dataset:
         return Dataset({k: v[idx] for k, v in self.columns.items()}, self.roles)
 
 
-# Parsed tables are cached under the SHA-256 of this tag and the CSV's bytes.
-# Change the tag whenever a file could parse to a different table.
-_CACHE_TAG = b"dispdecomp load_csv table v1\0"
 # Total bytes of cache entries; past it the oldest are deleted on each write.
 _CACHE_BUDGET = 1 << 30
 _CHUNK = 1 << 20
 
 
-class _HashingReader(io.RawIOBase):
-    """A file's bytes, passed on unchanged and hashed as they pass."""
+def _cache_tag() -> bytes:
+    """Hashed ahead of a file's bytes, so that entries written by another
+    version of dispdecomp or numpy, or in another entry format, are never read."""
+    from dispdecomp import __version__
 
-    def __init__(self, file: io.RawIOBase) -> None:
+    return f"dispdecomp {__version__} numpy {np.__version__} table v2\0".encode()
+
+
+class _HashingReader(io.RawIOBase):
+    """A file's bytes, passed on unchanged and hashed into sha256 as they pass."""
+
+    def __init__(self, file: io.RawIOBase, sha256) -> None:
         self._file = file
-        self.sha256 = hashlib.sha256(_CACHE_TAG)
+        self._sha256 = sha256
 
     def readable(self) -> bool:
         return True
 
-    def fileno(self) -> int:
-        return self._file.fileno()
-
     def readinto(self, buffer) -> int:
         n = self._file.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
+        self._sha256.update(memoryview(buffer)[:n])
         return n
 
     def close(self) -> None:
@@ -172,66 +174,95 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _open_csv(path: str) -> TextIO:
-    """path as UTF-8 text; fh.buffer.raw.sha256 hashes every byte read."""
+def _open_csv(path: str, sha256=None) -> TextIO:
+    """path as UTF-8 text; with sha256, every byte read is also hashed into it."""
     try:
-        raw = _HashingReader(open(path, "rb", buffering=0))
+        if sha256 is None:
+            return open(path, newline="", encoding="utf-8-sig")
+        raw = _HashingReader(open(path, "rb", buffering=0), sha256)
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+    return io.TextIOWrapper(io.BufferedReader(raw, _CHUNK), encoding="utf-8-sig", newline="")
 
 
-def _key_of_rest(fh: TextIO) -> str:
-    """Read the rest of fh's bytes, undecoded; the cache key of the whole file."""
-    raw = fh.buffer.raw
-    chunk = bytearray(_CHUNK)
-    while raw.readinto(chunk):
-        pass
-    return raw.sha256.hexdigest()
-
-
-def _cache_dir() -> Path:
+def _cache_dir() -> Path | None:
+    """The table cache directory, made 0700 if it is missing, or None when
+    it cannot be trusted: it must be a directory that this user owns and
+    that grants no one else any access."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         # The base directory spec says a relative XDG_CACHE_HOME is ignored.
         root = os.path.join(os.path.expanduser("~"), ".cache")
-        if not os.path.isabs(root):
-            raise OSError("no home directory for the table cache")
-    return Path(root, "dispdecomp")
-
-
-def _cached_table(key: str, width: int) -> np.ndarray | None:
-    """The table stored under key, or None if there is no valid one."""
+    if not os.path.isabs(root):
+        return None
+    directory = Path(root, "dispdecomp")
     try:
-        with open(_cache_dir() / f"{key}.npy", "rb") as fh:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = os.stat(directory)
+    except OSError:
+        return None
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o077:
+        return None
+    return directory
+
+
+def _entry(directory: Path, digest: bytes) -> Path:
+    # The name is a hash of the digest, which stays the entry's secret key.
+    return directory / f"{hashlib.sha256(digest).hexdigest()}.npy"
+
+
+def _keystream(data: np.ndarray, digest: bytes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """data's bytes in _CHUNK blocks, each with its pad: SHAKE-128 of the
+    file's digest and the block number. XOR with the pads both encrypts and
+    decrypts, so an entry can be read only by whoever holds the file's bytes."""
+    for block, start in enumerate(range(0, data.size, _CHUNK)):
+        part = data[start:start + _CHUNK]
+        pad = hashlib.shake_128(digest + block.to_bytes(8, "little")).digest(part.size)
+        yield part, np.frombuffer(pad, dtype=np.uint8)
+
+
+def _cached_table(directory: Path, digest: bytes, width: int) -> np.ndarray | None:
+    """The table stored under digest, or None if there is no valid one."""
+    try:
+        with open(_entry(directory, digest), "rb") as fh:
             if np.lib.format.read_magic(fh) != (1, 0):
                 return None
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
             if dtype != np.float64 or fortran_order or len(shape) != 2 or shape[1] != width or shape[0] < 1:
                 return None
-            count = shape[0] * width
+            size = 8 * shape[0] * width
             # The size is checked before reading, so a damaged header cannot
             # ask for more memory than the entry holds.
-            if os.fstat(fh.fileno()).st_size != fh.tell() + 8 * count:
+            if os.fstat(fh.fileno()).st_size != fh.tell() + size:
                 return None
-            table = np.fromfile(fh, dtype=np.float64, count=count)
+            data = np.fromfile(fh, dtype=np.uint8, count=size)
     except (OSError, ValueError, EOFError):
         return None
-    return table.reshape(shape) if table.size == count else None
+    if data.size != size:
+        return None
+    for part, pad in _keystream(data, digest):
+        part ^= pad
+    return data.view(np.float64).reshape(shape)
 
 
-def _store_table(key: str, table: np.ndarray) -> None:
-    """Write table as key's entry, then delete the oldest entries past the budget."""
-    if table.nbytes > _CACHE_BUDGET:
+def _store_table(digest: bytes, table: np.ndarray) -> None:
+    """Write table, encrypted, as digest's entry, then delete the oldest
+    entries past the budget."""
+    directory = _cache_dir()
+    if directory is None or table.nbytes > _CACHE_BUDGET:
         return
     try:
-        directory = _cache_dir()
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.lib.format.write_array(fh, table, version=(1, 0), allow_pickle=False)
-            os.replace(tmp, directory / f"{key}.npy")
+                descr = np.lib.format.dtype_to_descr(table.dtype)
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": descr, "fortran_order": False, "shape": table.shape}
+                )
+                data = np.ascontiguousarray(table).reshape(-1).view(np.uint8)
+                for part, pad in _keystream(data, digest):
+                    fh.write(part ^ pad)
+            os.replace(tmp, _entry(directory, digest))
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
@@ -352,36 +383,40 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
 
     The table the vectorized pass makes of a regular file is kept in
     $XDG_CACHE_HOME/dispdecomp (~/.cache/dispdecomp when that is unset),
-    under the SHA-256 of the bytes it was parsed from, and a later call on
-    the same bytes loads it in place of parsing; the result is the same
-    Dataset. The header is read and checked from the file on every call.
-    Pipes, files that the cell-by-cell parser reads and files that raise
-    DataError leave no entry. The directory is private to its owner,
-    entries past _CACHE_BUDGET bytes are deleted oldest first, and when
-    the cache cannot be read or written the file is parsed as if there
-    were none.
+    encrypted under the SHA-256 of the bytes it was parsed from, and a later
+    call on the same bytes loads it in place of parsing; the result is the
+    same Dataset. The header is read and checked from the file on every
+    call. Pipes, files that the cell-by-cell parser reads and files that
+    raise DataError leave no entry. Entries past _CACHE_BUDGET bytes are
+    deleted oldest first. A cache directory that another user owns or may
+    access is not used, and when the cache cannot be read or written the
+    file is parsed as if there were none, without hashing it.
     """
     try:
         with _open_csv(path) as fh:
             header = _read_header(csv.reader(fh), path, roles)
             # A pipe cannot be read twice, so only regular files are cached.
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            if regular:
-                table = _cached_table(_key_of_rest(fh), len(header))
-            else:
+            directory = _cache_dir() if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+            if directory is None:
                 table = _fast_table(fh, len(header))
-        parsed = regular and table is None
+            else:
+                raw = fh.buffer.raw
+                raw.seek(0)
+                digest = hashlib.file_digest(raw, lambda: hashlib.sha256(_cache_tag())).digest()
+                table = _cached_table(directory, digest, len(header))
+        parsed = directory is not None and table is None
         if parsed:
-            with _open_csv(path) as fh:
+            sha256 = hashlib.sha256(_cache_tag())
+            with _open_csv(path, sha256) as fh:
                 header = _read_header(csv.reader(fh), path, roles)
                 table = _fast_table(fh, len(header))
-                # The bytes parsed, which may differ from those hashed above.
-                key = fh.buffer.raw.sha256.hexdigest()
+            # The bytes parsed, which may differ from those hashed above.
+            digest = sha256.digest()
         if table is None:
             return _load_csv_reference(path, roles)
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path!r}: {_not_utf8(exc)}") from exc
     data = Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)
     if parsed:
-        _store_table(key, table)
+        _store_table(digest, table)
     return data

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dispdecomp
 from dispdecomp import DataError, Dataset, RoleSpec, decompose_dic, load_csv, tabular
 from dispdecomp.tabular import _fast_table, _load_csv_reference
 
@@ -398,14 +399,28 @@ class TestCsvRoundTrip:
         assert np.signbit(back.column("M")[0])
 
 
+def file_digest(path):
+    """The SHA-256 that load_csv keys the file at path by."""
+    return hashlib.sha256(tabular._cache_tag() + Path(path).read_bytes()).digest()
+
+
 def cache_entry(cache_home, path):
     """Where load_csv keeps the table of the file at path."""
-    key = hashlib.sha256(tabular._CACHE_TAG + Path(path).read_bytes()).hexdigest()
-    return cache_home / "dispdecomp" / f"{key}.npy"
+    name = hashlib.sha256(file_digest(path)).hexdigest()
+    return cache_home / "dispdecomp" / f"{name}.npy"
+
+
+def cache_entries(cache_home):
+    directory = cache_home / "dispdecomp"
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else []
 
 
 def refuse_parse(*args):
     raise AssertionError("parsed a file whose table is cached")
+
+
+def refuse_hash(*args):
+    raise AssertionError("hashed a file that no cache entry can be made of")
 
 
 def column_bits(data):
@@ -457,20 +472,32 @@ class TestTableCache:
             entry.write_bytes(b"R,M,Y\n")
 
     @pytest.mark.parametrize("how", ["truncated", "wrong-width", "pickled-object", "rows-beyond-the-file", "not-npy"])
-    def test_a_damaged_entry_reads_as_a_miss_and_is_rewritten(self, tmp_path, cache_home, how):
+    def test_a_damaged_entry_reads_as_a_miss_and_is_rewritten(self, tmp_path, cache_home, monkeypatch, how):
         path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
         first = load_csv(path, minimal_roles())
         entry = cache_entry(cache_home, path)
         self.damage(entry, how)
         assert column_bits(load_csv(path, minimal_roles())) == column_bits(first)
-        stored = np.load(entry, allow_pickle=False)
-        npt.assert_array_equal(stored, [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]])
+        monkeypatch.setattr(tabular, "_fast_table", refuse_parse)
+        assert column_bits(load_csv(path, minimal_roles())) == column_bits(first)
 
-    def test_an_unusable_cache_directory_changes_nothing(self, tmp_path, cache_home):
+    def test_an_entry_holds_no_value_of_the_table(self, tmp_path, cache_home):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n0,1.5,2\n")
+        table = np.array([[0.0, 1.5, 2.0], [1.0, 2.5, 3.0], [0.0, 1.5, 2.0]])
+        load_csv(path, minimal_roles())
+        stored = np.load(cache_entry(cache_home, path), allow_pickle=False)
+        assert stored.shape == table.shape
+        assert np.intersect1d(stored.view(np.uint64), table.view(np.uint64)).size == 0
+        # Equal rows encrypt differently.
+        assert stored[0].tobytes() != stored[2].tobytes()
+
+    def test_an_unusable_cache_directory_changes_nothing(self, tmp_path, cache_home, monkeypatch):
         cache_home.mkdir()
         (cache_home / "dispdecomp").write_text("not a directory")
         path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
         expected = _outcome(_load_csv_reference, path, minimal_roles())
+        # Nothing is hashed when no entry can be read or written.
+        monkeypatch.setattr(tabular, "_cache_tag", refuse_hash)
         for _ in range(2):
             assert _outcome(load_csv, path, minimal_roles()) == expected
         assert (cache_home / "dispdecomp").read_text() == "not a directory"
@@ -492,7 +519,37 @@ class TestTableCache:
         expected = _outcome(_load_csv_reference, path, minimal_roles())
         for _ in range(2):
             assert _outcome(load_csv, path, minimal_roles()) == expected
-        assert not (cache_home / "dispdecomp").exists()
+        assert cache_entries(cache_home) == []
+
+    @pytest.mark.parametrize("access", [0o777, 0o770, 0o705, "another-owner"], ids=["777", "770", "705", "another-owner"])
+    def test_a_directory_others_can_write_or_read_is_not_used(self, tmp_path, cache_home, monkeypatch, access):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        load_csv(path, minimal_roles())
+        # An entry planted under the file's key is read from a private directory.
+        tabular._store_table(file_digest(path), np.array([[0.0, 7.5, 2.0], [1.0, 8.5, 3.0]]))
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [7.5, 8.5])
+        entry = cache_entry(cache_home, path)
+        planted = entry.read_bytes()
+        if access == "another-owner":
+            uid = os.getuid()
+            monkeypatch.setattr(tabular.os, "getuid", lambda: uid + 1)
+        else:
+            (cache_home / "dispdecomp").chmod(access)
+        monkeypatch.setattr(tabular, "_cache_tag", refuse_hash)
+        other = self.write(tmp_path, "R,M,Y\n0,4.5,2\n1,5.5,3\n", "other.csv")
+        npt.assert_array_equal(load_csv(path, minimal_roles()).column("M"), [1.5, 2.5])
+        npt.assert_array_equal(load_csv(other, minimal_roles()).column("M"), [4.5, 5.5])
+        assert cache_entries(cache_home) == [entry.name]
+        assert entry.read_bytes() == planted
+
+    @pytest.mark.parametrize("module", [dispdecomp, np], ids=["dispdecomp", "numpy"])
+    def test_an_entry_from_another_version_is_not_read(self, tmp_path, cache_home, monkeypatch, module):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        load_csv(path, minimal_roles())
+        monkeypatch.setattr(module, "__version__", "0+another")
+        monkeypatch.setattr(tabular, "_fast_table", refuse_parse)
+        with pytest.raises(AssertionError, match="parsed a file"):
+            load_csv(path, minimal_roles())
 
     def test_the_oldest_entries_are_evicted_past_the_budget(self, tmp_path, cache_home, monkeypatch):
         paths = [self.write(tmp_path, f"R,M,Y\n0,{i},2\n1,2,3\n", f"{i}.csv") for i in range(3)]
