@@ -1,8 +1,13 @@
 """Least-squares fitting with named columns.
 
-Ordinary least squares through scipy.linalg's column-pivoted Householder QR
-(never the normal equations), with rank deficiency reported as a hard error
-that names a minimal set of linearly dependent columns. Everything
+Ordinary least squares through a column-pivoted Householder QR (never the
+normal equations), with rank deficiency reported as a hard error that
+names a minimal set of linearly dependent columns. The QR and the
+triangular solves are LAPACK routines of the OpenBLAS that the scipy wheel
+bundles, called through ctypes as scipy.linalg calls them, so every bit is
+scipy.linalg's. scipy's Python modules are imported only where that
+library or its scipy_-prefixed symbols are missing (other wheel layouts,
+conda, scipy < 1.13); fits then go through scipy.linalg. Everything
 downstream is built on fit_ols. The one exception is the replicate fits of
 the bootstrap and of the simulation harness (_GramFits): they solve the
 normal equations, but only where the conditioning guarantees agreement
@@ -14,13 +19,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.util
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["EstimationError", "OlsFit", "fit_ols", "partial_r2"]
 
@@ -77,9 +82,7 @@ class OlsFit:
         Times residual_sd**2 this is each coefficient's squared standard
         error. Computed from the stored R factor on each call.
         """
-        r_inv = scipy.linalg.solve_triangular(
-            self.r_factor, np.eye(self.p), check_finite=False
-        )
+        r_inv = _LAPACK.solve_upper(self.r_factor, np.eye(self.p))
         diag = np.empty(self.p)
         diag[self.pivots] = np.einsum("ij,ij->i", r_inv, r_inv)
         return {name: float(v) for name, v in zip(self.coefficients, diag)}
@@ -95,7 +98,7 @@ def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> 
     dep = names[piv[k]]
     if k == 0:
         return [dep]
-    coef = scipy.linalg.solve_triangular(r[:k, :k], r[:k, k], check_finite=False)
+    coef = _LAPACK.solve_upper(r[:k, :k], r[:k, k])
     scale = np.max(np.abs(coef)) if coef.size else 0.0
     if scale == 0.0:
         return [dep]
@@ -107,9 +110,18 @@ def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> 
 # The OpenBLAS builds that the numpy and scipy wheels bundle in
 # <package>.libs/, with the symbol pattern of their thread-count controls.
 _BUNDLED_OPENBLAS = (
-    (np, "scipy_openblas_{}_num_threads64_"),
-    (scipy, "scipy_openblas_{}_num_threads"),
+    ("numpy", "scipy_openblas_{}_num_threads64_"),
+    ("scipy", "scipy_openblas_{}_num_threads"),
 )
+
+
+def _bundled_openblas(package: str) -> list[Path]:
+    """The OpenBLAS builds in package's <package>.libs/, found without
+    importing package."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    return sorted((Path(spec.origin).parent.parent / f"{package}.libs").glob("*openblas*"))
 
 
 @functools.cache
@@ -122,8 +134,7 @@ def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]
     """
     controls = []
     for package, symbol in _BUNDLED_OPENBLAS:
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
+        for path in _bundled_openblas(package):
             try:
                 lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
                 get, set_ = (getattr(lib, symbol.format(verb)) for verb in ("get", "set"))
@@ -156,6 +167,102 @@ def _one_blas_thread() -> Iterator[None]:
             set_(count)
 
 
+def _int(value: int) -> ctypes._CArgObject:
+    """A Fortran INTEGER argument: a reference to a C int holding value."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+class _BundledLapack:
+    """fit_ols's LAPACK steps on the LP64 routines of scipy's bundled
+    OpenBLAS, called as scipy.linalg calls them, so every result is
+    scipy.linalg's bit for bit."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._geqp3, self._orgqr, self._trtrs = (
+            getattr(lib, f"scipy_{name}_") for name in ("dgeqp3", "dorgqr", "dtrtrs")
+        )
+        # Fortran takes every argument by reference.
+        for routine, count in ((self._geqp3, 9), (self._orgqr, 9), (self._trtrs, 10)):
+            routine.argtypes, routine.restype = [ctypes.c_void_p] * count, None
+
+    @staticmethod
+    def _call(routine, *args) -> None:
+        """routine(*args, work, lwork, info) with its optimal workspace,
+        queried first (lwork = -1), as scipy.linalg does: a smaller one makes
+        LAPACK switch to its unblocked code on wide designs, which rounds
+        differently."""
+        work, info = (ctypes.c_double * 1)(), ctypes.c_int()
+        routine(*args, work, _int(-1), ctypes.byref(info))
+        lwork = max(int(work[0]), 1)
+        routine(*args, (ctypes.c_double * lwork)(), _int(lwork), ctypes.byref(info))
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} of {routine.__name__}")
+
+    def pivoted_qr(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Economic column-pivoted QR, design[:, piv] = q @ r, for n >= p:
+        scipy.linalg.qr(design, mode="economic", pivoting=True). dgeqp3
+        factors a Fortran-ordered copy, every column free (jpvt = 0); r is
+        taken from it before dorgqr forms Q in its place."""
+        n, p = design.shape
+        qr = np.array(design, order="F")
+        rows, cols, data = _int(n), _int(p), qr.ctypes.data
+        jpvt, tau = (ctypes.c_int * p)(), (ctypes.c_double * p)()
+        self._call(self._geqp3, rows, cols, data, rows, jpvt, tau)
+        r = np.triu(qr[:p])
+        self._call(self._orgqr, rows, cols, cols, data, rows, tau)
+        return qr, r, np.frombuffer(jpvt, dtype=np.intc) - 1
+
+    def solve_upper(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """r x = b for upper-triangular r with a nonzero diagonal:
+        scipy.linalg.solve_triangular(r, b). LAPACK reads a C-ordered r as
+        its transpose, so that is solved as the lower system, transposed."""
+        if r.flags.f_contiguous:
+            a, uplo, trans = r, b"U", b"N"
+        else:
+            a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
+        x = np.array(b, dtype=np.float64, order="F")
+        n, info = _int(a.shape[0]), ctypes.c_int()
+        nrhs = _int(1 if x.ndim == 1 else x.shape[1])
+        self._trtrs(uplo, trans, b"N", n, nrhs, a.ctypes.data, n, x.ctypes.data, n, ctypes.byref(info))
+        if info.value != 0:
+            raise ValueError(f"dtrtrs failed with info {info.value}")
+        return x
+
+
+class _ScipyLinalg:
+    """fit_ols's LAPACK steps through scipy.linalg, for installs whose scipy
+    bundles no OpenBLAS with scipy_-prefixed LAPACK symbols."""
+
+    def __init__(self) -> None:
+        import scipy.linalg
+
+        self._linalg = scipy.linalg
+
+    def pivoted_qr(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # scipy copies a C-ordered design twice, for the workspace query and
+        # for the factorization; this Fortran-ordered copy it factors in place.
+        return self._linalg.qr(
+            np.array(design, order="F"), overwrite_a=True, mode="economic", pivoting=True, check_finite=False
+        )
+
+    def solve_upper(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._linalg.solve_triangular(r, b, check_finite=False)
+
+
+def _lapack() -> _BundledLapack | _ScipyLinalg:
+    """scipy's bundled OpenBLAS, opened here so that set-up counts it, or
+    scipy.linalg where that library or its scipy_-prefixed symbols are missing."""
+    for path in _bundled_openblas("scipy"):
+        try:
+            return _BundledLapack(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError):
+            continue
+    return _ScipyLinalg()
+
+
+_LAPACK = _lapack()
+
+
 def _design(columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
     """The (n, p) design of an intercept and the named columns, each of n rows."""
     design = np.empty((n, len(columns) + 1))
@@ -178,7 +285,9 @@ def _residuals(fit: OlsFit | _ReplicateFit, columns: Mapping[str, np.ndarray], r
 
 def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     """Least squares of response on an intercept and the named columns
-    (scipy.linalg.qr with column pivoting, then solve_triangular).
+    (column-pivoted QR, then triangular solves: the LAPACK calls of
+    scipy.linalg.qr and solve_triangular, made on scipy's bundled OpenBLAS
+    directly, or through scipy.linalg where that library is missing).
 
     Every caller relies on the intercept: CDA's regression standardization,
     KOB's terms summing to the raw gap, and the centred R-squared of
@@ -202,12 +311,8 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     if not np.isfinite(design).all() or not np.isfinite(y).all():
         raise EstimationError("non-finite values in design or response")
 
-    # LAPACK factors this Fortran-ordered copy in place: the design itself
-    # is read again by the refinement, and scipy would copy a C-ordered one
-    # twice, for the workspace query and for the factorization.
-    q, r, piv = scipy.linalg.qr(
-        np.array(design, order="F"), overwrite_a=True, mode="economic", pivoting=True, check_finite=False
-    )
+    # LAPACK factors a copy: the design itself is read again by the refinement.
+    q, r, piv = _LAPACK.pivoted_qr(design)
     diag = np.abs(r.diagonal())
     top = diag[0]
     deficient = np.nonzero(diag <= RANK_TOL * top)[0]
@@ -218,13 +323,13 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
             "design columns are linearly dependent: " + ", ".join(dep)
         )
 
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y, check_finite=False)
+    beta_piv = _LAPACK.solve_upper(r, q.T @ y)
     beta = np.empty(p)
     beta[piv] = beta_piv
     # One step of iterative refinement; on well-scaled problems this lands
     # small-integer solutions exactly instead of within a few ulp.
     resid0 = y - design @ beta
-    beta[piv] += scipy.linalg.solve_triangular(r, q.T @ resid0, check_finite=False)
+    beta[piv] += _LAPACK.solve_upper(r, q.T @ resid0)
     residuals = y - design @ beta
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

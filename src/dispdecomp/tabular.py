@@ -174,8 +174,11 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _open_csv(path: str, sha256=None) -> TextIO:
-    """path as UTF-8 text; with sha256, every byte read is also hashed into it."""
+def _open_csv(path: str, sha256=None, piped: bytes | None = None) -> TextIO:
+    """path as UTF-8 text; with sha256, every byte read is also hashed into
+    it. Given piped, the bytes already read from path, these are read instead."""
+    if piped is not None:
+        return io.TextIOWrapper(io.BytesIO(piped), encoding="utf-8-sig", newline="")
     try:
         if sha256 is None:
             return open(path, newline="", encoding="utf-8-sig")
@@ -297,9 +300,10 @@ def _read_header(reader: Iterator[list[str]], path: str, roles: RoleSpec) -> lis
     return header
 
 
-def _load_csv_reference(path: str, roles: RoleSpec) -> Dataset:
-    """Cell-by-cell parser: defines load_csv's result and all its row errors."""
-    with _open_csv(path) as fh:
+def _load_csv_reference(path: str, roles: RoleSpec, piped: bytes | None = None) -> Dataset:
+    """Cell-by-cell parser: defines load_csv's result and all its row errors.
+    Given piped, the bytes already read from path, it parses these."""
+    with _open_csv(path, piped=piped) as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, roles)
         data: list[list[float]] = [[] for _ in header]
@@ -379,7 +383,8 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
     The file is read as UTF-8; bytes that do not decode raise DataError.
     Well-formed files are parsed in one vectorized pass; any file that pass
     cannot reproduce exactly is parsed again cell by cell, which also
-    produces the error messages.
+    produces the error messages. A file that is not a regular one, such as
+    a pipe, is read into memory first, and both passes read it there.
 
     The table the vectorized pass makes of a regular file is kept in
     $XDG_CACHE_HOME/dispdecomp (~/.cache/dispdecomp when that is unset),
@@ -394,9 +399,12 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
     """
     try:
         with _open_csv(path) as fh:
+            # A pipe can be read only once, so its bytes are read into memory,
+            # where both parsers read them, and it is not cached.
+            piped = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.buffer.read()
+        with _open_csv(path, piped=piped) as fh:
             header = _read_header(csv.reader(fh), path, roles)
-            # A pipe cannot be read twice, so only regular files are cached.
-            directory = _cache_dir() if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+            directory = None if piped is not None else _cache_dir()
             if directory is None:
                 table = _fast_table(fh, len(header))
             else:
@@ -413,7 +421,7 @@ def load_csv(path: str, roles: RoleSpec) -> Dataset:
             # The bytes parsed, which may differ from those hashed above.
             digest = sha256.digest()
         if table is None:
-            return _load_csv_reference(path, roles)
+            return _load_csv_reference(path, roles, piped)
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path!r}: {_not_utf8(exc)}") from exc
     data = Dataset({name: table[:, j] for j, name in enumerate(header)}, roles)

@@ -1062,3 +1062,32 @@ class TestTableCache:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == expected
         assert not cache_home.exists()
+
+
+class TestPipedCsv:
+    """A CSV on a pipe is read once; both parsers read the same bytes."""
+
+    FLAGS = ["--group", "R", "--outcome", "Y", "--mediator", "M"]
+
+    def piped(self, text):
+        return subprocess.run(
+            [sys.executable, "-m", "dispdecomp", "decompose", "--data", "/dev/stdin", *self.FLAGS],
+            input=text, capture_output=True, text=True, timeout=60, env=src_env(),
+        )
+
+    def test_a_bad_cell_is_named(self):
+        proc = self.piped("R,M,Y\n0,abc,2\n1,2,3\n")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: row 2, column 'M': non-numeric value 'abc'\n"
+        assert proc.stdout == ""
+
+    def test_a_cell_only_the_cell_by_cell_parser_accepts_loads_as_from_a_file(self, tmp_path, capsys):
+        # float() accepts "1_0" and np.loadtxt refuses it.
+        text = "R,M,Y\n0,1_0,2\n1,2,3\n0,3,1\n1,5,2\n0,2,2\n1,1,5\n"
+        path = tmp_path / "underscore.csv"
+        path.write_text(text)
+        assert main(["decompose", "--data", str(path), *self.FLAGS]) == 0
+        expected = capsys.readouterr().out
+        proc = self.piped(text)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected

@@ -1,3 +1,9 @@
+import ctypes
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,9 +11,38 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+import dispdecomp.regress as regress_module
+from conftest import random_dataset, src_env, write_dataset_csv
 from dispdecomp import EstimationError, fit_ols, partial_r2
 from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set, _residuals
+
+
+def bundles_lapack():
+    """Whether scipy's wheel bundles an OpenBLAS with scipy_-prefixed LAPACK
+    symbols, looked up here apart from regress's own lookup."""
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")):
+        try:
+            ctypes.CDLL(str(path)).scipy_dgeqp3_
+        except (OSError, AttributeError):
+            continue
+        return True
+    return False
+
+
+needs_bundled = pytest.mark.skipif(
+    not bundles_lapack(), reason="scipy bundles no OpenBLAS with scipy_-prefixed LAPACK symbols here"
+)
+
+
+@pytest.fixture
+def scipy_linalg_path(monkeypatch):
+    """fit_ols on scipy.linalg, as where scipy's bundled OpenBLAS is missing:
+    the library lookup finds nothing."""
+    monkeypatch.setattr(regress_module, "_bundled_openblas", lambda package: [])
+    lapack = regress_module._lapack()
+    assert isinstance(lapack, regress_module._ScipyLinalg)
+    monkeypatch.setattr(regress_module, "_LAPACK", lapack)
+
 
 # Constants below were computed once with exact rational arithmetic
 # (normal equations over fractions.Fraction), independent of this
@@ -154,6 +189,15 @@ class TestFitOls:
         npt.assert_allclose(extended.coef("a"), base.coef("a"), rtol=1e-8, atol=1e-10)
         npt.assert_allclose(extended.coef("b"), base.coef("b"), rtol=1e-8, atol=1e-10)
         npt.assert_allclose(extended.coef("q"), 0.0, atol=1e-8)
+
+
+@pytest.mark.usefixtures("scipy_linalg_path")
+class TestFitOlsErrorsOnScipyLinalg:
+    """The n < p and rank-deficiency errors where fits go through scipy.linalg."""
+
+    test_insufficient_observations = TestFitOls.test_insufficient_observations
+    test_rank_deficiency_names_dependent_columns = TestFitOls.test_rank_deficiency_names_dependent_columns
+    test_constant_column_collides_with_intercept = TestFitOls.test_constant_column_collides_with_intercept
 
 
 class TestPartialR2:
@@ -347,6 +391,114 @@ class TestFitOlsMatchesScipyReference:
         with pytest.raises(EstimationError) as got:
             fit_ols(columns, response)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.usefixtures("scipy_linalg_path")
+class TestFitOlsMatchesScipyReferenceOnScipyLinalg(TestFitOlsMatchesScipyReference):
+    """Every case above, where fits go through scipy.linalg. The class above
+    runs on the default path: scipy's bundled OpenBLAS, called directly,
+    wherever that library is installed."""
+
+
+@needs_bundled
+class TestLapackPathsAgree:
+    """Each LAPACK step on scipy's bundled OpenBLAS equals scipy.linalg's, bit for bit (==)."""
+
+    @staticmethod
+    def assert_same_arrays(got, expected):
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b)
+            assert (a.dtype, a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.dtype, b.flags.c_contiguous, b.flags.f_contiguous
+            )
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (7, 6), (60, 3), (300, 9), (400, 140)])
+    def test_qr_and_every_solve(self, n, k):
+        rng = np.random.default_rng(n + k)
+        design = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
+        bundled, linalg = regress_module._LAPACK, regress_module._ScipyLinalg()
+        q, r, piv = bundled.pivoted_qr(design)
+        self.assert_same_arrays((q, r, piv), linalg.pivoted_qr(design))
+        p = k + 1
+        rhs = [q.T @ rng.normal(size=n), np.eye(p)]
+        # The leading blocks _dependent_set solves, the 1 x 1 one included,
+        # which is contiguous in both orders.
+        cases = [(r, b) for b in rhs] + [(r[:j, :j], r[:j, j]) for j in range(1, p)]
+        for a, b in cases:
+            self.assert_same_arrays([bundled.solve_upper(a, b)], [linalg.solve_upper(a, b)])
+
+    def test_unscaled_variances(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        fit = fit_ols(random_columns(rng, 80, 4, scales=(1e-3, 1.0, 1e3)), rng.normal(size=80))
+        expected = fit.unscaled_variances()
+        monkeypatch.setattr(regress_module, "_LAPACK", regress_module._ScipyLinalg())
+        assert fit.unscaled_variances() == expected
+
+
+# Imports dispdecomp, makes one fit and one CLI command, then reports what
+# it loaded.
+NO_SCIPY_SCRIPT = """
+import json, sys
+import numpy as np
+import dispdecomp
+from dispdecomp import cli, regress
+
+rng = np.random.default_rng(0)
+dispdecomp.fit_ols({"x": rng.normal(size=20)}, rng.normal(size=20))
+argv = ["decompose", "--data", sys.argv[1], "--group", "R", "--outcome", "Y",
+        "--mediator", "M", "--baseline", "C1", "--intermediate", "X1", "--method", "all"]
+code = cli.main(argv)
+print(json.dumps({"code": code, "scipy": "scipy" in sys.modules,
+                  "controls": len(regress._openblas_controls())}))
+"""
+
+# Sets scipy's bundled OpenBLAS to two threads, then reads its count inside
+# and after _one_blas_thread.
+SCIPY_THREADS_SCRIPT = """
+import ctypes, json, os, sys
+from dispdecomp import regress
+
+for path in regress._bundled_openblas("scipy"):
+    try:
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        break
+    except (OSError, AttributeError):
+        continue
+set_(2)
+before = get()
+with regress._one_blas_thread():
+    inside = get()
+print(json.dumps({"scipy": "scipy" in sys.modules, "counts": [before, inside, get()]}))
+"""
+
+
+@needs_bundled
+class TestWithoutScipy:
+    """Where scipy bundles its OpenBLAS, no command imports scipy's Python modules."""
+
+    @staticmethod
+    def run(script, *args):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_fit_and_command_leave_scipy_unimported(self, tmp_path):
+        path = tmp_path / "small.csv"
+        write_dataset_csv(random_dataset(3, n=60), path)
+        report = self.run(NO_SCIPY_SCRIPT, str(path))
+        # The same bundled builds, numpy's and scipy's, as in this process,
+        # which imports scipy.
+        assert report == {"code": 0, "scipy": False, "controls": len(regress_module._openblas_controls())}
+
+    def test_one_blas_thread_holds_scipys_build_to_one_thread_and_restores_it(self):
+        report = self.run(SCIPY_THREADS_SCRIPT)
+        if report["counts"][0] != 2:
+            pytest.skip("OpenBLAS does not run 2 threads here")
+        assert report == {"scipy": False, "counts": [2, 1, 2]}
 
 
 class TestResidualsFromCoefficients:
