@@ -14,10 +14,11 @@ go to standard output (markdown by default, CSV with --format csv); all
 diagnostics go to standard error. Output is deterministic given flags and
 seeds; randomness is opt-in via ``--seed random``. Every command runs with
 the OpenBLAS builds that numpy and scipy bundle held to one thread, so a
-result does not depend on the machine's core count. Fits call the LAPACK
-routines of scipy's bundled OpenBLAS directly, with scipy.linalg's bits, so
-a command imports numpy but not scipy's Python modules; those are imported
-only where that library is missing.
+result does not depend on the machine's core count. Fits call scipy's own
+LAPACK wrappers (scipy.linalg.lapack's dgeqp3, dorgqr and dtrtrs), with
+scipy.linalg's bits. They are loaded from their file, so a command imports
+numpy but not scipy's package, except where that file does not load on its
+own.
 """
 from __future__ import annotations
 

@@ -3,24 +3,26 @@
 Ordinary least squares through a column-pivoted Householder QR (never the
 normal equations), with rank deficiency reported as a hard error that
 names a minimal set of linearly dependent columns. The QR and the
-triangular solves are LAPACK routines of the OpenBLAS that the scipy wheel
-bundles, called through ctypes as scipy.linalg calls them, so every bit is
-scipy.linalg's. scipy's Python modules are imported only where that
-library or its scipy_-prefixed symbols are missing (other wheel layouts,
-conda, scipy < 1.13); fits then go through scipy.linalg. Everything
-downstream is built on fit_ols. The one exception is the replicate fits of
-the bootstrap and of the simulation harness (_GramFits): they solve the
-normal equations, but only where the conditioning guarantees agreement
-with fit_ols to GRAM_TOL, and leave the rest to fit_ols. Such a fit is its
-coefficients only; a caller that needs residuals forms them (_residuals).
+triangular solves are scipy's own LAPACK wrappers, the dgeqp3, dorgqr and
+dtrtrs of scipy.linalg.lapack, called as scipy.linalg.qr and
+solve_triangular call them, so every bit is scipy.linalg's. They are
+loaded from their file, so scipy's package is imported only where that
+file does not load on its own. Everything downstream is built on fit_ols.
+The one exception is the replicate fits of the bootstrap and of the
+simulation harness (_GramFits): they solve the normal equations, but only
+where the conditioning guarantees agreement with fit_ols to GRAM_TOL, and
+leave the rest to fit_ols. Such a fit is its coefficients only; a caller
+that needs residuals forms them (_residuals).
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
 import importlib.util
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
@@ -82,7 +84,7 @@ class OlsFit:
         Times residual_sd**2 this is each coefficient's squared standard
         error. Computed from the stored R factor on each call.
         """
-        r_inv = _LAPACK.solve_upper(self.r_factor, np.eye(self.p))
+        r_inv = _solve_upper(self.r_factor, np.eye(self.p))
         diag = np.empty(self.p)
         diag[self.pivots] = np.einsum("ij,ij->i", r_inv, r_inv)
         return {name: float(v) for name, v in zip(self.coefficients, diag)}
@@ -98,7 +100,7 @@ def _dependent_set(r: np.ndarray, piv: np.ndarray, k: int, names: list[str]) -> 
     dep = names[piv[k]]
     if k == 0:
         return [dep]
-    coef = _LAPACK.solve_upper(r[:k, :k], r[:k, k])
+    coef = _solve_upper(r[:k, :k], r[:k, k])
     scale = np.max(np.abs(coef)) if coef.size else 0.0
     if scale == 0.0:
         return [dep]
@@ -167,100 +169,88 @@ def _one_blas_thread() -> Iterator[None]:
             set_(count)
 
 
-def _int(value: int) -> ctypes._CArgObject:
-    """A Fortran INTEGER argument: a reference to a C int holding value."""
-    return ctypes.byref(ctypes.c_int(value))
+def _flapack_file() -> Path | None:
+    """scipy's f2py LAPACK module, scipy/linalg/_flapack<suffix>, found
+    without importing scipy; None where scipy has no such file."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    linalg = Path(spec.origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (linalg / f"_flapack{suffix}").is_file():
+            return linalg / f"_flapack{suffix}"
+    return None
 
 
-class _BundledLapack:
-    """fit_ols's LAPACK steps on the LP64 routines of scipy's bundled
-    OpenBLAS, called as scipy.linalg calls them, so every result is
-    scipy.linalg's bit for bit."""
+def _load_flapack():
+    """The module whose dgeqp3, dorgqr and dtrtrs scipy.linalg.qr and
+    solve_triangular call, loaded here so that set-up counts it.
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self._geqp3, self._orgqr, self._trtrs = (
-            getattr(lib, f"scipy_{name}_") for name in ("dgeqp3", "dorgqr", "dtrtrs")
-        )
-        # Fortran takes every argument by reference.
-        for routine, count in ((self._geqp3, 9), (self._orgqr, 9), (self._trtrs, 10)):
-            routine.argtypes, routine.restype = [ctypes.c_void_p] * count, None
-
-    @staticmethod
-    def _call(routine, *args) -> None:
-        """routine(*args, work, lwork, info) with its optimal workspace,
-        queried first (lwork = -1), as scipy.linalg does: a smaller one makes
-        LAPACK switch to its unblocked code on wide designs, which rounds
-        differently."""
-        work, info = (ctypes.c_double * 1)(), ctypes.c_int()
-        routine(*args, work, _int(-1), ctypes.byref(info))
-        lwork = max(int(work[0]), 1)
-        routine(*args, (ctypes.c_double * lwork)(), _int(lwork), ctypes.byref(info))
-        if info.value < 0:
-            raise ValueError(f"illegal value in argument {-info.value} of {routine.__name__}")
-
-    def pivoted_qr(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Economic column-pivoted QR, design[:, piv] = q @ r, for n >= p:
-        scipy.linalg.qr(design, mode="economic", pivoting=True). dgeqp3
-        factors a Fortran-ordered copy, every column free (jpvt = 0); r is
-        taken from it before dorgqr forms Q in its place."""
-        n, p = design.shape
-        qr = np.array(design, order="F")
-        rows, cols, data = _int(n), _int(p), qr.ctypes.data
-        jpvt, tau = (ctypes.c_int * p)(), (ctypes.c_double * p)()
-        self._call(self._geqp3, rows, cols, data, rows, jpvt, tau)
-        r = np.triu(qr[:p])
-        self._call(self._orgqr, rows, cols, cols, data, rows, tau)
-        return qr, r, np.frombuffer(jpvt, dtype=np.intc) - 1
-
-    def solve_upper(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """r x = b for upper-triangular r with a nonzero diagonal:
-        scipy.linalg.solve_triangular(r, b). LAPACK reads a C-ordered r as
-        its transpose, so that is solved as the lower system, transposed."""
-        if r.flags.f_contiguous:
-            a, uplo, trans = r, b"U", b"N"
-        else:
-            a, uplo, trans = np.asfortranarray(r.T), b"L", b"T"
-        x = np.array(b, dtype=np.float64, order="F")
-        n, info = _int(a.shape[0]), ctypes.c_int()
-        nrhs = _int(1 if x.ndim == 1 else x.shape[1])
-        self._trtrs(uplo, trans, b"N", n, nrhs, a.ctypes.data, n, x.ctypes.data, n, ctypes.byref(info))
-        if info.value != 0:
-            raise ValueError(f"dtrtrs failed with info {info.value}")
-        return x
-
-
-class _ScipyLinalg:
-    """fit_ols's LAPACK steps through scipy.linalg, for installs whose scipy
-    bundles no OpenBLAS with scipy_-prefixed LAPACK symbols."""
-
-    def __init__(self) -> None:
-        import scipy.linalg
-
-        self._linalg = scipy.linalg
-
-    def pivoted_qr(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # scipy copies a C-ordered design twice, for the workspace query and
-        # for the factorization; this Fortran-ordered copy it factors in place.
-        return self._linalg.qr(
-            np.array(design, order="F"), overwrite_a=True, mode="economic", pivoting=True, check_finite=False
-        )
-
-    def solve_upper(self, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._linalg.solve_triangular(r, b, check_finite=False)
-
-
-def _lapack() -> _BundledLapack | _ScipyLinalg:
-    """scipy's bundled OpenBLAS, opened here so that set-up counts it, or
-    scipy.linalg where that library or its scipy_-prefixed symbols are missing."""
-    for path in _bundled_openblas("scipy"):
+    scipy/linalg/_flapack is loaded from its file, under a name of this
+    package that is left out of sys.modules, so scipy's package is not
+    imported. Where that file is missing or does not load on its own,
+    scipy.linalg.lapack, which holds the same functions, is imported.
+    """
+    path = _flapack_file()
+    if path is not None:
+        # Windows wheels keep the libraries _flapack links to in scipy.libs,
+        # which scipy's __init__ adds to the DLL search path.
+        libs = path.parents[2] / "scipy.libs"
+        if hasattr(os, "add_dll_directory") and libs.is_dir():
+            os.add_dll_directory(str(libs))
+        loader = importlib.machinery.ExtensionFileLoader("dispdecomp._flapack", str(path))
         try:
-            return _BundledLapack(ctypes.CDLL(str(path)))
-        except (OSError, AttributeError):
-            continue
-    return _ScipyLinalg()
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            # Python registers a single-phase extension module as it creates it.
+            sys.modules.pop(loader.name, None)
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
 
 
-_LAPACK = _lapack()
+_FLAPACK = _load_flapack()
+
+
+def _safecall(routine, *args, **kwargs) -> list[np.ndarray]:
+    """routine's outputs before work and info, with its optimal workspace,
+    queried first (lwork = -1), as scipy.linalg's safecall does: a smaller
+    one makes LAPACK switch to its unblocked code on wide designs, which
+    rounds differently."""
+    *_, work, info = routine(*args, lwork=-1, **kwargs)
+    *outputs, work, info = routine(*args, lwork=int(work[0]), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return outputs
+
+
+def _pivoted_qr(design: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economic column-pivoted QR, design[:, piv] = q @ r, for n >= p:
+    scipy.linalg.qr(design, mode="economic", pivoting=True). dgeqp3 factors
+    a Fortran-ordered copy in place; r is taken from it before dorgqr forms
+    Q in its place."""
+    qr, jpvt, tau = _safecall(_FLAPACK.dgeqp3, np.array(design, order="F"), overwrite_a=1)
+    jpvt -= 1
+    r = np.triu(qr[: design.shape[1]])
+    (q,) = _safecall(_FLAPACK.dorgqr, qr, tau, overwrite_a=1)
+    return q, r, jpvt
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r x = b for upper-triangular r with a nonzero diagonal:
+    scipy.linalg.solve_triangular(r, b). dtrtrs reads a C-ordered r as its
+    transpose, so that is solved as the lower system, transposed."""
+    if r.flags.f_contiguous:
+        x, info = _FLAPACK.dtrtrs(r, b)
+    else:
+        x, info = _FLAPACK.dtrtrs(r.T, b, lower=1, trans=1)
+    if info != 0:
+        raise ValueError(f"dtrtrs failed with info {info}")
+    return x
 
 
 def _design(columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
@@ -285,9 +275,9 @@ def _residuals(fit: OlsFit | _ReplicateFit, columns: Mapping[str, np.ndarray], r
 
 def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
     """Least squares of response on an intercept and the named columns
-    (column-pivoted QR, then triangular solves: the LAPACK calls of
-    scipy.linalg.qr and solve_triangular, made on scipy's bundled OpenBLAS
-    directly, or through scipy.linalg where that library is missing).
+    (column-pivoted QR, then triangular solves: scipy.linalg.lapack's
+    dgeqp3, dorgqr and dtrtrs, called as scipy.linalg.qr and
+    solve_triangular call them).
 
     Every caller relies on the intercept: CDA's regression standardization,
     KOB's terms summing to the raw gap, and the centred R-squared of
@@ -312,7 +302,7 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
         raise EstimationError("non-finite values in design or response")
 
     # LAPACK factors a copy: the design itself is read again by the refinement.
-    q, r, piv = _LAPACK.pivoted_qr(design)
+    q, r, piv = _pivoted_qr(design)
     diag = np.abs(r.diagonal())
     top = diag[0]
     deficient = np.nonzero(diag <= RANK_TOL * top)[0]
@@ -323,13 +313,13 @@ def fit_ols(columns: Mapping[str, np.ndarray], response: np.ndarray) -> OlsFit:
             "design columns are linearly dependent: " + ", ".join(dep)
         )
 
-    beta_piv = _LAPACK.solve_upper(r, q.T @ y)
+    beta_piv = _solve_upper(r, q.T @ y)
     beta = np.empty(p)
     beta[piv] = beta_piv
     # One step of iterative refinement; on well-scaled problems this lands
     # small-integer solutions exactly instead of within a few ulp.
     resid0 = y - design @ beta
-    beta[piv] += _LAPACK.solve_upper(r, q.T @ resid0)
+    beta[piv] += _solve_upper(r, q.T @ resid0)
     residuals = y - design @ beta
     scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -547,6 +547,8 @@ class TestBootstrap:
             bootstrap(data, "XYZ", B=5)
         with pytest.raises(ValueError, match="B >= 2"):
             bootstrap(data, "DIC", B=1)
+        with pytest.raises(ValueError, match="^unknown quantity 'bogus'$"):
+            decompose_dic(data).quantity("bogus")
 
     @pytest.mark.parametrize(
         "arguments, message",

@@ -1,47 +1,78 @@
 import ctypes
+import importlib.machinery
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dispdecomp.regress as regress_module
 from conftest import random_dataset, src_env, write_dataset_csv
 from dispdecomp import EstimationError, fit_ols, partial_r2
-from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set, _residuals
+from dispdecomp.regress import INTERCEPT, RANK_TOL, _dependent_set, _pivoted_qr, _residuals, _solve_upper
 
+# Loads scipy's _flapack file in a fresh interpreter, apart from regress's
+# own lookup, and reports whether it loaded without scipy's package.
+FLAPACK_ALONE_SCRIPT = """
+import importlib.machinery, importlib.util, json, os, sys
+from pathlib import Path
 
-def bundles_lapack():
-    """Whether scipy's wheel bundles an OpenBLAS with scipy_-prefixed LAPACK
-    symbols, looked up here apart from regress's own lookup."""
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob("*openblas*")):
+linalg = Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+libs = linalg.parent.parent / "scipy.libs"
+if hasattr(os, "add_dll_directory") and libs.is_dir():
+    os.add_dll_directory(str(libs))
+loaded = False
+for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+    if (linalg / f"_flapack{suffix}").is_file():
+        loader = importlib.machinery.ExtensionFileLoader("probe._flapack", str(linalg / f"_flapack{suffix}"))
         try:
-            ctypes.CDLL(str(path)).scipy_dgeqp3_
+            loaded = hasattr(loader.create_module(importlib.util.spec_from_loader(loader.name, loader)), "dgeqp3")
+        except ImportError:
+            pass
+        break
+print(json.dumps(loaded and "scipy" not in sys.modules))
+"""
+
+
+def flapack_loads_alone():
+    """Whether scipy's _flapack file loads on its own, without scipy's package."""
+    proc = subprocess.run([sys.executable, "-c", FLAPACK_ALONE_SCRIPT], capture_output=True, text=True, timeout=120)
+    return proc.returncode == 0 and json.loads(proc.stdout)
+
+
+needs_flapack_file = pytest.mark.skipif(
+    not flapack_loads_alone(), reason="scipy's _flapack file does not load without scipy's package here"
+)
+
+
+def bundles_openblas():
+    """Whether scipy's wheel bundles an OpenBLAS with its thread-count controls."""
+    for path in regress_module._bundled_openblas("scipy"):
+        try:
+            ctypes.CDLL(str(path)).scipy_openblas_get_num_threads
         except (OSError, AttributeError):
             continue
         return True
     return False
 
 
-needs_bundled = pytest.mark.skipif(
-    not bundles_lapack(), reason="scipy bundles no OpenBLAS with scipy_-prefixed LAPACK symbols here"
-)
+needs_bundled = pytest.mark.skipif(not bundles_openblas(), reason="scipy bundles no OpenBLAS here")
 
 
 @pytest.fixture
 def scipy_linalg_path(monkeypatch):
-    """fit_ols on scipy.linalg, as where scipy's bundled OpenBLAS is missing:
-    the library lookup finds nothing."""
-    monkeypatch.setattr(regress_module, "_bundled_openblas", lambda package: [])
-    lapack = regress_module._lapack()
-    assert isinstance(lapack, regress_module._ScipyLinalg)
-    monkeypatch.setattr(regress_module, "_LAPACK", lapack)
+    """fit_ols on scipy.linalg.lapack, as where scipy's _flapack file is
+    missing: the file lookup finds nothing."""
+    monkeypatch.setattr(regress_module, "_flapack_file", lambda: None)
+    module = regress_module._load_flapack()
+    assert module is scipy.linalg.lapack
+    monkeypatch.setattr(regress_module, "_FLAPACK", module)
 
 
 # Constants below were computed once with exact rational arithmetic
@@ -78,6 +109,8 @@ class TestFitOls:
         cols = {"b": rng.normal(size=9), "a": rng.normal(size=9)}
         fit = fit_ols(cols, rng.normal(size=9))
         assert list(fit.coefficients) == [INTERCEPT, "b", "a"]
+        with pytest.raises(EstimationError, match="^fit has no coefficient for 'missing'$"):
+            fit.coef("missing")
 
     def test_interpolating_fit_n_equals_p(self):
         fit = fit_ols({"x": np.array([1.0, 3.0])}, np.array([5.0, 9.0]))
@@ -193,7 +226,8 @@ class TestFitOls:
 
 @pytest.mark.usefixtures("scipy_linalg_path")
 class TestFitOlsErrorsOnScipyLinalg:
-    """The n < p and rank-deficiency errors where fits go through scipy.linalg."""
+    """The n < p and rank-deficiency errors where scipy's _flapack file is
+    missing and fits go through scipy.linalg.lapack."""
 
     test_insufficient_observations = TestFitOls.test_insufficient_observations
     test_rank_deficiency_names_dependent_columns = TestFitOls.test_rank_deficiency_names_dependent_columns
@@ -395,14 +429,42 @@ class TestFitOlsMatchesScipyReference:
 
 @pytest.mark.usefixtures("scipy_linalg_path")
 class TestFitOlsMatchesScipyReferenceOnScipyLinalg(TestFitOlsMatchesScipyReference):
-    """Every case above, where fits go through scipy.linalg. The class above
-    runs on the default path: scipy's bundled OpenBLAS, called directly,
-    wherever that library is installed."""
+    """Every case above, where scipy's _flapack file is missing and fits go
+    through scipy.linalg.lapack. The class above runs on the default path:
+    the same functions, loaded from scipy's _flapack file wherever that file
+    loads on its own."""
 
 
-@needs_bundled
+class TestLoadFlapack:
+    """The module regress calls LAPACK through: scipy's _flapack file, or
+    scipy.linalg.lapack where that file is missing or does not load."""
+
+    @needs_flapack_file
+    def test_loads_scipys_file_and_leaves_sys_modules_as_it_was(self):
+        before = dict(sys.modules)
+        module = regress_module._load_flapack()
+        assert sys.modules == before
+        assert module is not scipy.linalg.lapack
+        assert module.__file__ == str(regress_module._flapack_file())
+        assert module.dgeqp3.__doc__ == scipy.linalg.lapack.dgeqp3.__doc__
+
+    def test_missing_file_gives_scipy_linalg_lapack(self, monkeypatch):
+        monkeypatch.setattr(regress_module, "_flapack_file", lambda: None)
+        assert regress_module._load_flapack() is scipy.linalg.lapack
+
+    def test_file_that_fails_to_load_gives_scipy_linalg_lapacks_functions(self, monkeypatch, tmp_path):
+        path = tmp_path / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        path.write_bytes(b"not a shared library")
+        monkeypatch.setattr(regress_module, "_flapack_file", lambda: path)
+        module = regress_module._load_flapack()
+        lapack = scipy.linalg.lapack
+        assert (module.dgeqp3, module.dorgqr, module.dtrtrs) == (lapack.dgeqp3, lapack.dorgqr, lapack.dtrtrs)
+        assert "dispdecomp._flapack" not in sys.modules
+
+
 class TestLapackPathsAgree:
-    """Each LAPACK step on scipy's bundled OpenBLAS equals scipy.linalg's, bit for bit (==)."""
+    """_pivoted_qr and _solve_upper equal scipy.linalg.qr and
+    solve_triangular, bit for bit (==)."""
 
     @staticmethod
     def assert_same_arrays(got, expected):
@@ -416,23 +478,29 @@ class TestLapackPathsAgree:
     def test_qr_and_every_solve(self, n, k):
         rng = np.random.default_rng(n + k)
         design = np.column_stack([np.ones(n), rng.normal(size=(n, k))])
-        bundled, linalg = regress_module._LAPACK, regress_module._ScipyLinalg()
-        q, r, piv = bundled.pivoted_qr(design)
-        self.assert_same_arrays((q, r, piv), linalg.pivoted_qr(design))
+        q, r, piv = _pivoted_qr(design)
+        expected = scipy.linalg.qr(design, mode="economic", pivoting=True, check_finite=False)
+        self.assert_same_arrays((q, r, piv), expected)
         p = k + 1
         rhs = [q.T @ rng.normal(size=n), np.eye(p)]
         # The leading blocks _dependent_set solves, the 1 x 1 one included,
         # which is contiguous in both orders.
         cases = [(r, b) for b in rhs] + [(r[:j, :j], r[:j, j]) for j in range(1, p)]
         for a, b in cases:
-            self.assert_same_arrays([bundled.solve_upper(a, b)], [linalg.solve_upper(a, b)])
+            self.assert_same_arrays([_solve_upper(a, b)], [scipy.linalg.solve_triangular(a, b, check_finite=False)])
 
-    def test_unscaled_variances(self, monkeypatch):
+    def test_unscaled_variances(self):
         rng = np.random.default_rng(5)
         fit = fit_ols(random_columns(rng, 80, 4, scales=(1e-3, 1.0, 1e3)), rng.normal(size=80))
-        expected = fit.unscaled_variances()
-        monkeypatch.setattr(regress_module, "_LAPACK", regress_module._ScipyLinalg())
-        assert fit.unscaled_variances() == expected
+        r_inv = scipy.linalg.solve_triangular(fit.r_factor, np.eye(fit.p), check_finite=False)
+        diag = np.empty(fit.p)
+        diag[fit.pivots] = np.einsum("ij,ij->i", r_inv, r_inv)
+        assert fit.unscaled_variances() == dict(zip(fit.coefficients, diag.tolist()))
+
+
+@pytest.mark.usefixtures("scipy_linalg_path")
+class TestLapackPathsAgreeOnScipyLinalg(TestLapackPathsAgree):
+    """Every case above, where fits go through scipy.linalg.lapack."""
 
 
 # Imports dispdecomp, makes one fit and one CLI command, then reports what
@@ -473,9 +541,10 @@ print(json.dumps({"scipy": "scipy" in sys.modules, "counts": [before, inside, ge
 """
 
 
-@needs_bundled
+@needs_flapack_file
 class TestWithoutScipy:
-    """Where scipy bundles its OpenBLAS, no command imports scipy's Python modules."""
+    """Where scipy's _flapack file loads on its own, no command imports
+    scipy's Python modules."""
 
     @staticmethod
     def run(script, *args):
@@ -494,6 +563,7 @@ class TestWithoutScipy:
         # which imports scipy.
         assert report == {"code": 0, "scipy": False, "controls": len(regress_module._openblas_controls())}
 
+    @needs_bundled
     def test_one_blas_thread_holds_scipys_build_to_one_thread_and_restores_it(self):
         report = self.run(SCIPY_THREADS_SCRIPT)
         if report["counts"][0] != 2:

@@ -563,6 +563,19 @@ class TestGrid:
         assert abs(g.cell(0, 1).bias) > abs(g.cell(0, 0).bias)
         assert abs(g.cell(1, 1).bias) > abs(g.cell(1, 0).bias)
 
+    def test_group_0_mediator_model_failure_is_tagged(self):
+        # Baseline C1 is constant in group 0 only: the pooled fits stand,
+        # and the group-0 mediator model of the standardized gap does not.
+        other = random_dataset(49, n=40, n_baseline=1)
+        columns = dict(other.columns)
+        columns["C1"] = np.where(columns["R"] == 0.0, 1.0, columns["C1"])
+        data = build_dataset(columns, baseline=("C1",), intermediate=("X1",))
+        dependent = "design columns are linearly dependent: intercept, C1"
+        with pytest.raises(EstimationError, match=f"^group 0 mediator model: {dependent}$"):
+            grid(decompose_cda(other), data, (0.1,), (0.1,))
+        with pytest.raises(EstimationError, match=f"^baseline models: {dependent}$"):
+            decompose_cda(data)
+
     def test_validation(self):
         data = random_dataset(48, n=24, n_baseline=1)
         cda = decompose_cda(data, CdaSettings(seed=8))

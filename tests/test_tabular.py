@@ -470,8 +470,20 @@ class TestTableCache:
                 fh.write(bytes(48))
         elif how == "not-npy":
             entry.write_bytes(b"R,M,Y\n")
+        elif how == "npy-format-2":
+            # The same header and payload, in .npy format 2.0.
+            with open(entry, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                payload = fh.read()
+            with open(entry, "wb") as fh:
+                header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran_order, "shape": shape}
+                np.lib.format.write_array_header_2_0(fh, header)
+                fh.write(payload)
 
-    @pytest.mark.parametrize("how", ["truncated", "wrong-width", "pickled-object", "rows-beyond-the-file", "not-npy"])
+    @pytest.mark.parametrize(
+        "how", ["truncated", "wrong-width", "pickled-object", "rows-beyond-the-file", "not-npy", "npy-format-2"]
+    )
     def test_a_damaged_entry_reads_as_a_miss_and_is_rewritten(self, tmp_path, cache_home, monkeypatch, how):
         path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
         first = load_csv(path, minimal_roles())
@@ -480,6 +492,24 @@ class TestTableCache:
         assert column_bits(load_csv(path, minimal_roles())) == column_bits(first)
         monkeypatch.setattr(tabular, "_fast_table", refuse_parse)
         assert column_bits(load_csv(path, minimal_roles())) == column_bits(first)
+
+    def test_a_failed_entry_write_leaves_no_file_and_the_next_load_stores_it(
+        self, tmp_path, cache_home, monkeypatch
+    ):
+        path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n")
+        expected = _outcome(_load_csv_reference, path, minimal_roles())
+
+        def failing_keystream(data, digest):
+            raise OSError("disk full")
+
+        # The write fails after the entry's header.
+        with monkeypatch.context() as patch:
+            patch.setattr(tabular, "_keystream", failing_keystream)
+            assert _outcome(load_csv, path, minimal_roles()) == expected
+        # Neither the entry nor its temporary file is left.
+        assert cache_entries(cache_home) == []
+        assert _outcome(load_csv, path, minimal_roles()) == expected
+        assert cache_entries(cache_home) == [cache_entry(cache_home, path).name]
 
     def test_an_entry_holds_no_value_of_the_table(self, tmp_path, cache_home):
         path = self.write(tmp_path, "R,M,Y\n0,1.5,2\n1,2.5,3\n0,1.5,2\n")
